@@ -31,10 +31,10 @@ from .harness import (
     run_scenario,
     sweep_default_limits,
 )
-from .netsim import Event, EventKind, EventLoop, LinkDirection, LinkModel, TraceSchedule, load_trace
+from .netsim import EventLoop, LinkDirection, LinkModel, TraceSchedule, load_trace
 from .receiver import ArmTimer, EmitAckOnPath, PathRecvState, ReceiverState, RecvConfig, apply_range_limits
 from .scenario import MetricsReport, ScenarioConfig
-from .scheduler import Scheduler, SchedulerKind, select_path
+from .scheduler import SchedulerKind, select_path
 from .sender import AckProcessResult, LossConfig, PathSendState, SenderState
 from .simulation import Simulation, auto_window_packets
 
@@ -50,8 +50,6 @@ __all__ = [
     "ConfigError",
     "CongestionController",
     "EmitAckOnPath",
-    "Event",
-    "EventKind",
     "EventLoop",
     "InvariantViolation",
     "LinkDirection",
@@ -65,7 +63,6 @@ __all__ = [
     "ReceiverState",
     "RecvConfig",
     "ScenarioConfig",
-    "Scheduler",
     "SchedulerKind",
     "SenderState",
     "SentPacketRecord",

@@ -58,6 +58,10 @@ def _print_summary(report) -> None:
     )
 
 
+def _pct(delta: float | None) -> str:
+    return "incomplete" if delta is None else f"{delta:+.2f}%"
+
+
 def _cmd_run(args) -> int:
     config = parse_config_file(args.config)
     if args.mode:
@@ -89,7 +93,7 @@ def _cmd_compare(args) -> int:
             f"{comparison.spns.goodput_kBps:.1f}" if comparison.spns.complete else "incomplete",
             f"{comparison.spns.avg_ack_frame_size:.2f}",
         ),
-        ("Rate", f"{comparison.speed_delta_pct:+.2f}%", f"{comparison.ack_size_delta_pct:+.2f}%"),
+        ("Rate", _pct(comparison.speed_delta_pct), _pct(comparison.ack_size_delta_pct)),
     ]
     for row in rows:
         print(f"{row[0]:<6} {row[1]:>16} {row[2]:>22}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 MAX_PACKET_NUMBER = (1 << 62) - 1
 
@@ -197,9 +197,6 @@ class RangeSet:
         body = ", ".join(f"({hi},{lo})" for lo, hi in self._ranges)
         return f"RangeSet[{body}]"
 
-    def range_count(self) -> int:
-        return len(self._ranges)
-
     def holes(self) -> int:
         """Number of gaps between ranges (0 for an empty set)."""
         return max(0, len(self._ranges) - 1)
@@ -212,10 +209,6 @@ class RangeSet:
 
     def value_count(self) -> int:
         return sum(hi - lo + 1 for lo, hi in self._ranges)
-
-    def values(self) -> Iterator[int]:
-        for lo, hi in self._ranges:
-            yield from range(lo, hi + 1)
 
     def descending(self) -> list[AckRange]:
         """Ranges as AckRange tuples, largest first."""
@@ -236,11 +229,6 @@ class RangeSet:
             else:
                 j += 1
         return total
-
-    def copy(self) -> "RangeSet":
-        out = RangeSet()
-        out._ranges = [pair[:] for pair in self._ranges]
-        return out
 
 
 @dataclass(slots=True)

@@ -12,7 +12,7 @@ from .congestion import CcAlgorithm
 from .core import ConfigError, SpaceMode
 from .netsim import LinkModel, load_trace
 from .receiver import RecvConfig
-from .scenario import MetricsReport, ScenarioConfig
+from .scenario import SCALAR_FIELDS, MetricsReport, ScenarioConfig
 from .scheduler import SchedulerKind
 from .sender import LossConfig
 from .simulation import Simulation
@@ -33,8 +33,9 @@ class ComparisonReport:
 
     spns: MetricsReport
     mpns: MetricsReport
-    speed_delta_pct: float
-    ack_size_delta_pct: float
+    # (SPNS - MPNS) / MPNS in percent; None unless both runs completed
+    speed_delta_pct: float | None
+    ack_size_delta_pct: float | None
 
     def to_dict(self) -> dict:
         return {
@@ -51,8 +52,10 @@ def compare_modes(base_config: ScenarioConfig) -> ComparisonReport:
         cfg = dataclasses.replace(base_config, mode=mode, recv=dataclasses.replace(base_config.recv))
         reports[mode] = run_scenario(cfg)
     spns, mpns = reports[SpaceMode.SPNS], reports[SpaceMode.MPNS]
-    speed = _pct_delta(spns.goodput_kBps or 0.0, mpns.goodput_kBps or 1.0)
-    ack = _pct_delta(spns.avg_ack_frame_size, mpns.avg_ack_frame_size or 1.0)
+    if not (spns.complete and mpns.complete):
+        return ComparisonReport(spns, mpns, None, None)
+    speed = _pct_delta(spns.goodput_kBps, mpns.goodput_kBps)
+    ack = _pct_delta(spns.avg_ack_frame_size, mpns.avg_ack_frame_size)
     return ComparisonReport(spns, mpns, speed, ack)
 
 
@@ -84,23 +87,8 @@ def export_report(report: MetricsReport, fmt: str, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["series", "key", "value"])
-        data = report.to_dict()
-        for name in (
-            "mode",
-            "seed",
-            "complete",
-            "completion_time_s",
-            "goodput_kBps",
-            "avg_ack_frame_size",
-            "ack_frames",
-            "packet_threshold_losses",
-            "time_threshold_losses",
-            "spurious_retx",
-            "received_never_acked",
-            "packets_sent",
-            "packets_received",
-        ):
-            writer.writerow([name, "", data[name]])
+        for name in SCALAR_FIELDS:
+            writer.writerow([name, "", getattr(report, name)])
         for bucket, count in report.ack_range_count_histogram.items():
             writer.writerow(["ack_range_count_histogram", bucket, count])
         for path_id, series in report.srtt_ms.items():
@@ -166,7 +154,35 @@ def parse_config_file(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+# the keys each section accepts; [path.N] sections share the "path" set
+_KEYS = {
+    "scenario": set("mode scheduler cc transfer_bytes transfer_mb seed duration_cap_s".split()),
+    "receiver": set(
+        "ack_eliciting_threshold max_ack_delay_ms suppression default_limit maximum_limit"
+        " per_path_anchoring".split()
+    ),
+    "path": set(
+        "delay_down_ms delay_up_ms rate_mbps trace loss_rate reverse_loss_rate queue_packets mtu"
+        " window_packets".split()
+    ),
+}
+
+
+def _check_keys(parser: configparser.ConfigParser) -> None:
+    """Refuse sections and keys the format does not define, so typos fail loudly."""
+    if parser.defaults():
+        raise ConfigError("[DEFAULT] sections are not supported")
+    for section in parser.sections():
+        known = _KEYS.get("path" if section.startswith("path.") else section)
+        if known is None:
+            raise ConfigError(f"unknown section [{section}]")
+        unknown = sorted(set(parser[section]) - known)
+        if unknown:
+            raise ConfigError(f"[{section}] unknown key(s): {', '.join(unknown)}")
+
+
 def _build_config(parser: configparser.ConfigParser, base_dir: Path) -> ScenarioConfig:
+    _check_keys(parser)
     if "scenario" not in parser:
         raise ConfigError("missing [scenario] section")
     sc = parser["scenario"]
@@ -209,7 +225,7 @@ def _build_config(parser: configparser.ConfigParser, base_dir: Path) -> Scenario
             raise ConfigError(f"[{section}] needs delay_down_ms and delay_up_ms")
         window_raw = ps.get("window_packets", "auto").strip().lower()
         if window_raw in ("auto", ""):
-            window = None
+            window = "auto"
         elif window_raw == "none":
             window = None
         else:

@@ -10,11 +10,12 @@ direction defaults to a plain constant delay. Events are processed in
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
+from typing import Callable
 
 DEFAULT_MTU = 1350  # payload bytes per packet
 
@@ -75,15 +76,27 @@ class LinkModel:
     reverse_loss_rate: float = 0.0
     queue_capacity: int = 64
     mtu: int = DEFAULT_MTU
-    window_packets: int | None = None  # per-path cwnd ceiling; None = auto
+    # Per-path cwnd ceiling in packets. "auto" sizes it to the BDP plus a
+    # small queue allowance on rate-limited paths (no cap on trace or
+    # pure-delay paths); None means no cap.
+    window_packets: int | str | None = "auto"
 
     def validate(self) -> None:
         if self.rate_mbps is not None and self.trace is not None:
             raise ValueError("configure either a rate or a trace, not both")
-        if not (0.0 <= self.loss_rate < 1.0):
-            raise ValueError("loss_rate must be in [0, 1)")
+        if self.rate_mbps is not None and not (0.0 < self.rate_mbps < math.inf):
+            raise ValueError("rate_mbps must be positive and finite")
+        for name in ("delay_down_ms", "delay_up_ms"):
+            if not (0.0 <= getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be non-negative and finite")
+        for name in ("loss_rate", "reverse_loss_rate"):
+            if not (0.0 <= getattr(self, name) < 1.0):
+                raise ValueError(f"{name} must be in [0, 1)")
         if self.mtu <= 0 or self.queue_capacity < 0:
             raise ValueError("mtu and queue_capacity must be positive")
+        window = self.window_packets
+        if window not in ("auto", None) and not (isinstance(window, int) and window >= 1):
+            raise ValueError(f"window_packets must be 'auto', None or an int >= 1, not {window!r}")
 
 
 class LinkDirection:
@@ -148,42 +161,32 @@ class LinkDirection:
         return departure + self.delay_us
 
 
-class EventKind(Enum):
-    PACKET_ARRIVAL = "packet_arrival"
-    TIMER_FIRE = "timer_fire"
-    APP_SEND = "app_send"
-
-
-@dataclass(slots=True)
-class Event:
-    time: int
-    kind: EventKind
-    payload: tuple
-
-
 class EventLoop:
-    """Min-heap of events ordered by (time, insertion sequence)."""
+    """Min-heap of pending calls ordered by (time, insertion sequence)."""
 
     def __init__(self) -> None:
-        self._heap: list[tuple[int, int, Event]] = []
+        self._heap: list[tuple[int, int, Callable, tuple]] = []
         self._seq = 0
         self.now = 0
 
-    def schedule(self, time: int, kind: EventKind, payload: tuple = ()) -> None:
+    def schedule(self, time: int, handler: Callable, *args) -> None:
+        """Queue `handler(time, *args)` to run at `time`."""
         if time < self.now:
             raise RuntimeError(f"event scheduled in the past: {time} < {self.now}")
-        heapq.heappush(self._heap, (time, self._seq, Event(time, kind, payload)))
+        heapq.heappush(self._heap, (time, self._seq, handler, args))
         self._seq += 1
-
-    def __len__(self) -> int:
-        return len(self._heap)
 
     def peek_time(self) -> int | None:
         return self._heap[0][0] if self._heap else None
 
-    def pop(self) -> Event | None:
+    def pop(self) -> tuple[int, Callable, tuple] | None:
+        """Remove the earliest event; returns (time, handler, args), or None."""
         if not self._heap:
             return None
-        time, _, event = heapq.heappop(self._heap)
+        time, _, handler, args = heapq.heappop(self._heap)
         self.now = time
-        return event
+        return time, handler, args
+
+    def clear(self) -> None:
+        """Drop every pending event; the clock keeps its value."""
+        self._heap.clear()

@@ -30,6 +30,8 @@ class RecvConfig:
     def validate(self) -> None:
         if self.ack_eliciting_threshold < 1:
             raise ConfigError("ack_eliciting_threshold must be >= 1")
+        if self.max_ack_delay < 0:
+            raise ConfigError("max_ack_delay must be non-negative")
         if not (1 <= self.default_limit <= self.maximum_limit):
             raise ConfigError("need 1 <= default_limit <= maximum_limit")
 
@@ -190,12 +192,15 @@ class ReceiverState:
         prs.ack_timer_deadline = None
         return AckFrame(space=space, largest_acked=largest, ack_delay=ack_delay, ranges=ranges)
 
-    def on_ack_timer(self, path: int, now: int) -> AckFrame:
-        """Handle an expired ack timer by emitting the pending ACK."""
+    def on_ack_timer(self, path: int, deadline: int, now: int) -> AckFrame | None:
+        """Handle the ack timer armed for `deadline` by emitting the pending ACK.
+
+        Returns None when an ACK sent since then superseded that timer.
+        """
         self._check_path(path)
         prs = self.per_path[path]
-        if prs.ack_timer_deadline is None or prs.ack_eliciting_since_ack == 0:
-            raise ValueError(f"no ack timer pending on path {path}")
-        if now < prs.ack_timer_deadline:
+        if prs.ack_timer_deadline != deadline or prs.ack_eliciting_since_ack == 0:
+            return None
+        if now < deadline:
             raise ValueError(f"ack timer on path {path} has not expired")
         return self.build_ack_frame(path, now)

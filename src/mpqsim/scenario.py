@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Callable, get_args, get_origin, get_type_hints
 
 from .congestion import CcAlgorithm
 from .core import ConfigError, SpaceMode
@@ -25,10 +26,6 @@ class ScenarioConfig:
     loss: LossConfig = field(default_factory=LossConfig)
     seed: int = 0
     duration_cap_s: float = 60.0
-    # Derive a per-path cwnd ceiling (BDP plus a small queue allowance) for
-    # rate-limited paths with no explicit window_packets. Acts as the
-    # transfer's flow-control window.
-    auto_window: bool = True
 
     def validate(self) -> None:
         if self.transfer_size <= 0:
@@ -37,11 +34,11 @@ class ScenarioConfig:
             raise ConfigError("need at least one path")
         if self.duration_cap_s <= 0:
             raise ConfigError("duration_cap_s must be positive")
-        for lm in self.paths:
+        for p, lm in enumerate(self.paths):
             try:
                 lm.validate()
             except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+                raise ConfigError(f"path {p}: {exc}") from exc
         self.recv.validate()
         try:
             self.loss.validate()
@@ -77,51 +74,41 @@ class MetricsReport:
     packets_received: int
 
     def to_dict(self) -> dict:
+        """JSON-ready dict: field order, int map keys as strings, pairs as lists."""
         return {
-            "mode": self.mode,
-            "seed": self.seed,
-            "complete": self.complete,
-            "completion_time_s": self.completion_time_s,
-            "goodput_kBps": self.goodput_kBps,
-            "avg_ack_frame_size": self.avg_ack_frame_size,
-            "ack_frames": self.ack_frames,
-            "ack_range_count_histogram": {str(k): v for k, v in self.ack_range_count_histogram.items()},
-            "srtt_ms": {str(k): [list(p) for p in v] for k, v in self.srtt_ms.items()},
-            "rtt_samples_ms": {str(k): [list(p) for p in v] for k, v in self.rtt_samples_ms.items()},
-            "mixed_samples_ms": [list(p) for p in self.mixed_samples_ms],
-            "received_pn": {str(k): [list(p) for p in v] for k, v in self.received_pn.items()},
-            "hole_count": [list(p) for p in self.hole_count],
-            "packet_threshold_losses": self.packet_threshold_losses,
-            "time_threshold_losses": self.time_threshold_losses,
-            "spurious_retx": self.spurious_retx,
-            "received_never_acked": self.received_never_acked,
-            "packets_sent": self.packets_sent,
-            "packets_received": self.packets_received,
+            name: getattr(self, name) if codec is None else codec[0](getattr(self, name))
+            for name, codec in _FIELD_CODECS
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "MetricsReport":
-        def pairs(seq):
-            return [tuple(p) for p in seq]
-
         return cls(
-            mode=data["mode"],
-            seed=data["seed"],
-            complete=data["complete"],
-            completion_time_s=data["completion_time_s"],
-            goodput_kBps=data["goodput_kBps"],
-            avg_ack_frame_size=data["avg_ack_frame_size"],
-            ack_frames=data["ack_frames"],
-            ack_range_count_histogram={int(k): v for k, v in data["ack_range_count_histogram"].items()},
-            srtt_ms={int(k): pairs(v) for k, v in data["srtt_ms"].items()},
-            rtt_samples_ms={int(k): pairs(v) for k, v in data["rtt_samples_ms"].items()},
-            mixed_samples_ms=pairs(data["mixed_samples_ms"]),
-            received_pn={int(k): pairs(v) for k, v in data["received_pn"].items()},
-            hole_count=pairs(data["hole_count"]),
-            packet_threshold_losses=data["packet_threshold_losses"],
-            time_threshold_losses=data["time_threshold_losses"],
-            spurious_retx=data["spurious_retx"],
-            received_never_acked=data["received_never_acked"],
-            packets_sent=data["packets_sent"],
-            packets_received=data["packets_received"],
+            **{
+                name: data[name] if codec is None else codec[1](data[name])
+                for name, codec in _FIELD_CODECS
+            }
         )
+
+
+def _field_codec(hint) -> tuple[Callable, Callable] | None:
+    """(encode, decode) for one report field by its type; None for scalars."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is dict and get_origin(args[1]) is list:  # per-path series
+        return (
+            lambda v: {str(k): [list(p) for p in s] for k, s in v.items()},
+            lambda d: {int(k): [tuple(p) for p in s] for k, s in d.items()},
+        )
+    if origin is dict:  # histogram
+        return (
+            lambda v: {str(k): c for k, c in v.items()},
+            lambda d: {int(k): c for k, c in d.items()},
+        )
+    if origin is list:  # one series
+        return (lambda v: [list(p) for p in v], lambda d: [tuple(p) for p in d])
+    return None
+
+
+_HINTS = get_type_hints(MetricsReport)
+_FIELD_CODECS = [(f.name, _field_codec(_HINTS[f.name])) for f in fields(MetricsReport)]
+# the report's scalar fields, in declaration order
+SCALAR_FIELDS = tuple(name for name, codec in _FIELD_CODECS if codec is None)

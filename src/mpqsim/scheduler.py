@@ -25,7 +25,7 @@ def _min_rtt_key(ps: PathSendState) -> tuple[int, float, int]:
     # A path with no sample is probed once (before anything was sent on it);
     # after that it waits behind every measured path until its sample lands.
     if ps.smoothed_rtt is None:
-        bucket = 0 if not ps.history else 1
+        bucket = 0 if not ps.sent_count else 1
         return (bucket, math.inf, ps.path)
     return (1, ps.smoothed_rtt, ps.path)
 
@@ -56,14 +56,3 @@ def select_path(
             return candidate, candidate
     return None, rr_cursor
 
-
-class Scheduler:
-    """Stateful wrapper that owns the round-robin cursor."""
-
-    def __init__(self, kind: SchedulerKind):
-        self.kind = kind
-        self.rr_cursor = -1
-
-    def select(self, paths: list[PathSendState], packet_size: int) -> int | None:
-        path, self.rr_cursor = select_path(self.kind, paths, packet_size, self.rr_cursor)
-        return path

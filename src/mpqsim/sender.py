@@ -58,8 +58,7 @@ class PathSendState:
 
     def __init__(self, path: int, cc: CongestionController):
         self.path = path
-        self.history: list[int] = []  # packet numbers in send order
-        self.history_index: dict[int, int] = {}
+        self.sent_count = 0  # packets sent so far; the next send's history index
         self.unacked: dict[int, SentPacketRecord] = {}  # insertion = send order
         self.largest_acked_pn: int | None = None
         self.largest_acked_index: int = -1
@@ -150,8 +149,7 @@ class SenderState:
         if record.pn >= sp.next_pn:
             sp.next_pn = record.pn + 1
         ps = self.paths[path]
-        ps.history.append(record.pn)
-        ps.history_index[record.pn] = record.path_history_index
+        ps.sent_count += 1
         ps.unacked[record.pn] = record
         if record.ack_eliciting:
             ps.bytes_in_flight += record.size
@@ -172,7 +170,7 @@ class SenderState:
             send_time=now,
             size=size,
             ack_eliciting=ack_eliciting,
-            path_history_index=len(ps.history),
+            path_history_index=ps.sent_count,
             payload_offset=payload_offset,
         )
         self.on_packet_sent(path, record)

@@ -14,10 +14,10 @@ from collections import deque
 
 from .congestion import CongestionController
 from .core import RangeSet, ack_frame_wire_size
-from .netsim import EventKind, EventLoop, LinkDirection, LinkModel
+from .netsim import EventLoop, LinkDirection, LinkModel
 from .receiver import ArmTimer, EmitAckOnPath, ReceiverState
 from .scenario import MetricsReport, ScenarioConfig
-from .scheduler import Scheduler, select_path
+from .scheduler import select_path
 from .sender import PathSendState, SenderState
 
 # Sender pacing at cwnd/srtt. Window growth then cannot burst a whole
@@ -70,9 +70,7 @@ class Simulation:
                     rng=random.Random(f"{config.seed}/path{p}/up"),
                 )
             )
-            window = lm.window_packets
-            if window is None and config.auto_window:
-                window = auto_window_packets(lm)
+            window = auto_window_packets(lm) if lm.window_packets == "auto" else lm.window_packets
             window_bytes.append(window * lm.mtu if window is not None else None)
 
         def cc_factory(path: int) -> CongestionController:
@@ -82,7 +80,6 @@ class Simulation:
 
         self.sender = SenderState(config.mode, n, config.loss, cc_factory)
         self.receiver = ReceiverState(config.mode, n, config.recv)
-        self.scheduler = Scheduler(config.scheduler)
         self.loop = EventLoop()
 
         self.retx_queue: deque[tuple[int, int]] = deque()  # (offset, size)
@@ -106,7 +103,8 @@ class Simulation:
         self._pto_scheduled = [False] * n
         self._pace_next = [0] * n
         self._wake_at: int | None = None
-        self.after_event = None  # test hook: called as after_event(sim, event)
+        self._rr_cursor = -1  # round-robin position, advanced by select_path
+        self.after_event = None  # test hook: called as after_event(sim) after each event
 
     # -- sending ---------------------------------------------------------
 
@@ -125,15 +123,13 @@ class Simulation:
             self._pace_next[path] = max(now, self._pace_next[path]) + int(size / rate * 1e6)
         arrival = self.down[path].transmit(size, now)
         if arrival is not None:
-            self.loop.schedule(
-                arrival, EventKind.PACKET_ARRIVAL, ("data", path, rec.pn, size, offset)
-            )
+            self.loop.schedule(arrival, self._on_data, path, rec.pn, size, offset)
         self._arm_pto(path, now)
 
     def _schedule_wake(self, when: int) -> None:
         if self._wake_at is None or when < self._wake_at:
             self._wake_at = when
-            self.loop.schedule(when, EventKind.APP_SEND)
+            self.loop.schedule(when, self._on_wake)
 
     def _try_send(self, now: int) -> None:
         while True:
@@ -147,8 +143,8 @@ class Simulation:
             sendable = [ps for ps in self.sender.paths if now >= self._pace_next[ps.path]]
             path = None
             if sendable:
-                path, self.scheduler.rr_cursor = select_path(
-                    self.scheduler.kind, sendable, size, self.scheduler.rr_cursor
+                path, self._rr_cursor = select_path(
+                    self.config.scheduler, sendable, size, self._rr_cursor
                 )
             if path is None:
                 # wake up when the earliest pace-blocked eligible path frees up
@@ -176,17 +172,17 @@ class Simulation:
         deadline = now + ps.pto_interval(self.receiver.config.max_ack_delay)
         self._pto_deadline[path] = deadline
         if not self._pto_scheduled[path]:
-            self.loop.schedule(deadline, EventKind.TIMER_FIRE, ("pto", path))
+            self.loop.schedule(deadline, self._on_pto, path)
             self._pto_scheduled[path] = True
 
-    def _on_pto(self, path: int, now: int) -> None:
+    def _on_pto(self, now: int, path: int) -> None:
         self._pto_scheduled[path] = False
         deadline = self._pto_deadline[path]
         ps = self.sender.paths[path]
         if deadline is None or not ps.unacked:
             return
         if now < deadline:
-            self.loop.schedule(deadline, EventKind.TIMER_FIRE, ("pto", path))
+            self.loop.schedule(deadline, self._on_pto, path)
             self._pto_scheduled[path] = True
             return
         # probe: resend the oldest unacked payload on this path, ignoring cwnd
@@ -210,9 +206,9 @@ class Simulation:
         wire = self._record_ack_metrics(frame)
         arrival = self.up[path].transmit(wire, now)
         if arrival is not None:
-            self.loop.schedule(arrival, EventKind.PACKET_ARRIVAL, ("ack", path, frame))
+            self.loop.schedule(arrival, self._on_ack, path, frame)
 
-    def _on_data(self, path: int, pn: int, size: int, offset: int, now: int) -> None:
+    def _on_data(self, now: int, path: int, pn: int, size: int, offset: int) -> None:
         self.packets_received += 1
         actions = self.receiver.on_packet_received(path, pn, now, True)
         t_ms = now / 1000
@@ -229,18 +225,15 @@ class Simulation:
                 frame = self.receiver.build_ack_frame(action.path, now)
                 self._emit_ack(frame, action.path, now)
             elif isinstance(action, ArmTimer):
-                self.loop.schedule(
-                    action.deadline, EventKind.TIMER_FIRE, ("ack_timer", action.path, action.deadline)
-                )
+                deadline = action.deadline
+                self.loop.schedule(deadline, self._on_ack_timer, action.path, deadline)
 
-    def _on_ack_timer(self, path: int, deadline: int, now: int) -> None:
-        prs = self.receiver.per_path[path]
-        if prs.ack_timer_deadline != deadline or prs.ack_eliciting_since_ack == 0:
-            return  # superseded by an earlier ACK
-        frame = self.receiver.on_ack_timer(path, now)
-        self._emit_ack(frame, path, now)
+    def _on_ack_timer(self, now: int, path: int, deadline: int) -> None:
+        frame = self.receiver.on_ack_timer(path, deadline, now)
+        if frame is not None:
+            self._emit_ack(frame, path, now)
 
-    def _on_ack(self, path: int, frame, now: int) -> None:
+    def _on_ack(self, now: int, path: int, frame) -> None:
         result = self.sender.on_ack_received(path, frame, now)
         if result.rtt_sample is not None:
             p = result.rtt_path
@@ -255,32 +248,29 @@ class Simulation:
 
     # -- main loop ---------------------------------------------------------
 
+    def _on_wake(self, now: int) -> None:
+        if self._wake_at is not None and now >= self._wake_at:
+            self._wake_at = None
+        self._try_send(now)
+
     def run(self) -> MetricsReport:
         cap_us = int(self.config.duration_cap_s * 1e6)
-        self.loop.schedule(0, EventKind.APP_SEND)
-        while self.completion_us is None:
-            next_time = self.loop.peek_time()
-            if next_time is None or next_time > cap_us:
-                break
-            event = self.loop.pop()
-            if event.kind is EventKind.APP_SEND:
-                if self._wake_at is not None and event.time >= self._wake_at:
-                    self._wake_at = None
-                self._try_send(event.time)
-            elif event.kind is EventKind.PACKET_ARRIVAL:
-                payload = event.payload
-                if payload[0] == "data":
-                    self._on_data(payload[1], payload[2], payload[3], payload[4], event.time)
-                else:
-                    self._on_ack(payload[1], payload[2], event.time)
-            elif event.kind is EventKind.TIMER_FIRE:
-                payload = event.payload
-                if payload[0] == "ack_timer":
-                    self._on_ack_timer(payload[1], payload[2], event.time)
-                else:
-                    self._on_pto(payload[1], event.time)
-            if self.after_event is not None:
-                self.after_event(self, event)
+        loop = self.loop
+        loop.schedule(0, self._on_wake)
+        try:
+            while self.completion_us is None:
+                next_time = loop.peek_time()
+                if next_time is None or next_time > cap_us:
+                    break
+                time, handler, args = loop.pop()
+                handler(time, *args)
+                if self.after_event is not None:
+                    self.after_event(self)
+        finally:
+            # Pending handlers are bound methods of this Simulation; dropping
+            # them breaks the Simulation <-> EventLoop cycle, so a finished
+            # run is freed by reference counting alone.
+            loop.clear()
         self._flush_pending_acks()
         return self._build_report()
 

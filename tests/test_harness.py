@@ -16,6 +16,7 @@ from mpqsim.harness import (
 )
 from mpqsim.netsim import LinkModel
 from mpqsim.scenario import MetricsReport, ScenarioConfig
+from mpqsim.simulation import Simulation, auto_window_packets
 
 CONFIG_TEXT = """\
 [scenario]
@@ -107,6 +108,47 @@ def test_parse_trace_path(tmp_path):
     assert config.paths[1].rate_mbps is None
 
 
+@pytest.mark.parametrize(
+    "section, old, new",
+    [
+        ("receiver", "suppression = false", "supression = true"),
+        ("path.0", "queue_packets = 64", "queue_pakets = 64"),
+        ("scenario", "seed = 5", "sed = 5"),
+    ],
+)
+def test_parse_rejects_unknown_keys(tmp_path, section, old, new):
+    path = tmp_path / "typo.ini"
+    path.write_text(CONFIG_TEXT.replace(old, new, 1))
+    with pytest.raises(ConfigError, match=rf"\[{section}\].*{new.split()[0]}"):
+        parse_config_file(path)
+
+
+def test_parse_rejects_unknown_sections(tmp_path):
+    path = tmp_path / "typo.ini"
+    path.write_text(CONFIG_TEXT + "\n[pathx]\nrate_mbps = 10\n")
+    with pytest.raises(ConfigError, match=r"\[pathx\]"):
+        parse_config_file(path)
+    path.write_text("[DEFAULT]\nloss_rate = 0\n" + CONFIG_TEXT)
+    with pytest.raises(ConfigError, match="DEFAULT"):
+        parse_config_file(path)
+
+
+def test_window_packets_auto_none_and_integer(tmp_path):
+    def max_cwnd(window_line):
+        path = tmp_path / "window.ini"
+        path.write_text(CONFIG_TEXT.replace("[path.0]\n", f"[path.0]\n{window_line}", 1))
+        sim = Simulation(parse_config_file(path))
+        return sim.sender.paths[0].cc.max_cwnd
+
+    bdp_cap = auto_window_packets(LinkModel(delay_down_ms=15, delay_up_ms=15, rate_mbps=40)) * 1350
+    assert max_cwnd("") == bdp_cap
+    assert max_cwnd("window_packets = auto\n") == bdp_cap
+    assert max_cwnd("window_packets = none\n") is None  # no cap on a rate path
+    assert max_cwnd("window_packets = 12\n") == 12 * 1350
+    with pytest.raises(ConfigError, match="path 0: window_packets"):
+        max_cwnd("window_packets = 0\n")
+
+
 def test_validation_errors_are_config_errors():
     config = small_config()
     config.transfer_size = 0
@@ -127,6 +169,25 @@ def test_compare_modes_uses_same_seed_and_signs_deltas():
     )
     assert comparison.speed_delta_pct == pytest.approx(expected)
     assert comparison.ack_size_delta_pct > 0  # shared space always inflates ACKs
+
+
+def test_compare_of_incomplete_runs_reports_no_deltas(tmp_path, capsys):
+    config = small_config(transfer=5_000_000)
+    config.duration_cap_s = 0.3
+    comparison = compare_modes(config)
+    assert not comparison.spns.complete and not comparison.mpns.complete
+    assert comparison.speed_delta_pct is None
+    assert comparison.ack_size_delta_pct is None
+
+    text = CONFIG_TEXT.replace("transfer_bytes = 200000", "transfer_bytes = 5000000")
+    path = tmp_path / "slow.ini"
+    path.write_text(text.replace("duration_cap_s = 30", "duration_cap_s = 0.3"))
+    out = tmp_path / "cmp.json"
+    assert cli.main(["compare", "--config", str(path), "--out", str(out)]) == 3
+    rate_row = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("Rate"))
+    assert rate_row.split()[1:] == ["incomplete", "incomplete"]
+    data = json.loads(out.read_text())
+    assert data["speed_delta_pct"] is None and data["ack_size_delta_pct"] is None
 
 
 def test_sweep_runs_each_limit():

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from mpqsim.netsim import (
-    EventKind,
     EventLoop,
     LinkDirection,
     LinkModel,
@@ -21,19 +20,39 @@ def test_empty_loop_returns_none():
 
 def test_same_time_events_pop_in_insertion_order():
     loop = EventLoop()
-    loop.schedule(10, EventKind.APP_SEND, ("a",))
-    loop.schedule(10, EventKind.APP_SEND, ("b",))
-    loop.schedule(5, EventKind.APP_SEND, ("c",))
-    order = [loop.pop().payload[0] for _ in range(3)]
-    assert order == ["c", "a", "b"]
+    loop.schedule(10, print, "a")
+    loop.schedule(10, print, "b")
+    loop.schedule(5, print, "c")
+    order = [loop.pop() for _ in range(3)]
+    assert order == [(5, print, ("c",)), (10, print, ("a",)), (10, print, ("b",))]
+    assert loop.now == 10
+
+
+def test_popped_handler_runs_with_time_and_args():
+    calls = []
+    loop = EventLoop()
+    loop.schedule(7, lambda now, *args: calls.append((now, args)), "x", 2)
+    time, handler, args = loop.pop()
+    handler(time, *args)
+    assert calls == [(7, ("x", 2))]
+
+
+def test_clear_drops_pending_events_and_keeps_clock():
+    loop = EventLoop()
+    loop.schedule(3, print)
+    loop.schedule(9, print)
+    loop.pop()
+    loop.clear()
+    assert loop.pop() is None
+    assert loop.now == 3
 
 
 def test_scheduling_in_the_past_is_fatal():
     loop = EventLoop()
-    loop.schedule(10, EventKind.APP_SEND)
+    loop.schedule(10, print)
     loop.pop()
     with pytest.raises(RuntimeError):
-        loop.schedule(5, EventKind.APP_SEND)
+        loop.schedule(5, print)
 
 
 # -- rate-mode link ------------------------------------------------------------

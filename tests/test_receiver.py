@@ -241,31 +241,40 @@ def test_uncovered_must_cover_retries_next_frame():
 def test_timer_expiry_emits_ack():
     recv = make_receiver()
     recv.on_packet_received(0, 0, now=0)
-    frame = recv.on_ack_timer(0, now=25 * MS)
+    frame = recv.on_ack_timer(0, 25 * MS, now=25 * MS)
     assert frame.largest_acked == 0
     assert recv.per_path[0].ack_eliciting_since_ack == 0
     assert recv.per_path[0].ack_timer_deadline is None
 
 
-def test_timer_without_pending_packets_is_error():
+def test_timer_without_pending_packets_is_a_no_op():
     recv = make_receiver()
-    with pytest.raises(ValueError):
-        recv.on_ack_timer(0, now=25 * MS)
+    assert recv.on_ack_timer(0, 25 * MS, now=25 * MS) is None
 
 
 def test_timer_before_deadline_is_error():
     recv = make_receiver()
     recv.on_packet_received(0, 0, now=0)
     with pytest.raises(ValueError):
-        recv.on_ack_timer(0, now=10 * MS)
+        recv.on_ack_timer(0, 25 * MS, now=10 * MS)
 
 
 def test_timer_cleared_after_threshold_ack():
     recv = make_receiver()
     recv.on_packet_received(0, 0, now=0)
     recv.on_packet_received(0, 1, now=10)
-    with pytest.raises(ValueError):
-        recv.on_ack_timer(0, now=25 * MS)
+    # the threshold ACK superseded the timer armed by the first packet
+    assert recv.on_ack_timer(0, 25 * MS, now=25 * MS) is None
+    assert recv.per_path[0].ack_eliciting_since_ack == 0
+
+
+def test_timer_superseded_by_a_later_timer_is_a_no_op():
+    recv = make_receiver()
+    recv.on_packet_received(0, 0, now=0)
+    recv.build_ack_frame(0, now=MS)
+    recv.on_packet_received(0, 1, now=2 * MS)  # re-arms for 27 ms
+    assert recv.on_ack_timer(0, 25 * MS, now=25 * MS) is None
+    assert recv.on_ack_timer(0, 27 * MS, now=27 * MS).largest_acked == 1
 
 
 def test_timer_deadline_set_iff_counter_positive():

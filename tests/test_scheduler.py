@@ -1,7 +1,7 @@
 import random
 
 from mpqsim.congestion import CongestionController
-from mpqsim.scheduler import Scheduler, SchedulerKind, select_path
+from mpqsim.scheduler import SchedulerKind, select_path
 from mpqsim.sender import PathSendState
 
 MSS = 1350
@@ -13,7 +13,7 @@ def make_path(path, srtt_ms=None, cwnd_pkts=10, in_flight_pkts=0, sent=0):
     ps.bytes_in_flight = in_flight_pkts * MSS
     if srtt_ms is not None:
         ps.smoothed_rtt = srtt_ms * 1000.0
-    ps.history = list(range(sent))
+    ps.sent_count = sent
     return ps
 
 
@@ -54,18 +54,24 @@ def test_unprobed_fresh_path_ranks_first_once():
     assert path == 0
 
 
+def round_robin_picks(paths, count):
+    """`count` selections, threading the cursor as the simulation does."""
+    cursor, picks = -1, []
+    for _ in range(count):
+        path, cursor = select_path(SchedulerKind.ROUND_ROBIN, paths, MSS, cursor)
+        picks.append(path)
+    return picks
+
+
 def test_round_robin_alternates():
-    sched = Scheduler(SchedulerKind.ROUND_ROBIN)
     paths = [make_path(0, srtt_ms=50), make_path(1, srtt_ms=20)]
-    picks = [sched.select(paths, MSS) for _ in range(6)]
+    picks = round_robin_picks(paths, 6)
     assert picks == [1, 0, 1, 0, 1, 0] or picks == [0, 1, 0, 1, 0, 1]
 
 
 def test_round_robin_skips_ineligible():
-    sched = Scheduler(SchedulerKind.ROUND_ROBIN)
     paths = [make_path(0), make_path(1, in_flight_pkts=10), make_path(2)]
-    picks = [sched.select(paths, MSS) for _ in range(4)]
-    assert picks == [0, 2, 0, 2]
+    assert round_robin_picks(paths, 4) == [0, 2, 0, 2]
 
 
 def test_selection_never_violates_cwnd():
@@ -101,11 +107,9 @@ def test_minrtt_invariant_under_uniform_scaling():
 
 def test_round_robin_shares_evenly():
     for k in (2, 3, 4):
-        sched = Scheduler(SchedulerKind.ROUND_ROBIN)
         paths = [make_path(p, srtt_ms=10 * (p + 1), cwnd_pkts=100) for p in range(k)]
         for n in range(1, 50):
             counts = [0] * k
-            sched_local = Scheduler(SchedulerKind.ROUND_ROBIN)
-            for _ in range(n):
-                counts[sched_local.select(paths, MSS)] += 1
+            for path in round_robin_picks(paths, n):
+                counts[path] += 1
             assert max(counts) - min(counts) <= 1

@@ -47,8 +47,16 @@ def test_mpns_numbers_per_path():
 
 def test_spns_discontinuous_path_histories():
     sender = send_fig_history(make_sender())
-    assert sender.paths[0].history == [1, 2, 6, 7, 11, 12]
-    assert sender.paths[1].history == [0, 3, 4, 5, 8, 9, 10, 13, 14, 15]
+
+    def history(path):
+        # packet numbers in the order of their per-path send index
+        records = sorted(sender.paths[path].unacked.values(), key=lambda r: r.path_history_index)
+        assert [r.path_history_index for r in records] == list(range(len(records)))
+        return [r.pn for r in records]
+
+    assert history(0) == [1, 2, 6, 7, 11, 12]
+    assert history(1) == [0, 3, 4, 5, 8, 9, 10, 13, 14, 15]
+    assert [ps.sent_count for ps in sender.paths] == [6, 10]
 
 
 # -- send bookkeeping ------------------------------------------------------------

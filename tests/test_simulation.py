@@ -1,8 +1,12 @@
+import gc
+import weakref
+
 import pytest
 
 from mpqsim.congestion import CcAlgorithm
-from mpqsim.core import SpaceMode
+from mpqsim.core import ConfigError, SpaceMode
 from mpqsim.netsim import LinkModel, TraceSchedule
+from mpqsim.receiver import RecvConfig
 from mpqsim.scenario import ScenarioConfig
 from mpqsim.scheduler import SchedulerKind
 from mpqsim.simulation import Simulation, auto_window_packets
@@ -47,13 +51,57 @@ def test_single_path_modes_complete_identically():
 def test_bytes_in_flight_conserved_after_every_event():
     sim = Simulation(two_path_config(transfer=200_000))
 
-    def check(sim_, event):
+    def check(sim_):
         for ps in sim_.sender.paths:
             expected = sum(r.size for r in ps.unacked.values() if r.ack_eliciting)
             assert ps.bytes_in_flight == expected
 
     sim.after_event = check
     assert sim.run().complete
+
+
+def test_finished_simulation_is_freed_without_cyclic_gc():
+    gc.disable()
+    try:
+        sim = Simulation(two_path_config(transfer=50_000))
+        sim.run()
+        ref = weakref.ref(sim)
+        del sim
+        assert ref() is None
+        # also after a run that stops at its cap with events still pending
+        sim = Simulation(two_path_config(transfer=50_000_000, duration_cap_s=0.05))
+        assert not sim.run().complete
+        ref = weakref.ref(sim)
+        del sim
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "link, recv",
+    [
+        ({"rate_mbps": 0}, {}),
+        ({"rate_mbps": -5}, {}),
+        ({"delay_down_ms": -1}, {}),
+        ({"delay_up_ms": -1}, {}),
+        ({"delay_down_ms": float("nan")}, {}),
+        ({"reverse_loss_rate": 1.0}, {}),
+        ({"reverse_loss_rate": -0.1}, {}),
+        ({"window_packets": 0}, {}),
+        ({"window_packets": "big"}, {}),
+        ({}, {"max_ack_delay": -1}),
+    ],
+)
+def test_bad_link_and_receiver_values_refused_before_the_run(link, recv):
+    paths = [LinkModel(**{"delay_down_ms": 10, "delay_up_ms": 10, "rate_mbps": 10, **link})]
+    cfg = ScenarioConfig(
+        mode=SpaceMode.SPNS, paths=paths, transfer_size=10_000, recv=RecvConfig(**recv)
+    )
+    with pytest.raises(ConfigError):
+        cfg.validate()
+    with pytest.raises(ConfigError):
+        Simulation(cfg)
 
 
 def test_link_conservation_counters():
