@@ -207,28 +207,9 @@ class RangeSet:
     def min_value(self) -> int | None:
         return self._ranges[0][0] if self._ranges else None
 
-    def value_count(self) -> int:
-        return sum(hi - lo + 1 for lo, hi in self._ranges)
-
     def descending(self) -> list[AckRange]:
         """Ranges as AckRange tuples, largest first."""
         return [AckRange(hi, lo) for lo, hi in reversed(self._ranges)]
-
-    def intersection_size(self, other: "RangeSet") -> int:
-        """Number of values present in both sets."""
-        a, b = self._ranges, other._ranges
-        i = j = 0
-        total = 0
-        while i < len(a) and j < len(b):
-            lo = max(a[i][0], b[j][0])
-            hi = min(a[i][1], b[j][1])
-            if lo <= hi:
-                total += hi - lo + 1
-            if a[i][1] < b[j][1]:
-                i += 1
-            else:
-                j += 1
-        return total
 
 
 @dataclass(slots=True)

@@ -154,14 +154,14 @@ def parse_config_file(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-# the keys each section accepts; [path.N] sections share the "path" set
+# the keys each section accepts; every [path.N] section shares one set
 _KEYS = {
     "scenario": set("mode scheduler cc transfer_bytes transfer_mb seed duration_cap_s".split()),
     "receiver": set(
         "ack_eliciting_threshold max_ack_delay_ms suppression default_limit maximum_limit"
         " per_path_anchoring".split()
     ),
-    "path": set(
+    "path.N": set(
         "delay_down_ms delay_up_ms rate_mbps trace loss_rate reverse_loss_rate queue_packets mtu"
         " window_packets".split()
     ),
@@ -173,12 +173,26 @@ def _check_keys(parser: configparser.ConfigParser) -> None:
     if parser.defaults():
         raise ConfigError("[DEFAULT] sections are not supported")
     for section in parser.sections():
-        known = _KEYS.get("path" if section.startswith("path.") else section)
+        known = _KEYS.get("path.N" if section.startswith("path.") else section)
         if known is None:
             raise ConfigError(f"unknown section [{section}]")
         unknown = sorted(set(parser[section]) - known)
         if unknown:
             raise ConfigError(f"[{section}] unknown key(s): {', '.join(unknown)}")
+
+
+def _path_sections(parser: configparser.ConfigParser) -> list[str]:
+    """The [path.N] sections in ascending order of N, a distinct integer each."""
+    by_number: dict[int, str] = {}
+    for section in (s for s in parser.sections() if s.startswith("path.")):
+        suffix = section.removeprefix("path.")
+        if not (suffix.isascii() and suffix.isdigit()):
+            raise ConfigError(f"[{section}]: N in [path.N] must be a non-negative integer")
+        n = int(suffix)
+        if n in by_number:
+            raise ConfigError(f"[{section}] repeats path number {n} of [{by_number[n]}]")
+        by_number[n] = section
+    return [by_number[n] for n in sorted(by_number)]
 
 
 def _build_config(parser: configparser.ConfigParser, base_dir: Path) -> ScenarioConfig:
@@ -219,7 +233,7 @@ def _build_config(parser: configparser.ConfigParser, base_dir: Path) -> Scenario
             recv.per_path_anchoring = _as_bool(rc["per_path_anchoring"], "per_path_anchoring")
 
     paths = []
-    for section in sorted(s for s in parser.sections() if s.startswith("path.")):
+    for section in _path_sections(parser):
         ps = parser[section]
         if "delay_down_ms" not in ps or "delay_up_ms" not in ps:
             raise ConfigError(f"[{section}] needs delay_down_ms and delay_up_ms")

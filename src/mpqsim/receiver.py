@@ -67,19 +67,20 @@ def apply_range_limits(
 
     Keeps the newest `default_limit` ranges, extending the prefix just far
     enough to cover every packet number in `must_cover`, but never beyond
-    `maximum_limit` ranges.
+    `maximum_limit` ranges. The caller guarantees that every `must_cover`
+    packet lies in some range of `ranges`, so covering the lowest one
+    covers them all.
     """
     if default_limit < 1:
         raise ConfigError("default_limit must be >= 1")
     if len(ranges) <= default_limit:
         return ranges
     needed = default_limit
-    for pn in must_cover:
-        for idx, r in enumerate(ranges):
-            if r.smallest <= pn <= r.largest:
-                if idx + 1 > needed:
-                    needed = idx + 1
-                break
+    if must_cover:
+        lowest = min(must_cover)
+        # keep every range before the first one wholly below the lowest packet
+        reaching = next((i for i, r in enumerate(ranges) if r.largest < lowest), len(ranges))
+        needed = max(needed, reaching)
     return ranges[: min(needed, maximum_limit)]
 
 
@@ -100,10 +101,12 @@ class ReceiverState:
         self.per_path = [PathRecvState(p) for p in range(num_paths)]
         # receive time of each space's largest packet, for ablation-mode delay
         self._space_largest_time: dict[int, int] = {s: 0 for s in self.spaces}
-        # per path: packets received on it since it last emitted an ACK; the
-        # must_cover set for suppression. Every packet is covered at least
-        # once by its own arrival path's next frame.
+        # per path: packets received on it that none of its own frames has
+        # covered yet; the must_cover set for suppression, so every packet is
+        # covered at least once unless Maximum_Limit strands it.
         self._since_last_ack: list[set[int]] = [set() for _ in range(num_paths)]
+        # per space: received packets that no built frame has covered yet
+        self.uncovered: dict[int, set[int]] = {s: set() for s in self.spaces}
 
     def space_of(self, path: int) -> int:
         return 0 if self.mode is SpaceMode.SPNS else path
@@ -132,6 +135,7 @@ class ReceiverState:
             prs.largest_recv_pn = pn
             prs.largest_recv_time = now
         self._since_last_ack[path].add(pn)
+        self.uncovered[space].add(pn)
         if not ack_eliciting:
             return []
         prs.ack_eliciting_since_ack += 1
@@ -173,21 +177,17 @@ class ReceiverState:
             ranges.append(AckRange(min(r.largest, largest), r.smallest))
         pending = self._since_last_ack[path]
         if self.config.suppression_enabled:
-            must_cover = {pn for pn in pending if pn <= largest}
+            # every pending packet arrived on this path, so it lies at or
+            # below the anchor and inside one of the ranges
             ranges = apply_range_limits(
-                ranges, self.config.default_limit, self.config.maximum_limit, must_cover
+                ranges, self.config.default_limit, self.config.maximum_limit, pending
             )
-            # Anything Maximum_Limit forced us to leave uncovered stays pending
-            # so a later frame retries it; everything else restarts fresh.
-            leftover = {
-                pn
-                for pn in must_cover
-                if not any(r.smallest <= pn <= r.largest for r in ranges)
-            }
-            pending.clear()
-            pending.update(leftover)
-        else:
-            pending.clear()
+        # The frame covers exactly the received packets in [lowest, largest].
+        # Pending packets Maximum_Limit left below it stay pending so a later
+        # frame retries them; everything else restarts fresh.
+        lowest = ranges[-1].smallest
+        self._since_last_ack[path] = {pn for pn in pending if pn < lowest}
+        self.uncovered[space] = {pn for pn in self.uncovered[space] if not lowest <= pn <= largest}
         prs.ack_eliciting_since_ack = 0
         prs.ack_timer_deadline = None
         return AckFrame(space=space, largest_acked=largest, ack_delay=ack_delay, ranges=ranges)

@@ -5,12 +5,16 @@ counter per path. Every packet is indexed both in its number space and in
 its path's send history, so loss detection can use per-path packet-count
 and time thresholds instead of raw packet-number arithmetic.
 
-RTT samples are credited per path: an ACK only yields a sample for the
-path it arrived on (or the space it names), and only when its largest
-acknowledged packet has not already been covered by an earlier ACK from
-that same path. Samples whose largest was sent on a different path than
-the one that carried the ACK land in a mixed bucket instead of any path's
-smoothed estimate; with per-path anchored ACKs this never happens.
+RTT samples are attributed per path: an ACK counts toward the path it
+arrived on (or the space it names), and yields a sample only when its
+largest acknowledged exceeds the largest of every ACK earlier attributed
+to that path (RFC 9002 §5.1's newly acknowledged largest, scoped per path
+as in draft-ietf-quic-multipath). One int per path suffices because
+per-path ACK delivery is FIFO: the return direction has a constant delay
+and both anchoring modes only raise the anchor. Samples whose largest was
+sent on a different path than the one that carried the ACK land in a mixed
+bucket instead of any path's smoothed estimate; with per-path anchored
+ACKs this never happens.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from .core import (
     AckFrame,
     InvariantViolation,
     ProtocolError,
-    RangeSet,
     SentPacketRecord,
     SpaceMode,
 )
@@ -68,8 +71,8 @@ class PathSendState:
         self.min_rtt: int | None = None
         self.bytes_in_flight: int = 0
         self.cc = cc
-        # packet numbers covered so far by ACKs credited to this path
-        self.credited = RangeSet()
+        # largest acknowledged of every ACK attributed to this path so far
+        self.largest_credited: int = -1
 
     def update_rtt(self, sample: int, ack_delay: int = 0) -> None:
         """Fold one RTT sample into latest/min/smoothed/rttvar."""
@@ -195,8 +198,8 @@ class SenderState:
         if largest_record is None:
             raise ProtocolError(f"ACK largest {frame.largest_acked} was never sent")
 
-        credit = self.paths[credit_path].credited
-        largest_newly_for_path = frame.largest_acked not in credit
+        credit_state = self.paths[credit_path]
+        largest_newly_for_path = frame.largest_acked > credit_state.largest_credited
 
         ascending = frame.ranges[::-1]
         newly: list[SentPacketRecord] = []
@@ -241,14 +244,14 @@ class SenderState:
         if largest_newly_for_path and eliciting_newly:
             sample = now - largest_record.send_time
             if largest_record.path == credit_path:
-                self.paths[credit_path].update_rtt(sample, frame.ack_delay)
+                credit_state.update_rtt(sample, frame.ack_delay)
                 result.rtt_sample = sample
                 result.rtt_path = credit_path
             else:
                 self.mixed_samples.append((now, sample))
                 result.mixed_sample = sample
-        for r in frame.ranges:
-            credit.add_range(r.smallest, r.largest)
+        if largest_newly_for_path:
+            credit_state.largest_credited = frame.largest_acked
 
         for path in sorted(acked_bytes_by_path):
             result.lost.extend(self.detect_losses(path, now))

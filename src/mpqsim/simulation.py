@@ -13,7 +13,7 @@ import random
 from collections import deque
 
 from .congestion import CongestionController
-from .core import RangeSet, ack_frame_wire_size
+from .core import ack_frame_wire_size
 from .netsim import EventLoop, LinkDirection, LinkModel
 from .receiver import ArmTimer, EmitAckOnPath, ReceiverState
 from .scenario import MetricsReport, ScenarioConfig
@@ -93,7 +93,6 @@ class Simulation:
         self.ack_size_sum = 0
         self.ack_frames = 0
         self.range_hist: dict[int, int] = {}
-        self.ack_union = {s: RangeSet() for s in self.receiver.spaces}
         self.srtt_series: dict[int, list[tuple[float, float]]] = {p: [] for p in range(n)}
         self.rtt_samples: dict[int, list[tuple[float, float]]] = {p: [] for p in range(n)}
         self.received_pn: dict[int, list[tuple[float, int]]] = {p: [] for p in range(n)}
@@ -197,9 +196,6 @@ class Simulation:
         self.ack_frames += 1
         count = len(frame.ranges)
         self.range_hist[count] = self.range_hist.get(count, 0) + 1
-        union = self.ack_union[frame.space]
-        for r in frame.ranges:
-            union.add_range(r.smallest, r.largest)
         return wire
 
     def _emit_ack(self, frame, path: int, now: int) -> None:
@@ -291,9 +287,6 @@ class Simulation:
         complete = self.completion_us is not None
         completion_s = self.completion_us / 1e6 if complete else None
         goodput = (self.config.transfer_size / 1000) / completion_s if complete else None
-        never_acked = 0
-        for space, rs in self.receiver.spaces.items():
-            never_acked += rs.value_count() - rs.intersection_size(self.ack_union[space])
         return MetricsReport(
             mode=self.mode.value,
             seed=self.config.seed,
@@ -311,7 +304,7 @@ class Simulation:
             packet_threshold_losses=self.sender.packet_threshold_losses,
             time_threshold_losses=self.sender.time_threshold_losses,
             spurious_retx=self.sender.spurious_count,
-            received_never_acked=never_acked,
+            received_never_acked=sum(map(len, self.receiver.uncovered.values())),
             packets_sent=self.packets_sent,
             packets_received=self.packets_received,
         )

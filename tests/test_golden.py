@@ -1,8 +1,10 @@
 """Golden reports: short runs whose report bytes are pinned by sha256.
 
 A refactor of the simulator must leave every report bit-identical. These
-runs cover both numbering modes, ACK suppression, and a lossy four-path
-round-robin NewReno transfer with a trace-driven path; each pins the
+runs cover both numbering modes, ACK suppression (one run with lossy paths
+and a single range per frame, which leaves packets never acknowledged),
+and a lossy four-path round-robin NewReno transfer with a trace-driven
+path; each pins the
 sha256 of the canonical JSON (`json.dumps(to_dict(), sort_keys=True)`)
 and of the CSV export. A change to any pinned value is a change in
 behaviour and needs its own justification, not a new constant.
@@ -23,17 +25,24 @@ from mpqsim.scheduler import SchedulerKind
 from mpqsim.simulation import Simulation
 
 
-def _reference(mode, recv=None):
+def _reference(mode, recv=None, loss_rate=0.0, transfer_size=400_000):
     return ScenarioConfig(
         mode=mode,
         paths=[
-            LinkModel(delay_down_ms=15, delay_up_ms=15, rate_mbps=40),
-            LinkModel(delay_down_ms=60, delay_up_ms=60, rate_mbps=15),
+            LinkModel(delay_down_ms=15, delay_up_ms=15, rate_mbps=40, loss_rate=loss_rate),
+            LinkModel(delay_down_ms=60, delay_up_ms=60, rate_mbps=15, loss_rate=loss_rate),
         ],
-        transfer_size=400_000,
+        transfer_size=transfer_size,
         recv=recv or RecvConfig(),
         seed=7,
     )
+
+
+def _lossy_suppress_1():
+    # one range per frame on lossy paths strands packets: the only golden
+    # whose received_never_acked is not 0 (it is 4)
+    recv = RecvConfig(suppression_enabled=True, default_limit=1, maximum_limit=1)
+    return _reference(SpaceMode.SPNS, recv, loss_rate=0.02, transfer_size=300_000)
 
 
 def _lossy_four_path():
@@ -82,6 +91,11 @@ GOLDEN = {
         _lossy_four_path,
         "b06535380cb3405b89ddfb5e9b8cbd847cb3473243a99cfe741e001a85704f87",
         "9dd0afb3785042b773c7a721da25971b026a290aab364a8357ada6978ef57ddc",
+    ),
+    "spns-lossy-suppress-1": (
+        _lossy_suppress_1,
+        "dd3bbbc400adcb74b5cc346f1eaf27deaa07073bdb537b9f4cae815e78f43622",
+        "7a740f3a7f0b7043f9d2aa9ac5e1f00749c2f4944813bdd18b6e9abf281ecb38",
     ),
 }
 

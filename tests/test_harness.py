@@ -123,6 +123,37 @@ def test_parse_rejects_unknown_keys(tmp_path, section, old, new):
         parse_config_file(path)
 
 
+def test_parse_orders_path_sections_by_number(tmp_path):
+    # twelve sections, written in shuffled order; by string, 10 and 11
+    # would sort before 2
+    head = CONFIG_TEXT[: CONFIG_TEXT.index("[path.0]")]
+    sections = [
+        f"[path.{n}]\ndelay_down_ms = {n + 1}\ndelay_up_ms = 5\nrate_mbps = 10\n"
+        for n in (7, 11, 0, 3, 10, 1, 9, 2, 5, 8, 4, 6)
+    ]
+    path = tmp_path / "twelve.ini"
+    path.write_text(head + "\n".join(sections))
+    config = parse_config_file(path)
+    assert [lm.delay_down_ms for lm in config.paths] == [n + 1 for n in range(12)]
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("[path.x]", r"\[path\.x\].*integer"),
+        ("[path.-1]", r"\[path\.-1\].*integer"),
+        ("[path.]", r"\[path\.\].*integer"),
+        ("[path.01]", r"\[path\.(01|1)\] repeats path number 1"),
+        ("[path]", r"unknown section \[path\]"),
+    ],
+)
+def test_parse_rejects_bad_path_section_names(tmp_path, extra, message):
+    path = tmp_path / "bad.ini"
+    path.write_text(CONFIG_TEXT + f"\n{extra}\ndelay_down_ms = 5\ndelay_up_ms = 5\n")
+    with pytest.raises(ConfigError, match=message):
+        parse_config_file(path)
+
+
 def test_parse_rejects_unknown_sections(tmp_path):
     path = tmp_path / "typo.ini"
     path.write_text(CONFIG_TEXT + "\n[pathx]\nrate_mbps = 10\n")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from mpqsim.core import AckRange, ConfigError, SpaceMode, ack_frame_wire_size
@@ -233,6 +235,68 @@ def test_uncovered_must_cover_retries_next_frame():
         recv.on_packet_received(0, pn, now=200 + i)
     second = recv.build_ack_frame(0, now=300)
     assert second.ranges == [AckRange(9, 1)]
+
+
+def _covered(frame) -> set[int]:
+    return {pn for r in frame.ranges for pn in range(r.smallest, r.largest + 1)}
+
+
+def test_coverage_bookkeeping_matches_a_brute_force_union():
+    """The never-covered and pending sets agree with a union of every frame.
+
+    Shuffled arrivals (with losses and duplicates) over 1-4 paths, both
+    modes, both anchorings and suppression limits 1-5, plus builds forced
+    at random times as an ack timer would.
+    """
+    rng = random.Random(20240)
+    for _ in range(1000):
+        mode = rng.choice(list(SpaceMode))
+        paths = rng.randint(1, 4)
+        default = rng.randint(1, 5)
+        cfg = RecvConfig(
+            ack_eliciting_threshold=rng.randint(1, 3),
+            suppression_enabled=rng.random() < 0.6,
+            default_limit=default,
+            maximum_limit=rng.randint(default, 6),
+            per_path_anchoring=rng.random() < 0.5,
+        )
+        recv = ReceiverState(mode, paths, cfg)
+        if mode is SpaceMode.SPNS:
+            sent = [(rng.randrange(paths), pn) for pn in range(rng.randint(1, 40))]
+        else:
+            sent = [(p, pn) for p in range(paths) for pn in range(rng.randint(1, 12))]
+        arrivals = [a for a in sent if rng.random() > 0.15]
+        arrivals += rng.sample(arrivals, len(arrivals) // 8)  # duplicates
+        rng.shuffle(arrivals)
+        received = {space: set() for space in recv.spaces}
+        covered = {space: set() for space in recv.spaces}
+        pending = [set() for _ in range(paths)]  # received on p, no frame of p covered it
+
+        def build(path, now):
+            frame = recv.build_ack_frame(path, now)
+            frame.validate()
+            if cfg.suppression_enabled:
+                assert len(frame.ranges) <= cfg.maximum_limit
+            in_frame = _covered(frame)
+            assert in_frame <= received[frame.space]
+            covered[frame.space] |= in_frame
+            pending[path] -= in_frame
+            assert recv._since_last_ack[path] == pending[path]
+            assert all(pn < frame.ranges[-1].smallest for pn in pending[path])
+
+        for now, (path, pn) in enumerate(arrivals):
+            space = recv.space_of(path)
+            if pn not in received[space]:
+                pending[path].add(pn)
+            received[space].add(pn)
+            for action in recv.on_packet_received(path, pn, now):
+                if isinstance(action, EmitAckOnPath):
+                    build(action.path, now)
+            if rng.random() < 0.2:
+                heard = [p for p in range(paths) if recv.per_path[p].largest_recv_pn is not None]
+                build(rng.choice(heard), now)
+            for space in recv.spaces:
+                assert recv.uncovered[space] == received[space] - covered[space]
 
 
 # -- timer-driven ACKs ---------------------------------------------------------

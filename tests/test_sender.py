@@ -101,6 +101,21 @@ def test_ack_with_already_credited_largest_gives_no_sample():
     assert again.newly_acked == []
 
 
+def test_same_path_ack_below_largest_credited_gives_no_sample():
+    # an ACK that reached path 0 after one with a larger largest (which this
+    # model cannot deliver) acknowledges packets but yields no sample
+    sender = make_sender()
+    for t in range(3):
+        sender.send_packet(0, 100, now=t)  # pns 0, 1, 2 on path 0
+    first = sender.on_ack_received(0, ack(largest=2, ranges=[AckRange(2, 2)]), now=100)
+    assert first.rtt_sample == 98
+    late = sender.on_ack_received(0, ack(largest=1, ranges=[AckRange(1, 0)]), now=150)
+    assert {r.pn for r in late.newly_acked} == {0, 1}
+    assert late.rtt_sample is None
+    assert late.mixed_sample is None
+    assert sender.paths[0].largest_credited == 2
+
+
 def test_slow_path_still_samples_after_cross_path_coverage():
     # pn 0 goes on the slow path, pn 1 on the fast one; the fast path's ACK
     # covers both first, yet the slow path's own ACK still yields its sample
