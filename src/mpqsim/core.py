@@ -7,6 +7,7 @@ Times are integer microseconds unless noted otherwise.
 from __future__ import annotations
 
 import bisect
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -93,18 +94,19 @@ class AckFrame:
     ranges: list[AckRange]
 
     def validate(self) -> None:
-        if not self.ranges:
+        """Refuse a frame whose ranges are not descending, disjoint and non-adjacent."""
+        ranges = self.ranges
+        if not ranges:
             raise InvariantViolation("ACK frame must carry at least one range")
-        if self.ranges[0].largest != self.largest_acked:
+        if ranges[0].largest != self.largest_acked:
             raise InvariantViolation("first range must start at largest_acked")
-        prev = self.ranges[0]
-        for r in self.ranges:
-            if r.smallest < 0 or r.smallest > r.largest:
-                raise InvariantViolation(f"inverted range {r}")
-        for r in self.ranges[1:]:
-            if r.largest >= prev.smallest - 1:
+        prev_smallest = self.largest_acked + 2  # nothing lies above the first range
+        for largest, smallest in ranges:
+            if smallest < 0 or smallest > largest:
+                raise InvariantViolation(f"inverted range {AckRange(largest, smallest)}")
+            if largest >= prev_smallest - 1:
                 raise InvariantViolation("ranges must be descending and non-adjacent")
-            prev = r
+            prev_smallest = smallest
 
 
 def ack_frame_wire_size(frame: AckFrame, mode: SpaceMode) -> int:
@@ -114,39 +116,57 @@ def ack_frame_wire_size(frame: AckFrame, mode: SpaceMode) -> int:
     encoded ack delay, range count - 1, and the first range length; each
     further range adds varints for gap (previous smallest - largest - 2)
     and length. Per-path spaces carry one extra varint naming the space.
+
+    Refuses only frames it cannot encode: no ranges, a first range that
+    does not start at largest acknowledged, or a negative gap or length.
+    Full validation happens once, where the sender accepts the frame.
     """
-    frame.validate()
     ranges = frame.ranges
-    size = 1
-    size += varint_size(frame.largest_acked)
-    size += varint_size(frame.ack_delay >> ACK_DELAY_EXPONENT)
-    size += varint_size(len(ranges) - 1)
-    size += varint_size(ranges[0].largest - ranges[0].smallest)
+    if not ranges:
+        raise InvariantViolation("ACK frame must carry at least one range")
+    if ranges[0].largest != frame.largest_acked:
+        raise InvariantViolation("first range must start at largest_acked")
+    first_length = frame.largest_acked - ranges[0].smallest
+    if first_length < 0:
+        raise InvariantViolation(f"inverted range {ranges[0]}")
+    size = (
+        1
+        + varint_size(frame.largest_acked)
+        + varint_size(frame.ack_delay >> ACK_DELAY_EXPONENT)
+        + varint_size(len(ranges) - 1)
+        + varint_size(first_length)
+    )
     prev_smallest = ranges[0].smallest
-    for r in ranges[1:]:
-        size += varint_size(prev_smallest - r.largest - 2)
-        size += varint_size(r.largest - r.smallest)
-        prev_smallest = r.smallest
+    for largest, smallest in ranges[1:]:
+        gap = prev_smallest - largest - 2
+        length = largest - smallest
+        if gap < 0 or length < 0:
+            raise InvariantViolation("ranges must be descending, non-adjacent and not inverted")
+        # varints below 2^6 take 1 byte and below 2^14 take 2
+        size += 1 if gap < 64 else 2 if gap < 16384 else varint_size(gap)
+        size += 1 if length < 64 else 2 if length < 16384 else varint_size(length)
+        prev_smallest = smallest
     if mode is SpaceMode.MPNS:
         size += varint_size(frame.space)
     return size
 
 
-def _range_lo(pair: list[int]) -> int:
-    return pair[0]
+_smallest = operator.itemgetter(1)
 
 
 class RangeSet:
     """Set of packet numbers stored as maximal disjoint inclusive ranges.
 
-    Internally kept ascending by lower bound; adjacent ranges are merged so
-    the hole count is always len(ranges) - 1.
+    Internally an ascending list of immutable `AckRange(largest, smallest)`
+    tuples, bisected on `smallest`; adjacent ranges are merged so the hole
+    count is always len(ranges) - 1. `descending` hands out the tuples
+    themselves, so frames share them instead of copying.
     """
 
     __slots__ = ("_ranges",)
 
     def __init__(self) -> None:
-        self._ranges: list[list[int]] = []
+        self._ranges: list[AckRange] = []
 
     def insert(self, pn: int) -> None:
         self.add_range(pn, pn)
@@ -156,31 +176,31 @@ class RangeSet:
             raise InvariantViolation(f"invalid range ({lo}, {hi})")
         ranges = self._ranges
         if not ranges:
-            ranges.append([lo, hi])
+            ranges.append(AckRange(hi, lo))
             return
-        last = ranges[-1]
-        if lo > last[1] + 1:
-            ranges.append([lo, hi])
+        last_hi, last_lo = ranges[-1]
+        if lo > last_hi + 1:
+            ranges.append(AckRange(hi, lo))
             return
-        if lo >= last[0]:
+        if lo >= last_lo:
             # touches or overlaps only the final range
-            if hi > last[1]:
-                last[1] = hi
+            if hi > last_hi:
+                ranges[-1] = AckRange(hi, last_lo)
             return
-        i = bisect.bisect_left(ranges, lo, key=_range_lo)
+        i = bisect.bisect_left(ranges, lo, key=_smallest)
         j = i
-        if i > 0 and ranges[i - 1][1] + 1 >= lo:
+        if i > 0 and ranges[i - 1].largest + 1 >= lo:
             i -= 1
-            lo = ranges[i][0]
-            hi = max(hi, ranges[i][1])
-        while j < len(ranges) and ranges[j][0] <= hi + 1:
-            hi = max(hi, ranges[j][1])
+            lo = ranges[i].smallest
+            hi = max(hi, ranges[i].largest)
+        while j < len(ranges) and ranges[j].smallest <= hi + 1:
+            hi = max(hi, ranges[j].largest)
             j += 1
-        ranges[i:j] = [[lo, hi]]
+        ranges[i:j] = [AckRange(hi, lo)]
 
     def __contains__(self, pn: int) -> bool:
-        i = bisect.bisect_right(self._ranges, pn, key=_range_lo) - 1
-        return i >= 0 and self._ranges[i][1] >= pn
+        i = bisect.bisect_right(self._ranges, pn, key=_smallest) - 1
+        return i >= 0 and self._ranges[i].largest >= pn
 
     def __bool__(self) -> bool:
         return bool(self._ranges)
@@ -194,7 +214,7 @@ class RangeSet:
         return self._ranges == other._ranges
 
     def __repr__(self) -> str:
-        body = ", ".join(f"({hi},{lo})" for lo, hi in self._ranges)
+        body = ", ".join(f"({hi},{lo})" for hi, lo in self._ranges)
         return f"RangeSet[{body}]"
 
     def holes(self) -> int:
@@ -202,14 +222,28 @@ class RangeSet:
         return max(0, len(self._ranges) - 1)
 
     def max_value(self) -> int | None:
-        return self._ranges[-1][1] if self._ranges else None
+        return self._ranges[-1].largest if self._ranges else None
 
     def min_value(self) -> int | None:
-        return self._ranges[0][0] if self._ranges else None
+        return self._ranges[0].smallest if self._ranges else None
 
-    def descending(self) -> list[AckRange]:
-        """Ranges as AckRange tuples, largest first."""
-        return [AckRange(hi, lo) for lo, hi in reversed(self._ranges)]
+    def descending(self, anchor: int | None = None, limit: int | None = None) -> list[AckRange]:
+        """Ranges largest first, covering only the numbers up to `anchor`.
+
+        Ranges wholly above `anchor` are left out and the one holding it
+        is clipped to end at it; at most `limit` ranges are returned.
+        """
+        ranges = self._ranges
+        top = len(ranges) - 1
+        if anchor is not None:
+            top = bisect.bisect_right(ranges, anchor, key=_smallest) - 1
+            if top < 0:
+                return []
+        stop = None if limit is None or limit > top else top - limit
+        out = ranges[top:stop:-1]
+        if out and anchor is not None and out[0].largest > anchor:
+            out[0] = AckRange(anchor, out[0].smallest)
+        return out
 
 
 @dataclass(slots=True)

@@ -170,13 +170,11 @@ class ReceiverState:
         else:
             largest = rs.max_value()
             ack_delay = now - self._space_largest_time[space]
-        ranges: list[AckRange] = []
-        for r in rs.descending():
-            if r.smallest > largest:
-                continue
-            ranges.append(AckRange(min(r.largest, largest), r.smallest))
+        suppress = self.config.suppression_enabled
+        # under suppression no frame carries more than Maximum_Limit ranges
+        ranges = rs.descending(largest, self.config.maximum_limit if suppress else None)
         pending = self._since_last_ack[path]
-        if self.config.suppression_enabled:
+        if suppress:
             # every pending packet arrived on this path, so it lies at or
             # below the anchor and inside one of the ranges
             ranges = apply_range_limits(

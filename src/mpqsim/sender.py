@@ -19,7 +19,6 @@ ACKs this never happens.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 
 from .congestion import CcAlgorithm, CongestionController
@@ -201,24 +200,33 @@ class SenderState:
         credit_state = self.paths[credit_path]
         largest_newly_for_path = frame.largest_acked > credit_state.largest_credited
 
-        ascending = frame.ranges[::-1]
+        # walk the descending ranges bottom-up alongside the ascending unacked
+        ranges = frame.ranges
+        ri = len(ranges) - 1
+        r_largest, r_smallest = ranges[ri]
         newly: list[SentPacketRecord] = []
-        ri = 0
-        n_ranges = len(ascending)
         for pn, rec in sp.unacked.items():
-            while ri < n_ranges and ascending[ri].largest < pn:
-                ri += 1
-            if ri == n_ranges:
-                break
-            if ascending[ri].smallest <= pn:
+            if pn > r_largest:
+                ri -= 1
+                while ri >= 0 and ranges[ri].largest < pn:
+                    ri -= 1
+                if ri < 0:
+                    break
+                r_largest, r_smallest = ranges[ri]
+            if pn >= r_smallest:
                 newly.append(rec)
 
         spurious: list[int] = []
         if sp.lost:
-            lows = [r.smallest for r in ascending]
-            for pn in list(sp.lost):
-                i = bisect.bisect_right(lows, pn) - 1
-                if i >= 0 and ascending[i].largest >= pn:
+            # lost packets inside the frame's span, ascending, walked against
+            # the ranges bottom-up; the top range ends at largest_acked, so
+            # the walk stops inside the list
+            bottom = ranges[-1].smallest
+            ri = len(ranges) - 1
+            for pn in sorted(pn for pn in sp.lost if bottom <= pn <= frame.largest_acked):
+                while ranges[ri].largest < pn:
+                    ri -= 1
+                if ranges[ri].smallest <= pn:
                     spurious.append(pn)
                     del sp.lost[pn]
             self.spurious_count += len(spurious)

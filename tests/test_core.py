@@ -229,3 +229,141 @@ def test_wire_size_rejects_malformed():
             ),
             SpaceMode.SPNS,
         )
+
+
+# -- one-pass frame handling: differential checks ----------------------------
+
+
+def test_descending_clips_at_anchor_and_stops_at_limit():
+    rs = RangeSet()
+    rs.add_range(0, 10)
+    rs.add_range(13, 20)
+    rs.add_range(30, 30)
+    assert ranges_of(rs) == [(30, 30), (20, 13), (10, 0)]
+    assert rs.descending(15) == [AckRange(15, 13), AckRange(10, 0)]
+    assert rs.descending(30, 2) == [AckRange(30, 30), AckRange(20, 13)]
+    assert rs.descending(limit=1) == [AckRange(30, 30)]
+    assert rs.descending(5, 3) == [AckRange(5, 0)]
+    assert rs.descending(12) == [AckRange(10, 0)]  # an anchor in a hole
+    empty_below = RangeSet()
+    empty_below.add_range(5, 9)
+    assert empty_below.descending(3) == []
+    # the set keeps its own top range when a frame's copy is clipped
+    assert ranges_of(rs)[1] == (20, 13)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_descending_matches_brute_force(data):
+    values = data.draw(st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=60))
+    rs = RangeSet()
+    for v in values:
+        rs.insert(v)
+    anchor = data.draw(st.sampled_from(values))
+    limit = data.draw(st.none() | st.integers(min_value=1, max_value=6))
+    for top in (anchor, None):
+        below = {v for v in values if top is None or v <= top}
+        got = rs.descending(top, limit)
+        assert [(r.largest, r.smallest) for r in got] == _naive_ranges(below)[:limit]
+        assert all(isinstance(r, AckRange) for r in got)
+
+
+def _reference_valid(largest_acked: int, ranges: list[tuple[int, int]]) -> bool:
+    """Descending, non-adjacent, non-inverted ranges topped by largest_acked."""
+    if not ranges or ranges[0][0] != largest_acked:
+        return False
+    if any(smallest < 0 or smallest > largest for largest, smallest in ranges):
+        return False
+    return all(lower[0] < upper[1] - 1 for upper, lower in zip(ranges, ranges[1:]))
+
+
+_small = st.integers(min_value=-2, max_value=40)
+
+
+@st.composite
+def _range_lists(draw):
+    """Range lists that are valid, valid but for one edit, or arbitrary."""
+    kind = draw(st.sampled_from(["valid", "edited", "arbitrary"]))
+    if kind == "arbitrary":
+        ranges = draw(st.lists(st.tuples(_small, _small), max_size=6))
+    else:
+        ranges = _naive_ranges(set(draw(st.lists(st.integers(0, 40), min_size=1, max_size=20))))
+        if kind == "edited":
+            i = draw(st.integers(0, len(ranges) - 1))
+            largest, smallest = ranges[i]
+            edit = draw(
+                st.sampled_from(["largest", "smallest", "swap", "duplicate", "adjacent", "negative"])
+            )
+            delta = draw(st.integers(-2, 2))
+            if edit == "largest":
+                ranges[i] = (largest + delta, smallest)
+            elif edit == "smallest":
+                ranges[i] = (largest, smallest + delta)
+            elif edit == "swap":
+                j = draw(st.integers(0, len(ranges) - 1))
+                ranges[i], ranges[j] = ranges[j], ranges[i]
+            elif edit == "duplicate":
+                ranges.insert(i, ranges[i])
+            elif edit == "adjacent" and i > 0:
+                ranges[i] = (ranges[i - 1][1] - 1, smallest)  # closes the hole above
+            elif edit == "negative":
+                ranges[-1] = (ranges[-1][0], -1)
+    largest_acked = ranges[0][0] if ranges else 0
+    largest_acked += draw(st.sampled_from([0, 0, 0, 1, -1]))
+    return largest_acked, ranges
+
+
+@settings(max_examples=400)
+@given(_range_lists())
+def test_validate_refuses_exactly_the_invalid_range_lists(case):
+    largest_acked, ranges = case
+    frame = AckFrame(
+        space=0, largest_acked=largest_acked, ack_delay=0, ranges=[AckRange(*r) for r in ranges]
+    )
+    if _reference_valid(largest_acked, ranges):
+        frame.validate()
+    else:
+        with pytest.raises(InvariantViolation):
+            frame.validate()
+
+
+def _reference_wire_size(frame: AckFrame, mode: SpaceMode) -> int:
+    """The RFC 9000 §19.3 layout summed field by field with `varint_size`."""
+    ranges = frame.ranges
+    size = 1 + varint_size(frame.largest_acked) + varint_size(frame.ack_delay >> 3)
+    size += varint_size(len(ranges) - 1) + varint_size(ranges[0].largest - ranges[0].smallest)
+    for upper, lower in zip(ranges, ranges[1:]):
+        size += varint_size(upper.smallest - lower.largest - 2)
+        size += varint_size(lower.largest - lower.smallest)
+    if mode is SpaceMode.MPNS:
+        size += varint_size(frame.space)
+    return size
+
+
+# values on both sides of every varint class boundary, and values inside each class
+_field = st.sampled_from(
+    [0, 63, 64, 16383, 16384, (1 << 30) - 1, 1 << 30, (1 << 40) + 5]
+) | st.integers(0, 70) | st.integers(0, 1 << 20) | st.integers(0, 1 << 42)
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(0, 1 << 40),
+    st.lists(st.tuples(_field, _field), min_size=1, max_size=6),
+    _field,
+    st.integers(0, 3),
+    st.sampled_from(list(SpaceMode)),
+)
+def test_wire_size_equals_varint_sum_on_valid_frames(base, gaps_and_lengths, ack_delay, space, mode):
+    # build ascending from `base`: each range is `length` long and sits
+    # `gap` + 1 numbers above the one below it
+    ranges = []
+    smallest = base
+    for i, (gap, length) in enumerate(gaps_and_lengths):
+        if i:
+            smallest = ranges[-1].largest + gap + 2
+        ranges.append(AckRange(smallest + length, smallest))
+    ranges.reverse()
+    frame = AckFrame(space=space, largest_acked=ranges[0].largest, ack_delay=ack_delay, ranges=ranges)
+    frame.validate()
+    assert ack_frame_wire_size(frame, mode) == _reference_wire_size(frame, mode)

@@ -1,10 +1,11 @@
 """Golden reports: short runs whose report bytes are pinned by sha256.
 
 A refactor of the simulator must leave every report bit-identical. These
-runs cover both numbering modes, ACK suppression (one run with lossy paths
-and a single range per frame, which leaves packets never acknowledged),
-and a lossy four-path round-robin NewReno transfer with a trace-driven
-path; each pins the
+runs cover both numbering modes, the anchoring ablation (every frame
+anchored at the space's largest packet), ACK suppression (one run with
+lossy paths and a single range per frame, which leaves packets never
+acknowledged), and a lossy four-path round-robin NewReno transfer with a
+trace-driven path; each pins the
 sha256 of the canonical JSON (`json.dumps(to_dict(), sort_keys=True)`)
 and of the CSV export. A change to any pinned value is a change in
 behaviour and needs its own justification, not a new constant.
@@ -81,6 +82,11 @@ GOLDEN = {
         lambda: _reference(SpaceMode.MPNS),
         "35f27a18880a038943a5d8ece06ae64e325bf46ed2354d73df8c9382b8055a24",
         "2340dba76090ebd8cd0ff9a2397a7bc55d10eef60071b9a4282264824d6e0a1f",
+    ),
+    "spns-ablation": (
+        lambda: _reference(SpaceMode.SPNS, RecvConfig(per_path_anchoring=False)),
+        "a5103ba7f2de09ceed23767342dd16e847c740dbbf330975f576f9dce57d3e6d",
+        "37748713f26c27655f39b4e3865b5b9bd4943c7165a585ae80e4a5b1344455fd",
     ),
     "spns-suppress-2": (
         lambda: _reference(SpaceMode.SPNS, RecvConfig(suppression_enabled=True, default_limit=2)),

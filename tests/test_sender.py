@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpqsim.congestion import CcAlgorithm, CongestionController
 from mpqsim.core import AckFrame, AckRange, InvariantViolation, ProtocolError, SpaceMode
@@ -323,3 +325,37 @@ def test_conservation_of_bytes_in_flight():
     check()
     sender.on_ack_received(0, ack(largest=12, ranges=[AckRange(12, 0)]), now=3000)
     check()
+
+
+def _frame_of(pns: set[int]) -> AckFrame:
+    """The frame acknowledging exactly `pns`: maximal runs, largest first."""
+    ranges: list[list[int]] = []
+    for pn in sorted(pns, reverse=True):
+        if ranges and ranges[-1][1] == pn + 1:
+            ranges[-1][1] = pn
+        else:
+            ranges.append([pn, pn])
+    return ack(ranges=[AckRange(hi, lo) for hi, lo in ranges])
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_ack_processing_matches_brute_force(data):
+    """Newly acked and spurious packets are the unacked and lost packets in the frame."""
+    paths = data.draw(st.integers(1, 3))
+    sender = make_sender(SpaceMode.SPNS, paths)
+    count = data.draw(st.integers(2, 40))
+    for t in range(count):
+        sender.send_packet(data.draw(st.integers(0, paths - 1)), 100, now=t)
+    lost: set[int] = set()
+    for round_ in range(data.draw(st.integers(1, 5))):
+        acked = set(data.draw(st.lists(st.integers(0, count - 1), min_size=1, max_size=count)))
+        unacked = {pn for ps in sender.paths for pn in ps.unacked}
+        spurious_before = sender.spurious_count
+        result = sender.on_ack_received(
+            data.draw(st.integers(0, paths - 1)), _frame_of(acked), now=1000 * (round_ + 1)
+        )
+        assert {r.pn for r in result.newly_acked} == unacked & acked
+        assert set(result.spurious) == lost & acked
+        assert sender.spurious_count - spurious_before == len(lost & acked)
+        lost = (lost - acked) | {r.pn for r in result.lost}
