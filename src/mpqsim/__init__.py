@@ -2,8 +2,8 @@
 
 Implements packet numbering under a single shared space (SPNS) or one
 space per path (MPNS), per-path loss detection and RTT estimation, ACK
-range suppression, and a deterministic two-path network simulator with an
-experiment harness for comparing the two numbering modes.
+range suppression, and a deterministic network simulator over one or more
+paths with an experiment harness for comparing the two numbering modes.
 """
 
 from .congestion import CcAlgorithm, CongestionController
@@ -35,7 +35,7 @@ from .netsim import EventLoop, LinkDirection, LinkModel, TraceSchedule, load_tra
 from .receiver import ArmTimer, EmitAckOnPath, PathRecvState, ReceiverState, RecvConfig, apply_range_limits
 from .scenario import MetricsReport, ScenarioConfig
 from .scheduler import SchedulerKind, select_path
-from .sender import AckProcessResult, LossConfig, PathSendState, SenderState
+from .sender import AckProcessResult, PathSendState, SenderState
 from .simulation import Simulation, auto_window_packets
 
 __version__ = "0.1.0"
@@ -54,7 +54,6 @@ __all__ = [
     "InvariantViolation",
     "LinkDirection",
     "LinkModel",
-    "LossConfig",
     "MetricsReport",
     "PathRecvState",
     "PathSendState",

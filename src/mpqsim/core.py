@@ -36,6 +36,14 @@ class SpaceMode(Enum):
     SPNS = "spns"  # one shared counter for all paths
     MPNS = "mpns"  # an independent counter per path
 
+    def space_of(self, path: int) -> int:
+        """The number space `path` sends in: 0 under SPNS, its own id under MPNS."""
+        return 0 if self is SpaceMode.SPNS else path
+
+    def spaces(self, num_paths: int) -> range:
+        """The space ids of a connection over `num_paths` paths."""
+        return range(1 if self is SpaceMode.SPNS else num_paths)
+
 
 def varint_size(value: int) -> int:
     """Wire size in bytes (1, 2, 4, or 8) of a QUIC variable-length integer."""
@@ -254,6 +262,5 @@ class SentPacketRecord:
     path: int
     send_time: int  # microseconds
     size: int  # payload bytes
-    ack_eliciting: bool
     path_history_index: int  # ordinal position within the path's send order
     payload_offset: int = 0  # byte offset of the carried data, for retransmission

@@ -14,7 +14,6 @@ from .netsim import LinkModel, load_trace
 from .receiver import RecvConfig
 from .scenario import SCALAR_FIELDS, MetricsReport, ScenarioConfig
 from .scheduler import SchedulerKind
-from .sender import LossConfig
 from .simulation import Simulation
 
 
@@ -271,7 +270,6 @@ def _build_config(parser: configparser.ConfigParser, base_dir: Path) -> Scenario
         scheduler=scheduler,
         cc=cc,
         recv=recv,
-        loss=LossConfig(),
         seed=int(sc.get("seed", "0")),
         duration_cap_s=float(sc.get("duration_cap_s", "60")),
     )

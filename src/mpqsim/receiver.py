@@ -55,31 +55,33 @@ class PathRecvState:
     largest_recv_time: int = 0
     ack_eliciting_since_ack: int = 0
     ack_timer_deadline: int | None = None
+    # lowest packet received on this path that none of its own frames has
+    # covered yet; suppression extends a frame down to it, so every packet
+    # is covered at least once unless Maximum_Limit strands it
+    lowest_pending: int | None = None
 
 
 def apply_range_limits(
     ranges: list[AckRange],
     default_limit: int,
     maximum_limit: int,
-    must_cover: set[int],
+    must_cover: int | None,
 ) -> list[AckRange]:
     """Trim a descending range list to the two suppression limits.
 
     Keeps the newest `default_limit` ranges, extending the prefix just far
-    enough to cover every packet number in `must_cover`, but never beyond
-    `maximum_limit` ranges. The caller guarantees that every `must_cover`
-    packet lies in some range of `ranges`, so covering the lowest one
-    covers them all.
+    enough to cover packet number `must_cover` (None: nothing to cover),
+    but never beyond `maximum_limit` ranges. The caller guarantees that
+    `must_cover` lies in some range of `ranges`.
     """
     if default_limit < 1:
         raise ConfigError("default_limit must be >= 1")
     if len(ranges) <= default_limit:
         return ranges
     needed = default_limit
-    if must_cover:
-        lowest = min(must_cover)
-        # keep every range before the first one wholly below the lowest packet
-        reaching = next((i for i, r in enumerate(ranges) if r.largest < lowest), len(ranges))
+    if must_cover is not None:
+        # keep every range before the first one wholly below must_cover
+        reaching = next((i for i, r in enumerate(ranges) if r.largest < must_cover), len(ranges))
         needed = max(needed, reaching)
     return ranges[: min(needed, maximum_limit)]
 
@@ -94,33 +96,21 @@ class ReceiverState:
         self.config = config or RecvConfig()
         self.config.validate()
         self.num_paths = num_paths
-        if mode is SpaceMode.SPNS:
-            self.spaces: dict[int, RangeSet] = {0: RangeSet()}
-        else:
-            self.spaces = {p: RangeSet() for p in range(num_paths)}
+        self.spaces = {s: RangeSet() for s in mode.spaces(num_paths)}
         self.per_path = [PathRecvState(p) for p in range(num_paths)]
         # receive time of each space's largest packet, for ablation-mode delay
         self._space_largest_time: dict[int, int] = {s: 0 for s in self.spaces}
-        # per path: packets received on it that none of its own frames has
-        # covered yet; the must_cover set for suppression, so every packet is
-        # covered at least once unless Maximum_Limit strands it.
-        self._since_last_ack: list[set[int]] = [set() for _ in range(num_paths)]
         # per space: received packets that no built frame has covered yet
         self.uncovered: dict[int, set[int]] = {s: set() for s in self.spaces}
-
-    def space_of(self, path: int) -> int:
-        return 0 if self.mode is SpaceMode.SPNS else path
 
     def _check_path(self, path: int) -> None:
         if not (0 <= path < self.num_paths):
             raise ValueError(f"unknown path {path}")
 
-    def on_packet_received(
-        self, path: int, pn: int, now: int, ack_eliciting: bool = True
-    ) -> list[Action]:
+    def on_packet_received(self, path: int, pn: int, now: int) -> list[Action]:
         """Record an arrival; returns ACK emission / timer actions to perform."""
         self._check_path(path)
-        space = self.space_of(path)
+        space = self.mode.space_of(path)
         rs = self.spaces[space]
         if pn in rs:
             return []  # duplicate: ignore without resetting timers
@@ -134,10 +124,9 @@ class ReceiverState:
         if prs.largest_recv_pn is None or pn > prs.largest_recv_pn:
             prs.largest_recv_pn = pn
             prs.largest_recv_time = now
-        self._since_last_ack[path].add(pn)
+        if prs.lowest_pending is None or pn < prs.lowest_pending:
+            prs.lowest_pending = pn
         self.uncovered[space].add(pn)
-        if not ack_eliciting:
-            return []
         prs.ack_eliciting_since_ack += 1
         emit = prs.ack_eliciting_since_ack >= self.config.ack_eliciting_threshold
         if out_of_order and not self.config.suppression_enabled:
@@ -162,7 +151,7 @@ class ReceiverState:
         prs = self.per_path[path]
         if prs.largest_recv_pn is None:
             raise ValueError(f"no packets received on path {path}")
-        space = self.space_of(path)
+        space = self.mode.space_of(path)
         rs = self.spaces[space]
         if self.config.per_path_anchoring:
             largest = prs.largest_recv_pn
@@ -173,18 +162,18 @@ class ReceiverState:
         suppress = self.config.suppression_enabled
         # under suppression no frame carries more than Maximum_Limit ranges
         ranges = rs.descending(largest, self.config.maximum_limit if suppress else None)
-        pending = self._since_last_ack[path]
         if suppress:
-            # every pending packet arrived on this path, so it lies at or
-            # below the anchor and inside one of the ranges
+            # the lowest pending packet arrived on this path, so it lies at
+            # or below the anchor and inside one of the ranges
             ranges = apply_range_limits(
-                ranges, self.config.default_limit, self.config.maximum_limit, pending
+                ranges, self.config.default_limit, self.config.maximum_limit, prs.lowest_pending
             )
         # The frame covers exactly the received packets in [lowest, largest].
-        # Pending packets Maximum_Limit left below it stay pending so a later
-        # frame retries them; everything else restarts fresh.
+        # A pending packet Maximum_Limit left below it stays pending so a
+        # later frame retries it; otherwise nothing is pending any more.
         lowest = ranges[-1].smallest
-        self._since_last_ack[path] = {pn for pn in pending if pn < lowest}
+        if prs.lowest_pending is not None and prs.lowest_pending >= lowest:
+            prs.lowest_pending = None
         self.uncovered[space] = {pn for pn in self.uncovered[space] if not lowest <= pn <= largest}
         prs.ack_eliciting_since_ack = 0
         prs.ack_timer_deadline = None

@@ -10,7 +10,6 @@ from .core import ConfigError, SpaceMode
 from .netsim import LinkModel
 from .receiver import RecvConfig
 from .scheduler import SchedulerKind
-from .sender import LossConfig
 
 
 @dataclass
@@ -23,7 +22,6 @@ class ScenarioConfig:
     scheduler: SchedulerKind = SchedulerKind.MIN_RTT
     cc: CcAlgorithm = CcAlgorithm.CUBIC
     recv: RecvConfig = field(default_factory=RecvConfig)
-    loss: LossConfig = field(default_factory=LossConfig)
     seed: int = 0
     duration_cap_s: float = 60.0
 
@@ -40,10 +38,6 @@ class ScenarioConfig:
             except ValueError as exc:
                 raise ConfigError(f"path {p}: {exc}") from exc
         self.recv.validate()
-        try:
-            self.loss.validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
 
 TimeSeries = list[tuple[float, float]]

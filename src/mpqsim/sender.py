@@ -31,18 +31,9 @@ from .core import (
 )
 
 K_INITIAL_RTT = 333_000  # microseconds, used for PTO before the first sample
-
-
-@dataclass(slots=True)
-class LossConfig:
-    packet_threshold: int = 3
-    time_threshold_num: int = 9
-    time_threshold_den: int = 8
-    granularity: int = 1_000  # microseconds
-
-    def validate(self) -> None:
-        if self.packet_threshold < 1:
-            raise ValueError("packet_threshold must be >= 1")
+# RFC 9002 §6.1 loss detection; the time threshold is 9/8 of the RTT
+K_PACKET_THRESHOLD = 3
+K_GRANULARITY = 1_000  # microseconds
 
 
 @dataclass(slots=True)
@@ -109,41 +100,27 @@ class _SpaceState:
 class SenderState:
     """Connection-level sender: numbering, ack processing, loss detection."""
 
-    def __init__(
-        self,
-        mode: SpaceMode,
-        num_paths: int,
-        loss_config: LossConfig | None = None,
-        cc_factory=None,
-    ):
+    def __init__(self, mode: SpaceMode, num_paths: int, cc_factory=None):
         if num_paths < 1:
             raise ValueError("need at least one path")
         self.mode = mode
-        self.loss_config = loss_config or LossConfig()
-        self.loss_config.validate()
         if cc_factory is None:
             cc_factory = lambda path: CongestionController(CcAlgorithm.CUBIC)
         self.paths = [PathSendState(p, cc_factory(p)) for p in range(num_paths)]
-        if mode is SpaceMode.SPNS:
-            self._spaces = {0: _SpaceState()}
-        else:
-            self._spaces = {p: _SpaceState() for p in range(num_paths)}
+        self._spaces = {s: _SpaceState() for s in mode.spaces(num_paths)}
         self.packet_threshold_losses = 0
         self.time_threshold_losses = 0
         self.spurious_count = 0
         self.mixed_samples: list[tuple[int, int]] = []  # (ack time, sample)
 
-    def space_of(self, path: int) -> int:
-        return 0 if self.mode is SpaceMode.SPNS else path
-
     def next_packet_number(self, path: int) -> int:
-        sp = self._spaces[self.space_of(path)]
+        sp = self._spaces[self.mode.space_of(path)]
         pn = sp.next_pn
         sp.next_pn += 1
         return pn
 
     def on_packet_sent(self, path: int, record: SentPacketRecord) -> None:
-        sp = self._spaces[self.space_of(path)]
+        sp = self._spaces[self.mode.space_of(path)]
         if record.pn in sp.records:
             raise InvariantViolation(f"packet number {record.pn} reused")
         sp.records[record.pn] = record
@@ -153,17 +130,9 @@ class SenderState:
         ps = self.paths[path]
         ps.sent_count += 1
         ps.unacked[record.pn] = record
-        if record.ack_eliciting:
-            ps.bytes_in_flight += record.size
+        ps.bytes_in_flight += record.size
 
-    def send_packet(
-        self,
-        path: int,
-        size: int,
-        now: int,
-        ack_eliciting: bool = True,
-        payload_offset: int = 0,
-    ) -> SentPacketRecord:
+    def send_packet(self, path: int, size: int, now: int, payload_offset: int = 0) -> SentPacketRecord:
         """Allocate the next packet number on `path` and register the send."""
         ps = self.paths[path]
         record = SentPacketRecord(
@@ -171,7 +140,6 @@ class SenderState:
             path=path,
             send_time=now,
             size=size,
-            ack_eliciting=ack_eliciting,
             path_history_index=ps.sent_count,
             payload_offset=payload_offset,
         )
@@ -236,8 +204,7 @@ class SenderState:
             del sp.unacked[rec.pn]
             ps = self.paths[rec.path]
             del ps.unacked[rec.pn]
-            if rec.ack_eliciting:
-                ps.bytes_in_flight -= rec.size
+            ps.bytes_in_flight -= rec.size
             if ps.largest_acked_pn is None or rec.pn > ps.largest_acked_pn:
                 ps.largest_acked_pn = rec.pn
                 ps.largest_acked_index = rec.path_history_index
@@ -246,10 +213,7 @@ class SenderState:
             self.paths[path].cc.on_ack(acked, now)
 
         result = AckProcessResult(newly_acked=newly, spurious=spurious)
-        eliciting_newly = any(r.ack_eliciting for r in newly) or (
-            largest_newly_for_path and largest_record.ack_eliciting
-        )
-        if largest_newly_for_path and eliciting_newly:
+        if largest_newly_for_path:
             sample = now - largest_record.send_time
             if largest_record.path == credit_path:
                 credit_state.update_rtt(sample, frame.ack_delay)
@@ -258,7 +222,6 @@ class SenderState:
             else:
                 self.mixed_samples.append((now, sample))
                 result.mixed_sample = sample
-        if largest_newly_for_path:
             credit_state.largest_credited = frame.largest_acked
 
         for path in sorted(acked_bytes_by_path):
@@ -269,37 +232,33 @@ class SenderState:
         """Declare per-path losses by packet count and time thresholds.
 
         A packet is lost when the path's largest acked packet was sent at
-        least `packet_threshold` sends after it, or when it was sent before
+        least `K_PACKET_THRESHOLD` sends after it, or when it was sent before
         the largest acked and has aged past 9/8 of the path's RTT.
         """
         ps = self.paths[path]
         if ps.largest_acked_pn is None:
             return []
         i = ps.largest_acked_index
-        k = self.loss_config.packet_threshold
-        cfg = self.loss_config
         rtt_basis = max(ps.smoothed_rtt or 0, ps.latest_rtt or 0)
         time_cutoff = None
         if rtt_basis > 0:
-            delay = max(rtt_basis * cfg.time_threshold_num / cfg.time_threshold_den, cfg.granularity)
-            time_cutoff = now - delay
+            time_cutoff = now - max(rtt_basis * 9 / 8, K_GRANULARITY)
         lost: list[tuple[SentPacketRecord, bool]] = []
         for rec in ps.unacked.values():
             idx = rec.path_history_index
             if idx >= i:
                 break  # sent at or after the largest acked packet
-            if idx <= i - k:
+            if idx <= i - K_PACKET_THRESHOLD:
                 lost.append((rec, True))
             elif time_cutoff is not None and rec.send_time <= time_cutoff:
                 lost.append((rec, False))
-        sp = self._spaces[self.space_of(path)]
+        sp = self._spaces[self.mode.space_of(path)]
         out = []
         for rec, by_count in lost:
             del ps.unacked[rec.pn]
             del sp.unacked[rec.pn]
             sp.lost[rec.pn] = rec
-            if rec.ack_eliciting:
-                ps.bytes_in_flight -= rec.size
+            ps.bytes_in_flight -= rec.size
             if by_count:
                 self.packet_threshold_losses += 1
             else:

@@ -26,8 +26,8 @@ from .sender import PathSendState, SenderState
 PACING_GAIN = 1.0
 
 
-def auto_window_packets(link: LinkModel) -> int | None:
-    """BDP plus roughly 3 ms of queue allowance, in packets.
+def auto_window_packets(link: LinkModel, mtu: int) -> int | None:
+    """BDP plus roughly 3 ms of queue allowance, in packets of `mtu` bytes.
 
     Keeps a rate-limited path busy while bounding droptail occupancy (and
     therefore queueing delay) well below the queue capacity.
@@ -36,8 +36,8 @@ def auto_window_packets(link: LinkModel) -> int | None:
         return None
     rate_bps = link.rate_mbps * 1e6
     rtt_s = (link.delay_down_ms + link.delay_up_ms) / 1e3
-    bdp_packets = math.ceil(rate_bps * rtt_s / (8 * link.mtu))
-    headroom = max(2, int(rate_bps * 0.003 / (8 * link.mtu)))
+    bdp_packets = math.ceil(rate_bps * rtt_s / (8 * mtu))
+    headroom = max(2, int(rate_bps * 0.003 / (8 * mtu)))
     return bdp_packets + headroom
 
 
@@ -47,6 +47,7 @@ class Simulation:
         self.config = config
         self.mode = config.mode
         n = len(config.paths)
+        # every data packet, and so every path's window, is sized in this MTU
         self.mtu = min(lm.mtu for lm in config.paths)
 
         self.down: list[LinkDirection] = []
@@ -70,15 +71,15 @@ class Simulation:
                     rng=random.Random(f"{config.seed}/path{p}/up"),
                 )
             )
-            window = auto_window_packets(lm) if lm.window_packets == "auto" else lm.window_packets
-            window_bytes.append(window * lm.mtu if window is not None else None)
+            window = lm.window_packets
+            if window == "auto":
+                window = auto_window_packets(lm, self.mtu)
+            window_bytes.append(window * self.mtu if window is not None else None)
 
         def cc_factory(path: int) -> CongestionController:
-            return CongestionController(
-                config.cc, mss=config.paths[path].mtu, max_cwnd=window_bytes[path]
-            )
+            return CongestionController(config.cc, mss=self.mtu, max_cwnd=window_bytes[path])
 
-        self.sender = SenderState(config.mode, n, config.loss, cc_factory)
+        self.sender = SenderState(config.mode, n, cc_factory)
         self.receiver = ReceiverState(config.mode, n, config.recv)
         self.loop = EventLoop()
 
@@ -115,7 +116,7 @@ class Simulation:
 
     def _send_on_path(self, path: int, size: int, offset: int, now: int) -> None:
         ps = self.sender.paths[path]
-        rec = self.sender.send_packet(path, size, now, True, offset)
+        rec = self.sender.send_packet(path, size, now, offset)
         self.packets_sent += 1
         rate = self._pace_rate(ps)
         if rate is not None:
@@ -206,10 +207,10 @@ class Simulation:
 
     def _on_data(self, now: int, path: int, pn: int, size: int, offset: int) -> None:
         self.packets_received += 1
-        actions = self.receiver.on_packet_received(path, pn, now, True)
+        actions = self.receiver.on_packet_received(path, pn, now)
         t_ms = now / 1000
         self.received_pn[path].append((t_ms, pn))
-        space = self.receiver.space_of(path)
+        space = self.mode.space_of(path)
         self.hole_timeline.append((t_ms, self.receiver.spaces[space].holes()))
         if offset not in self.seen_offsets:
             self.seen_offsets.add(offset)

@@ -25,7 +25,7 @@ from mpqsim.core import (
 from mpqsim.netsim import LinkModel
 from mpqsim.receiver import ReceiverState, RecvConfig
 from mpqsim.scenario import ScenarioConfig
-from mpqsim.sender import LossConfig, SenderState
+from mpqsim.sender import K_PACKET_THRESHOLD, SenderState
 from mpqsim.simulation import Simulation
 
 SEED = 7
@@ -238,10 +238,10 @@ def ack_frame_for(pn):
 
 def test_criterion_6_loss_detection_oracle():
     rng = random.Random(1234)
-    threshold = 3
+    threshold = K_PACKET_THRESHOLD
     for _ in range(1000):
         count = rng.randint(2, 200)
-        sender = SenderState(SpaceMode.SPNS, 2, LossConfig(packet_threshold=threshold))
+        sender = SenderState(SpaceMode.SPNS, 2)
         path_of = {}
         index_on_path = {}
         for i in range(count):
@@ -276,7 +276,7 @@ def test_criterion_6_no_false_loss_under_pure_reorder():
     # per-path anchored full-coverage frames, no loss anywhere
     rng = random.Random(99)
     for _ in range(200):
-        sender = SenderState(SpaceMode.SPNS, 2, LossConfig())
+        sender = SenderState(SpaceMode.SPNS, 2)
         delays = {0: 10, 1: rng.randint(40, 120)}
         sends = []
         t = 0

@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,7 @@ from mpqsim.harness import (
     sweep_default_limits,
 )
 from mpqsim.netsim import LinkModel
+from mpqsim.receiver import RecvConfig
 from mpqsim.scenario import MetricsReport, ScenarioConfig
 from mpqsim.simulation import Simulation, auto_window_packets
 
@@ -76,6 +79,24 @@ def test_parse_config_file(config_file):
     assert len(config.paths) == 2
     assert config.paths[1].rate_mbps == 15
     assert config.recv.max_ack_delay == 25_000
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def test_readme_example_and_shipped_scenario_parse(tmp_path):
+    blocks = re.findall(r"```ini\n(.*?)```", (REPO / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    example = tmp_path / "readme.ini"
+    example.write_text(blocks[0])
+    config = parse_config_file(example)
+    assert (config.mode, config.transfer_size, config.seed) == (SpaceMode.SPNS, 20_000_000, 7)
+    assert config.recv == RecvConfig()
+    assert config.paths == [LinkModel(delay_down_ms=15, delay_up_ms=15, rate_mbps=40)]
+
+    shipped = parse_config_file(REPO / "scenarios" / "two_path.ini")
+    assert [(lm.rate_mbps, lm.delay_down_ms) for lm in shipped.paths] == [(40, 15), (15, 60)]
+    assert shipped.recv == RecvConfig()
 
 
 def test_parse_rejects_unknown_mode(tmp_path):
@@ -171,7 +192,7 @@ def test_window_packets_auto_none_and_integer(tmp_path):
         sim = Simulation(parse_config_file(path))
         return sim.sender.paths[0].cc.max_cwnd
 
-    bdp_cap = auto_window_packets(LinkModel(delay_down_ms=15, delay_up_ms=15, rate_mbps=40)) * 1350
+    bdp_cap = auto_window_packets(LinkModel(delay_down_ms=15, delay_up_ms=15, rate_mbps=40), 1350) * 1350
     assert max_cwnd("") == bdp_cap
     assert max_cwnd("window_packets = auto\n") == bdp_cap
     assert max_cwnd("window_packets = none\n") is None  # no cap on a rate path

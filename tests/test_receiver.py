@@ -57,12 +57,6 @@ def test_counters_are_per_path():
     assert recv.per_path[1].ack_eliciting_since_ack == 1
 
 
-def test_non_eliciting_packets_do_not_count():
-    recv = make_receiver()
-    assert recv.on_packet_received(0, 0, now=0, ack_eliciting=False) == []
-    assert recv.per_path[0].ack_eliciting_since_ack == 0
-
-
 def test_duplicate_reception_is_noop():
     recv = make_receiver()
     recv.on_packet_received(0, 5, now=0)
@@ -194,30 +188,30 @@ def seven_ranges():
 
 def test_limits_keep_short_lists():
     ranges = seven_ranges()[:3]
-    assert apply_range_limits(ranges, 4, 64, set()) == ranges
+    assert apply_range_limits(ranges, 4, 64, None) == ranges
 
 
 def test_limits_truncate_to_default():
     ranges = seven_ranges()
-    out = apply_range_limits(ranges, 4, 64, {14, 12})
+    out = apply_range_limits(ranges, 4, 64, 12)
     assert out == ranges[:4]
 
 
 def test_limits_extend_to_cover():
     ranges = seven_ranges()
-    out = apply_range_limits(ranges, 4, 64, {4})  # 4 sits in the 6th range
+    out = apply_range_limits(ranges, 4, 64, 4)  # 4 sits in the 6th range
     assert out == ranges[:6]
 
 
 def test_limits_never_exceed_maximum():
     ranges = seven_ranges()
-    out = apply_range_limits(ranges, 2, 3, {2})  # needs 7 ranges, capped at 3
+    out = apply_range_limits(ranges, 2, 3, 2)  # needs 7 ranges, capped at 3
     assert out == ranges[:3]
 
 
 def test_limits_reject_bad_default():
     with pytest.raises(ConfigError):
-        apply_range_limits(seven_ranges(), 0, 64, set())
+        apply_range_limits(seven_ranges(), 0, 64, None)
 
 
 def test_uncovered_must_cover_retries_next_frame():
@@ -281,11 +275,11 @@ def test_coverage_bookkeeping_matches_a_brute_force_union():
             assert in_frame <= received[frame.space]
             covered[frame.space] |= in_frame
             pending[path] -= in_frame
-            assert recv._since_last_ack[path] == pending[path]
+            assert recv.per_path[path].lowest_pending == min(pending[path], default=None)
             assert all(pn < frame.ranges[-1].smallest for pn in pending[path])
 
         for now, (path, pn) in enumerate(arrivals):
-            space = recv.space_of(path)
+            space = mode.space_of(path)
             if pn not in received[space]:
                 pending[path].add(pn)
             received[space].add(pn)

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from mpqsim.congestion import CcAlgorithm, CongestionController
 from mpqsim.core import AckFrame, AckRange, InvariantViolation, ProtocolError, SpaceMode
-from mpqsim.sender import LossConfig, SenderState
+from mpqsim.sender import SenderState
 
 FIG_PATH_OF_PN = {
     0: 1, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1, 6: 0, 7: 0,
@@ -12,8 +12,8 @@ FIG_PATH_OF_PN = {
 }
 
 
-def make_sender(mode=SpaceMode.SPNS, paths=2, **loss_kw):
-    return SenderState(mode, paths, LossConfig(**loss_kw))
+def make_sender(mode=SpaceMode.SPNS, paths=2):
+    return SenderState(mode, paths)
 
 
 def send_fig_history(sender, size=100):
@@ -68,7 +68,6 @@ def test_bytes_in_flight_counts_eliciting_unacked():
     sender = make_sender()
     sender.send_packet(0, 500, now=0)
     sender.send_packet(0, 300, now=1)
-    sender.send_packet(0, 200, now=2, ack_eliciting=False)
     assert sender.paths[0].bytes_in_flight == 800
 
 
@@ -153,13 +152,6 @@ def test_stale_cross_path_ack_is_of_no_use():
     result = sender.on_ack_received(1, ack(largest=1, ranges=[AckRange(1, 0)]), now=150)
     assert result.rtt_sample is None
     assert result.mixed_sample is None
-
-
-def test_ack_of_non_eliciting_packet_gives_no_sample():
-    sender = make_sender()
-    sender.send_packet(0, 100, now=0, ack_eliciting=False)
-    result = sender.on_ack_received(0, ack(largest=0), now=50)
-    assert result.newly_acked and result.rtt_sample is None
 
 
 def test_ack_for_never_sent_packet_is_protocol_error():
@@ -304,7 +296,7 @@ def test_congestion_notified_once_per_loss_event():
             cc_events.append(now)
             super().on_loss(now)
 
-    sender = SenderState(SpaceMode.SPNS, 1, LossConfig(), cc_factory=lambda p: SpyCc(CcAlgorithm.CUBIC))
+    sender = SenderState(SpaceMode.SPNS, 1, cc_factory=lambda p: SpyCc(CcAlgorithm.CUBIC))
     for i in range(6):
         sender.send_packet(0, 100, now=i)
     sender.on_ack_received(0, ack(largest=5, ranges=[AckRange(5, 5)]), now=1000)
@@ -316,7 +308,7 @@ def test_conservation_of_bytes_in_flight():
     sender = send_fig_history(make_sender())
     def check():
         for ps in sender.paths:
-            expected = sum(r.size for r in ps.unacked.values() if r.ack_eliciting)
+            expected = sum(r.size for r in ps.unacked.values())
             assert ps.bytes_in_flight == expected
     check()
     sender.on_ack_received(0, ack(largest=11, ranges=[AckRange(11, 11)]), now=1000)

@@ -22,10 +22,23 @@ def two_path_config(mode=SpaceMode.SPNS, transfer=400_000, seed=3, **kw):
 
 def test_auto_window_covers_bdp_with_small_headroom():
     link = LinkModel(delay_down_ms=15, delay_up_ms=15, rate_mbps=40)
-    window = auto_window_packets(link)
+    window = auto_window_packets(link, 1350)
     bdp_packets = 40e6 * 0.030 / 8 / 1350
     assert bdp_packets < window < bdp_packets + 16
-    assert auto_window_packets(LinkModel(delay_down_ms=1, delay_up_ms=1)) is None
+    assert auto_window_packets(LinkModel(delay_down_ms=1, delay_up_ms=1), 1350) is None
+
+
+def test_mixed_mtus_size_every_window_in_the_smallest_mtu():
+    paths = [
+        LinkModel(delay_down_ms=15, delay_up_ms=15, rate_mbps=40, mtu=1350, window_packets=12),
+        LinkModel(delay_down_ms=60, delay_up_ms=60, rate_mbps=15, mtu=1200),
+    ]
+    sim = Simulation(ScenarioConfig(mode=SpaceMode.SPNS, paths=paths, transfer_size=100_000))
+    assert sim.mtu == 1200
+    assert [ps.cc.mss for ps in sim.sender.paths] == [1200, 1200]
+    assert sim.sender.paths[0].cc.max_cwnd == 12 * 1200
+    assert sim.sender.paths[1].cc.max_cwnd == auto_window_packets(paths[1], 1200) * 1200
+    assert sim.run().complete
 
 
 def test_transfer_completes_and_accounts_bytes():
@@ -53,7 +66,7 @@ def test_bytes_in_flight_conserved_after_every_event():
 
     def check(sim_):
         for ps in sim_.sender.paths:
-            expected = sum(r.size for r in ps.unacked.values() if r.ack_eliciting)
+            expected = sum(r.size for r in ps.unacked.values())
             assert ps.bytes_in_flight == expected
 
     sim.after_event = check
