@@ -7,12 +7,13 @@ import csv
 import dataclasses
 import json
 from pathlib import Path
+from typing import Callable
 
 from .congestion import CcAlgorithm
 from .core import ConfigError, SpaceMode
-from .netsim import LinkModel, load_trace
+from .netsim import LinkModel, load_trace, ms_to_us
 from .receiver import RecvConfig
-from .scenario import SCALAR_FIELDS, MetricsReport, ScenarioConfig
+from .scenario import FIELD_CODECS, HISTOGRAM, PER_PATH, MetricsReport, ScenarioConfig
 from .scheduler import SchedulerKind
 from .simulation import Simulation
 
@@ -37,12 +38,9 @@ class ComparisonReport:
     ack_size_delta_pct: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "spns": self.spns.to_dict(),
-            "mpns": self.mpns.to_dict(),
-            "speed_delta_pct": self.speed_delta_pct,
-            "ack_size_delta_pct": self.ack_size_delta_pct,
-        }
+        """JSON-ready dict in field order, each run through MetricsReport.to_dict."""
+        values = ((f.name, getattr(self, f.name)) for f in dataclasses.fields(self))
+        return {name: v.to_dict() if isinstance(v, MetricsReport) else v for name, v in values}
 
 
 def compare_modes(base_config: ScenarioConfig) -> ComparisonReport:
@@ -75,6 +73,10 @@ def sweep_default_limits(
 # -- export ----------------------------------------------------------------
 
 
+# CSV series named apart from their report field
+_CSV_SERIES = {"rtt_samples_ms": "rtt_sample_ms", "mixed_samples_ms": "mixed_sample_ms"}
+
+
 def export_report(report: MetricsReport, fmt: str, path: str | Path) -> None:
     """Write a report as JSON (mirrors field names) or tidy CSV rows."""
     if fmt == "json":
@@ -86,23 +88,18 @@ def export_report(report: MetricsReport, fmt: str, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["series", "key", "value"])
-        for name in SCALAR_FIELDS:
-            writer.writerow([name, "", getattr(report, name)])
-        for bucket, count in report.ack_range_count_histogram.items():
-            writer.writerow(["ack_range_count_histogram", bucket, count])
-        for path_id, series in report.srtt_ms.items():
-            for t_ms, value in series:
-                writer.writerow([f"srtt_ms_path{path_id}", t_ms, value])
-        for path_id, series in report.rtt_samples_ms.items():
-            for t_ms, value in series:
-                writer.writerow([f"rtt_sample_ms_path{path_id}", t_ms, value])
-        for t_ms, value in report.mixed_samples_ms:
-            writer.writerow(["mixed_sample_ms", t_ms, value])
-        for path_id, series in report.received_pn.items():
-            for t_ms, pn in series:
-                writer.writerow([f"received_pn_path{path_id}", t_ms, pn])
-        for t_ms, value in report.hole_count:
-            writer.writerow(["hole_count", t_ms, value])
+        # scalar rows first, then each series in declaration order
+        for name, codec in sorted(FIELD_CODECS, key=lambda item: item[1] is not None):
+            value, series = getattr(report, name), _CSV_SERIES.get(name, name)
+            if codec is None:
+                writer.writerow([name, "", value])
+            elif codec is HISTOGRAM:
+                writer.writerows([series, bucket, count] for bucket, count in value.items())
+            elif codec is PER_PATH:
+                for path_id, points in value.items():
+                    writer.writerows([f"{series}_path{path_id}", *point] for point in points)
+            else:
+                writer.writerows([series, *point] for point in value)
 
 
 def load_report(path: str | Path) -> MetricsReport:
@@ -126,58 +123,70 @@ def export_range_count_cdf(report: MetricsReport, path: str | Path) -> None:
 
 # -- config files ------------------------------------------------------------
 
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
+
+def _as_bool(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"expected a boolean, got {raw!r}") from None
 
 
-def _as_bool(raw: str, key: str) -> bool:
-    value = raw.strip().lower()
-    if value in _TRUE:
-        return True
-    if value in _FALSE:
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
+def _window(raw: str) -> int | str | None:
+    raw = raw.lower()
+    try:
+        return int(raw)
+    except ValueError:  # LinkModel.validate refuses every word but auto
+        return None if raw == "none" else raw
+
+
+def _key_tables(base_dir: Path) -> dict[str, dict[str, tuple[str, Callable]]]:
+    """Each section's file keys -> (the dataclass field the key sets, its parser).
+
+    Every [path.N] section shares one table. A key the file leaves out keeps
+    the default of ScenarioConfig, RecvConfig or LinkModel.
+    """
+    return {
+        "scenario": {
+            "mode": ("mode", lambda raw: SpaceMode(raw.lower())),
+            "scheduler": ("scheduler", lambda raw: SchedulerKind(raw.lower())),
+            "cc": ("cc", lambda raw: CcAlgorithm(raw.lower())),
+            "transfer_bytes": ("transfer_size", int),
+            "transfer_mb": ("transfer_size", lambda raw: round(float(raw) * 1_000_000)),
+            "seed": ("seed", int),
+            "duration_cap_s": ("duration_cap_s", float),
+        },
+        "receiver": {
+            "ack_eliciting_threshold": ("ack_eliciting_threshold", int),
+            "max_ack_delay_ms": ("max_ack_delay", lambda raw: ms_to_us(float(raw))),
+            "suppression": ("suppression_enabled", _as_bool),
+            "default_limit": ("default_limit", int),
+            "maximum_limit": ("maximum_limit", int),
+            "per_path_anchoring": ("per_path_anchoring", _as_bool),
+        },
+        "path.N": {
+            "delay_down_ms": ("delay_down_ms", float),
+            "delay_up_ms": ("delay_up_ms", float),
+            "rate_mbps": ("rate_mbps", float),
+            "trace": ("trace", lambda raw: load_trace(base_dir / raw)),
+            "loss_rate": ("loss_rate", float),
+            "reverse_loss_rate": ("reverse_loss_rate", float),
+            "queue_packets": ("queue_capacity", int),
+            "mtu": ("mtu", int),
+            "window_packets": ("window_packets", _window),
+        },
+    }
 
 
 def parse_config_file(path: str | Path) -> ScenarioConfig:
     """Read a key=value scenario file (see README for the format)."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except (ValueError, configparser.Error) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file: {path}")
-    try:
-        return _build_config(parser, Path(path).parent)
-    except ConfigError:
-        raise
-    except (ValueError, KeyError, configparser.Error) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-# the keys each section accepts; every [path.N] section shares one set
-_KEYS = {
-    "scenario": set("mode scheduler cc transfer_bytes transfer_mb seed duration_cap_s".split()),
-    "receiver": set(
-        "ack_eliciting_threshold max_ack_delay_ms suppression default_limit maximum_limit"
-        " per_path_anchoring".split()
-    ),
-    "path.N": set(
-        "delay_down_ms delay_up_ms rate_mbps trace loss_rate reverse_loss_rate queue_packets mtu"
-        " window_packets".split()
-    ),
-}
-
-
-def _check_keys(parser: configparser.ConfigParser) -> None:
-    """Refuse sections and keys the format does not define, so typos fail loudly."""
-    if parser.defaults():
-        raise ConfigError("[DEFAULT] sections are not supported")
-    for section in parser.sections():
-        known = _KEYS.get("path.N" if section.startswith("path.") else section)
-        if known is None:
-            raise ConfigError(f"unknown section [{section}]")
-        unknown = sorted(set(parser[section]) - known)
-        if unknown:
-            raise ConfigError(f"[{section}] unknown key(s): {', '.join(unknown)}")
+    return _build_config(parser, Path(path).parent)
 
 
 def _path_sections(parser: configparser.ConfigParser) -> list[str]:
@@ -194,84 +203,46 @@ def _path_sections(parser: configparser.ConfigParser) -> list[str]:
     return [by_number[n] for n in sorted(by_number)]
 
 
+def _read_section(parser: configparser.ConfigParser, section: str, table: dict) -> dict:
+    """The fields a section sets, by dataclass field name; none if it is absent."""
+    keys = parser[section] if parser.has_section(section) else {}
+    unknown = sorted(set(keys) - set(table))
+    if unknown:
+        raise ConfigError(f"[{section}] unknown key(s): {', '.join(unknown)}")
+    values = {}
+    for key in keys:
+        name, parse = table[key]
+        if name in values:
+            raise ConfigError(f"[{section}] {key}: {name} is already set by another key")
+        try:
+            values[name] = parse(keys[key])
+        except (ValueError, OverflowError, OSError, configparser.Error) as exc:
+            raise ConfigError(f"[{section}] {key}: {exc}") from exc
+    return values
+
+
 def _build_config(parser: configparser.ConfigParser, base_dir: Path) -> ScenarioConfig:
-    _check_keys(parser)
+    if parser.defaults():
+        raise ConfigError("[DEFAULT] sections are not supported")
+    tables = _key_tables(base_dir)
+    for section in parser.sections():
+        if ("path.N" if section.startswith("path.") else section) not in tables:
+            raise ConfigError(f"unknown section [{section}]")
     if "scenario" not in parser:
         raise ConfigError("missing [scenario] section")
-    sc = parser["scenario"]
-    try:
-        mode = SpaceMode(sc.get("mode", "spns").lower())
-    except ValueError:
-        raise ConfigError(f"unknown mode: {sc.get('mode')!r}")
-    try:
-        scheduler = SchedulerKind(sc.get("scheduler", "minrtt").lower())
-    except ValueError:
-        raise ConfigError(f"unknown scheduler: {sc.get('scheduler')!r}")
-    try:
-        cc = CcAlgorithm(sc.get("cc", "cubic").lower())
-    except ValueError:
-        raise ConfigError(f"unknown congestion control: {sc.get('cc')!r}")
-    if "transfer_bytes" in sc:
-        transfer = int(sc["transfer_bytes"])
-    elif "transfer_mb" in sc:
-        transfer = int(float(sc["transfer_mb"]) * 1_000_000)
-    else:
-        raise ConfigError("scenario needs transfer_bytes or transfer_mb")
-
-    recv = RecvConfig()
-    if "receiver" in parser:
-        rc = parser["receiver"]
-        recv.ack_eliciting_threshold = int(rc.get("ack_eliciting_threshold", recv.ack_eliciting_threshold))
-        if "max_ack_delay_ms" in rc:
-            recv.max_ack_delay = int(float(rc["max_ack_delay_ms"]) * 1000)
-        if "suppression" in rc:
-            recv.suppression_enabled = _as_bool(rc["suppression"], "suppression")
-        recv.default_limit = int(rc.get("default_limit", recv.default_limit))
-        recv.maximum_limit = int(rc.get("maximum_limit", recv.maximum_limit))
-        if "per_path_anchoring" in rc:
-            recv.per_path_anchoring = _as_bool(rc["per_path_anchoring"], "per_path_anchoring")
-
+    scenario = _read_section(parser, "scenario", tables["scenario"])
+    if "transfer_size" not in scenario:
+        raise ConfigError("[scenario] needs transfer_bytes or transfer_mb")
+    recv = RecvConfig(**_read_section(parser, "receiver", tables["receiver"]))
     paths = []
     for section in _path_sections(parser):
-        ps = parser[section]
-        if "delay_down_ms" not in ps or "delay_up_ms" not in ps:
+        link = _read_section(parser, section, tables["path.N"])
+        if "delay_down_ms" not in link or "delay_up_ms" not in link:
             raise ConfigError(f"[{section}] needs delay_down_ms and delay_up_ms")
-        window_raw = ps.get("window_packets", "auto").strip().lower()
-        if window_raw in ("auto", ""):
-            window = "auto"
-        elif window_raw == "none":
-            window = None
-        else:
-            window = int(window_raw)
-        trace = None
-        if "trace" in ps:
-            trace = load_trace(base_dir / ps["trace"])
-        rate = float(ps["rate_mbps"]) if "rate_mbps" in ps else None
-        paths.append(
-            LinkModel(
-                delay_down_ms=float(ps["delay_down_ms"]),
-                delay_up_ms=float(ps["delay_up_ms"]),
-                rate_mbps=rate,
-                trace=trace,
-                loss_rate=float(ps.get("loss_rate", "0")),
-                reverse_loss_rate=float(ps.get("reverse_loss_rate", "0")),
-                queue_capacity=int(ps.get("queue_packets", "64")),
-                mtu=int(ps.get("mtu", "1350")),
-                window_packets=window,
-            )
-        )
+        paths.append(LinkModel(**link))
     if not paths:
         raise ConfigError("no [path.N] sections found")
-
-    config = ScenarioConfig(
-        mode=mode,
-        paths=paths,
-        transfer_size=transfer,
-        scheduler=scheduler,
-        cc=cc,
-        recv=recv,
-        seed=int(sc.get("seed", "0")),
-        duration_cap_s=float(sc.get("duration_cap_s", "60")),
-    )
+    scenario.setdefault("mode", SpaceMode.SPNS)  # mode has no dataclass default
+    config = ScenarioConfig(**scenario, paths=paths, recv=recv)
     config.validate()
     return config

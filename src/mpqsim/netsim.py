@@ -20,6 +20,11 @@ from typing import Callable
 DEFAULT_MTU = 1350  # payload bytes per packet
 
 
+def ms_to_us(ms: float) -> int:
+    """Milliseconds to whole microseconds, rounded to the nearest."""
+    return round(ms * 1000)
+
+
 class TraceSchedule:
     """Delivery opportunities from a Mahi-mahi style trace.
 
@@ -89,6 +94,9 @@ class LinkModel:
         for name in ("delay_down_ms", "delay_up_ms"):
             if not (0.0 <= getattr(self, name) < math.inf):
                 raise ValueError(f"{name} must be non-negative and finite")
+        # every RTT sample and completion time is then at least 1 µs
+        if ms_to_us(self.delay_down_ms) < 1:
+            raise ValueError("delay_down_ms must round to at least 1 µs")
         for name in ("loss_rate", "reverse_loss_rate"):
             if not (0.0 <= getattr(self, name) < 1.0):
                 raise ValueError(f"{name} must be in [0, 1)")

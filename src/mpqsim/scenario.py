@@ -30,8 +30,8 @@ class ScenarioConfig:
             raise ConfigError("transfer_size must be positive")
         if not self.paths:
             raise ConfigError("need at least one path")
-        if self.duration_cap_s <= 0:
-            raise ConfigError("duration_cap_s must be positive")
+        if not (0.0 < self.duration_cap_s < float("inf")):
+            raise ConfigError("duration_cap_s must be positive and finite")
         for p, lm in enumerate(self.paths):
             try:
                 lm.validate()
@@ -71,7 +71,7 @@ class MetricsReport:
         """JSON-ready dict: field order, int map keys as strings, pairs as lists."""
         return {
             name: getattr(self, name) if codec is None else codec[0](getattr(self, name))
-            for name, codec in _FIELD_CODECS
+            for name, codec in FIELD_CODECS
         }
 
     @classmethod
@@ -79,30 +79,31 @@ class MetricsReport:
         return cls(
             **{
                 name: data[name] if codec is None else codec[1](data[name])
-                for name, codec in _FIELD_CODECS
+                for name, codec in FIELD_CODECS
             }
         )
+
+
+# (encode, decode) for each kind of non-scalar report field
+PER_PATH = (  # path -> series
+    lambda v: {str(k): [list(p) for p in s] for k, s in v.items()},
+    lambda d: {int(k): [tuple(p) for p in s] for k, s in d.items()},
+)
+HISTOGRAM = (
+    lambda v: {str(k): c for k, c in v.items()},
+    lambda d: {int(k): c for k, c in d.items()},
+)
+SERIES = (lambda v: [list(p) for p in v], lambda d: [tuple(p) for p in d])
 
 
 def _field_codec(hint) -> tuple[Callable, Callable] | None:
     """(encode, decode) for one report field by its type; None for scalars."""
     origin, args = get_origin(hint), get_args(hint)
-    if origin is dict and get_origin(args[1]) is list:  # per-path series
-        return (
-            lambda v: {str(k): [list(p) for p in s] for k, s in v.items()},
-            lambda d: {int(k): [tuple(p) for p in s] for k, s in d.items()},
-        )
-    if origin is dict:  # histogram
-        return (
-            lambda v: {str(k): c for k, c in v.items()},
-            lambda d: {int(k): c for k, c in d.items()},
-        )
-    if origin is list:  # one series
-        return (lambda v: [list(p) for p in v], lambda d: [tuple(p) for p in d])
-    return None
+    if origin is dict:
+        return PER_PATH if get_origin(args[1]) is list else HISTOGRAM
+    return SERIES if origin is list else None
 
 
 _HINTS = get_type_hints(MetricsReport)
-_FIELD_CODECS = [(f.name, _field_codec(_HINTS[f.name])) for f in fields(MetricsReport)]
-# the report's scalar fields, in declaration order
-SCALAR_FIELDS = tuple(name for name, codec in _FIELD_CODECS if codec is None)
+# every report field with its codec (None for scalars), in declaration order
+FIELD_CODECS = [(f.name, _field_codec(_HINTS[f.name])) for f in fields(MetricsReport)]

@@ -53,7 +53,7 @@ class PathSendState:
         self.path = path
         self.sent_count = 0  # packets sent so far; the next send's history index
         self.unacked: dict[int, SentPacketRecord] = {}  # insertion = send order
-        self.largest_acked_pn: int | None = None
+        # send index of the largest acked packet; -1 until one is acked
         self.largest_acked_index: int = -1
         self.latest_rtt: int | None = None
         self.smoothed_rtt: float | None = None
@@ -205,8 +205,8 @@ class SenderState:
             ps = self.paths[rec.path]
             del ps.unacked[rec.pn]
             ps.bytes_in_flight -= rec.size
-            if ps.largest_acked_pn is None or rec.pn > ps.largest_acked_pn:
-                ps.largest_acked_pn = rec.pn
+            # packet numbers rise with send indexes on a path
+            if rec.path_history_index > ps.largest_acked_index:
                 ps.largest_acked_index = rec.path_history_index
             acked_bytes_by_path[rec.path] = acked_bytes_by_path.get(rec.path, 0) + rec.size
         for path, acked in acked_bytes_by_path.items():
@@ -236,8 +236,6 @@ class SenderState:
         the largest acked and has aged past 9/8 of the path's RTT.
         """
         ps = self.paths[path]
-        if ps.largest_acked_pn is None:
-            return []
         i = ps.largest_acked_index
         rtt_basis = max(ps.smoothed_rtt or 0, ps.latest_rtt or 0)
         time_cutoff = None

@@ -14,7 +14,7 @@ from collections import deque
 
 from .congestion import CongestionController
 from .core import ack_frame_wire_size
-from .netsim import EventLoop, LinkDirection, LinkModel
+from .netsim import EventLoop, LinkDirection, LinkModel, ms_to_us
 from .receiver import ArmTimer, EmitAckOnPath, ReceiverState
 from .scenario import MetricsReport, ScenarioConfig
 from .scheduler import select_path
@@ -56,7 +56,7 @@ class Simulation:
         for p, lm in enumerate(config.paths):
             self.down.append(
                 LinkDirection(
-                    delay_us=int(lm.delay_down_ms * 1000),
+                    delay_us=ms_to_us(lm.delay_down_ms),
                     rate_bps=lm.rate_mbps * 1e6 if lm.rate_mbps is not None else None,
                     trace=lm.trace,
                     loss_rate=lm.loss_rate,
@@ -66,7 +66,7 @@ class Simulation:
             )
             self.up.append(
                 LinkDirection(
-                    delay_us=int(lm.delay_up_ms * 1000),
+                    delay_us=ms_to_us(lm.delay_up_ms),
                     loss_rate=lm.reverse_loss_rate,
                     rng=random.Random(f"{config.seed}/path{p}/up"),
                 )
@@ -89,8 +89,6 @@ class Simulation:
         self.delivered_bytes = 0
         self.completion_us: int | None = None
 
-        self.packets_sent = 0
-        self.packets_received = 0
         self.ack_size_sum = 0
         self.ack_frames = 0
         self.range_hist: dict[int, int] = {}
@@ -117,7 +115,6 @@ class Simulation:
     def _send_on_path(self, path: int, size: int, offset: int, now: int) -> None:
         ps = self.sender.paths[path]
         rec = self.sender.send_packet(path, size, now, offset)
-        self.packets_sent += 1
         rate = self._pace_rate(ps)
         if rate is not None:
             self._pace_next[path] = max(now, self._pace_next[path]) + int(size / rate * 1e6)
@@ -206,7 +203,6 @@ class Simulation:
             self.loop.schedule(arrival, self._on_ack, path, frame)
 
     def _on_data(self, now: int, path: int, pn: int, size: int, offset: int) -> None:
-        self.packets_received += 1
         actions = self.receiver.on_packet_received(path, pn, now)
         t_ms = now / 1000
         self.received_pn[path].append((t_ms, pn))
@@ -280,7 +276,7 @@ class Simulation:
         """
         now = self.loop.now
         for prs in self.receiver.per_path:
-            if prs.ack_eliciting_since_ack > 0 and prs.largest_recv_pn is not None:
+            if prs.ack_eliciting_since_ack > 0:
                 frame = self.receiver.build_ack_frame(prs.path, now)
                 self._record_ack_metrics(frame)
 
@@ -306,6 +302,6 @@ class Simulation:
             time_threshold_losses=self.sender.time_threshold_losses,
             spurious_retx=self.sender.spurious_count,
             received_never_acked=sum(map(len, self.receiver.uncovered.values())),
-            packets_sent=self.packets_sent,
-            packets_received=self.packets_received,
+            packets_sent=sum(ps.sent_count for ps in self.sender.paths),
+            packets_received=sum(map(len, self.received_pn.values())),
         )

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -201,11 +202,40 @@ def test_window_packets_auto_none_and_integer(tmp_path):
         max_cwnd("window_packets = 0\n")
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("queue_packets = 64", "queue_packets = x", r"\[path\.0\] queue_packets: invalid literal"),
+        ("suppression = false", "suppression = maybe", r"\[receiver\] suppression: expected a bool"),
+        ("max_ack_delay_ms = 25", "max_ack_delay_ms = inf", r"\[receiver\] max_ack_delay_ms: "),
+        ("seed = 5", "seed = 5\ntransfer_mb = 0.2", r"\[scenario\] transfer_mb: transfer_size is already"),
+        ("rate_mbps = 15\n", "trace = missing.trace\n", r"\[path\.1\] trace: .*missing\.trace"),
+        ("seed = 5", "seed = 5\nseed = 6", r"option 'seed' in section 'scenario' already exists"),
+    ],
+)
+def test_parse_refusals_name_the_section_and_key(tmp_path, old, new, message):
+    path = tmp_path / "bad.ini"
+    path.write_text(CONFIG_TEXT.replace(old, new, 1))
+    with pytest.raises(ConfigError, match=message):
+        parse_config_file(path)
+
+
+def test_unit_conversions_round(tmp_path):
+    path = tmp_path / "fractions.ini"
+    text = CONFIG_TEXT.replace("transfer_bytes = 200000", "transfer_mb = 4.1")
+    text = text.replace("max_ack_delay_ms = 25", "max_ack_delay_ms = 32.3")
+    path.write_text(text.replace("delay_down_ms = 15", "delay_down_ms = 32.3", 1))
+    config = parse_config_file(path)
+    assert (config.transfer_size, config.recv.max_ack_delay) == (4_100_000, 32_300)
+    assert Simulation(config).down[0].delay_us == 32_300
+
+
 def test_validation_errors_are_config_errors():
-    config = small_config()
-    config.transfer_size = 0
-    with pytest.raises(ConfigError):
-        run_scenario(config)
+    bad = [("transfer_size", 0), ("duration_cap_s", float("nan")), ("duration_cap_s", float("inf"))]
+    for field, value in bad:
+        config = dataclasses.replace(small_config(), **{field: value})
+        with pytest.raises(ConfigError):
+            run_scenario(config)
 
 
 # -- comparisons and sweeps -------------------------------------------------------

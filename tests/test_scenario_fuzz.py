@@ -1,0 +1,173 @@
+"""Whole random scenarios: the file format round trip, end-of-run checks and
+the single-path SPNS/MPNS differential.
+
+Every test is derandomised, so a failure reproduces on every run.
+"""
+
+import dataclasses
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mpqsim.congestion import CcAlgorithm
+from mpqsim.core import ConfigError, SpaceMode
+from mpqsim.harness import compare_modes, parse_config_file
+from mpqsim.netsim import LinkModel, TraceSchedule, ms_to_us
+from mpqsim.receiver import RecvConfig
+from mpqsim.scenario import MetricsReport, ScenarioConfig
+from mpqsim.scheduler import SchedulerKind
+from mpqsim.simulation import Simulation
+
+
+@st.composite
+def links(draw, min_delay_down_ms):
+    """One path, rate- or trace-driven."""
+    if draw(st.booleans()):
+        rate, trace = draw(st.floats(0.1, 1e8)), None
+    else:
+        times = draw(st.lists(st.integers(0, 40), min_size=1, max_size=30))
+        rate, trace = None, TraceSchedule(sorted(times))
+    return LinkModel(
+        delay_down_ms=draw(st.floats(min_delay_down_ms, 100.0)),
+        delay_up_ms=draw(st.floats(0.0, 100.0)),
+        rate_mbps=rate,
+        trace=trace,
+        loss_rate=draw(st.floats(0.0, 0.1)),
+        reverse_loss_rate=draw(st.floats(0.0, 0.05)),
+        queue_capacity=draw(st.integers(0, 64)),
+        mtu=draw(st.sampled_from([1200, 1280, 1350, 1500])),
+        window_packets=draw(st.one_of(st.just("auto"), st.none(), st.integers(1, 64))),
+    )
+
+
+@st.composite
+def receiver_configs(draw):
+    """Suppression off, or on with both limits in 1-8."""
+    recv = RecvConfig(
+        ack_eliciting_threshold=draw(st.integers(1, 4)),
+        max_ack_delay=draw(st.integers(0, 50_000)),
+        per_path_anchoring=draw(st.booleans()),
+    )
+    if draw(st.booleans()):
+        recv.suppression_enabled = True
+        recv.default_limit = draw(st.integers(1, 8))
+        recv.maximum_limit = draw(st.integers(recv.default_limit, 8))
+    return recv
+
+
+@st.composite
+def scenario_configs(draw, max_paths=4, min_delay_down_ms=0.0):
+    """A whole ScenarioConfig of 1 to `max_paths` paths.
+
+    Data delays start at `min_delay_down_ms`; from 0 they include delays
+    under 1 µs, which validation refuses.
+    """
+    num_paths = draw(st.integers(1, max_paths))
+    return ScenarioConfig(
+        mode=draw(st.sampled_from(SpaceMode)),
+        paths=[draw(links(min_delay_down_ms)) for _ in range(num_paths)],
+        transfer_size=draw(st.integers(50_000, 400_000)),
+        scheduler=draw(st.sampled_from(SchedulerKind)),
+        cc=draw(st.sampled_from(CcAlgorithm)),
+        recv=draw(receiver_configs()),
+        seed=draw(st.integers(0, 2**32)),
+        duration_cap_s=draw(st.floats(0.05, 60.0)),
+    )
+
+
+def write_scenario_file(config: ScenarioConfig, directory: Path) -> Path:
+    """The config as a scenario file, each trace in a file beside it."""
+    recv = config.recv
+    lines = [
+        "[scenario]",
+        f"mode = {config.mode.value}",
+        f"scheduler = {config.scheduler.value}",
+        f"cc = {config.cc.value}",
+        f"transfer_mb = {config.transfer_size / 1e6!r}",
+        f"seed = {config.seed}",
+        f"duration_cap_s = {config.duration_cap_s!r}",
+        "[receiver]",
+        f"ack_eliciting_threshold = {recv.ack_eliciting_threshold}",
+        f"max_ack_delay_ms = {recv.max_ack_delay / 1000!r}",
+        f"suppression = {str(recv.suppression_enabled).lower()}",
+        f"default_limit = {recv.default_limit}",
+        f"maximum_limit = {recv.maximum_limit}",
+        f"per_path_anchoring = {str(recv.per_path_anchoring).lower()}",
+    ]
+    for p, lm in enumerate(config.paths):
+        lines.append(f"[path.{p}]")
+        if lm.trace is None:
+            lines.append(f"rate_mbps = {lm.rate_mbps!r}")
+        else:
+            (directory / f"path{p}.trace").write_text("".join(f"{t}\n" for t in lm.trace.times_ms))
+            lines.append(f"trace = path{p}.trace")
+        lines += [
+            f"delay_down_ms = {lm.delay_down_ms!r}",
+            f"delay_up_ms = {lm.delay_up_ms!r}",
+            f"loss_rate = {lm.loss_rate!r}",
+            f"reverse_loss_rate = {lm.reverse_loss_rate!r}",
+            f"queue_packets = {lm.queue_capacity}",
+            f"mtu = {lm.mtu}",
+            f"window_packets = {str(lm.window_packets).lower()}",
+        ]
+    path = directory / "scenario.ini"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def comparable(config: ScenarioConfig) -> tuple:
+    """The config with each trace replaced by its timestamps."""
+    links = [dataclasses.replace(lm, trace=None) for lm in config.paths]
+    traces = [lm.trace.times_ms if lm.trace else None for lm in config.paths]
+    return dataclasses.replace(config, paths=links), traces
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(scenario_configs())
+def test_scenario_file_round_trip(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_scenario_file(config, Path(tmp))
+        if any(ms_to_us(lm.delay_down_ms) < 1 for lm in config.paths):
+            with pytest.raises(ConfigError, match="delay_down_ms must round to at least 1 µs"):
+                parse_config_file(path)
+        else:
+            assert comparable(parse_config_file(path)) == comparable(config)
+
+
+def checked_run(config: ScenarioConfig) -> MetricsReport:
+    """Run to the end and check what must hold of every finished run."""
+    sim = Simulation(config)
+    next_event = [None]  # the time of the next event after the latest one
+    sim.after_event = lambda s: next_event.__setitem__(0, s.loop.peek_time())
+    report = sim.run()
+    # complete, or stopped with events still due past the cap
+    assert report.complete or (
+        next_event[0] is not None and next_event[0] > config.duration_cap_s * 1e6
+    )
+    assert report.packets_received <= report.packets_sent
+    assert config.recv.suppression_enabled or report.received_never_acked == 0
+    assert MetricsReport.from_dict(json.loads(json.dumps(report.to_dict()))) == report
+    return report
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(scenario_configs(min_delay_down_ms=0.001))
+def test_random_scenarios_end_cleanly_and_repeat_exactly(config):
+    first = checked_run(config)
+    second = Simulation(config).run()
+    assert json.dumps(second.to_dict()) == json.dumps(first.to_dict())
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(scenario_configs(max_paths=1, min_delay_down_ms=0.001))
+def test_one_path_spns_and_mpns_agree(config):
+    comparison = compare_modes(config)
+    spns, mpns = comparison.spns, comparison.mpns
+    assert spns.completion_time_s == mpns.completion_time_s
+    assert spns.packets_sent == mpns.packets_sent
+    assert spns.packet_threshold_losses == mpns.packet_threshold_losses
+    assert spns.time_threshold_losses == mpns.time_threshold_losses

@@ -87,8 +87,8 @@ def test_ack_marks_covered_and_samples_arrival_path():
     assert {r.pn for r in result.newly_acked} == set(range(8))
     assert result.rtt_path == 0
     assert result.rtt_sample == 1000 - 7  # send time of pn 7 was 7
-    assert sender.paths[0].largest_acked_pn == 7
-    assert sender.paths[1].largest_acked_pn == 5  # largest path-1 pn below 8
+    assert sender.paths[0].largest_acked_index == 3  # pn 7, path 0's fourth send
+    assert sender.paths[1].largest_acked_index == 3  # pn 5, the largest path-1 pn below 8
 
 
 def test_ack_with_already_credited_largest_gives_no_sample():

@@ -104,6 +104,11 @@ def test_finished_simulation_is_freed_without_cyclic_gc():
         ({"window_packets": 0}, {}),
         ({"window_packets": "big"}, {}),
         ({}, {"max_ack_delay": -1}),
+        # a data delay under 1 µs would give a zero RTT sample or completion time
+        ({"delay_down_ms": 0, "delay_up_ms": 0}, {}),
+        ({"delay_down_ms": 0.0001}, {}),
+        ({"rate_mbps": 1e8, "delay_down_ms": 0, "delay_up_ms": 0}, {}),
+        ({"rate_mbps": None, "trace": TraceSchedule([0, 1]), "delay_down_ms": 0}, {}),
     ],
 )
 def test_bad_link_and_receiver_values_refused_before_the_run(link, recv):
