@@ -7,10 +7,11 @@ Times are integer microseconds unless noted otherwise.
 from __future__ import annotations
 
 import bisect
+import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 MAX_PACKET_NUMBER = (1 << 62) - 1
 
@@ -93,28 +94,72 @@ class AckFrame:
     """Abstract ACK frame: largest acknowledged, delay, descending ranges.
 
     `space` identifies the acknowledged number space: 0 for the shared
-    connection-wide space, the path id for per-path spaces.
+    connection-wide space, the path id for per-path spaces. `wire_size`,
+    when the builder knows it, is the frame's encoded size without the
+    per-path space varint (see `ack_frame_wire_size`); it follows from the
+    other fields, so frames compare without it.
     """
 
     space: int
     largest_acked: int
     ack_delay: int  # microseconds
     ranges: list[AckRange]
+    wire_size: int | None = field(default=None, compare=False)
 
-    def validate(self) -> None:
-        """Refuse a frame whose ranges are not descending, disjoint and non-adjacent."""
+    def validate(self, pns: Iterable[int] = ()) -> list[int]:
+        """Check the ranges and return the members of `pns` the frame acknowledges.
+
+        Refuses a frame whose ranges are not non-negative, descending,
+        disjoint and non-adjacent, or whose first range does not start at
+        `largest_acked`. `pns` must be ascending; the ranges are walked
+        bottom-up once, alongside it, and numbers above `largest_acked` are
+        never read.
+        """
         ranges = self.ranges
         if not ranges:
             raise InvariantViolation("ACK frame must carry at least one range")
         if ranges[0].largest != self.largest_acked:
             raise InvariantViolation("first range must start at largest_acked")
-        prev_smallest = self.largest_acked + 2  # nothing lies above the first range
-        for largest, smallest in ranges:
-            if smallest < 0 or smallest > largest:
-                raise InvariantViolation(f"inverted range {AckRange(largest, smallest)}")
-            if largest >= prev_smallest - 1:
-                raise InvariantViolation("ranges must be descending and non-adjacent")
-            prev_smallest = smallest
+        covered: list[int] = []
+        numbers, end = iter(pns), math.inf  # `end` lies above every range
+        pn = next(numbers, end)
+        below = -2  # largest of the range below; the bottom range starts at 0 or above
+        for largest, smallest in reversed(ranges):
+            if not below + 1 < smallest <= largest:
+                bad = AckRange(largest, smallest)
+                raise InvariantViolation(f"range {bad} is inverted, negative, adjacent or misordered")
+            below = largest
+            while pn < smallest:
+                pn = next(numbers, end)
+            while pn <= largest:
+                covered.append(pn)
+                pn = next(numbers, end)
+        return covered
+
+
+def _range_bytes(above_smallest: int, largest: int, smallest: int) -> int:
+    """Bytes a range adds to an ACK frame after the range starting at
+    `above_smallest`: the varints of its gap and its length."""
+    gap, length = above_smallest - largest - 2, largest - smallest
+    # varints below 2^6 take 1 byte and below 2^14 take 2
+    return (1 if gap < 64 else 2 if gap < 16384 else varint_size(gap)) + (
+        1 if length < 64 else 2 if length < 16384 else varint_size(length)
+    )
+
+
+def _header_size(largest_acked: int, ack_delay: int, ranges: list[AckRange]) -> int:
+    """Bytes of an ACK frame up to its first range: type, largest
+    acknowledged, encoded delay, range count - 1 and first range length."""
+    first_length = largest_acked - ranges[0].smallest
+    if first_length < 0:
+        raise InvariantViolation(f"inverted range {ranges[0]}")
+    return (
+        1
+        + varint_size(largest_acked)
+        + varint_size(ack_delay >> ACK_DELAY_EXPONENT)
+        + varint_size(len(ranges) - 1)
+        + varint_size(first_length)
+    )
 
 
 def ack_frame_wire_size(frame: AckFrame, mode: SpaceMode) -> int:
@@ -125,35 +170,26 @@ def ack_frame_wire_size(frame: AckFrame, mode: SpaceMode) -> int:
     further range adds varints for gap (previous smallest - largest - 2)
     and length. Per-path spaces carry one extra varint naming the space.
 
-    Refuses only frames it cannot encode: no ranges, a first range that
-    does not start at largest acknowledged, or a negative gap or length.
-    Full validation happens once, where the sender accepts the frame.
+    A frame built from a `RangeSet` carries the size without that last
+    varint; a frame built by hand is summed range by range here. That sum
+    refuses only the frames it cannot encode: no ranges, a first range
+    that does not start at largest acknowledged, or a negative gap or
+    length. Full validation happens once, where the sender accepts the frame.
     """
-    ranges = frame.ranges
-    if not ranges:
-        raise InvariantViolation("ACK frame must carry at least one range")
-    if ranges[0].largest != frame.largest_acked:
-        raise InvariantViolation("first range must start at largest_acked")
-    first_length = frame.largest_acked - ranges[0].smallest
-    if first_length < 0:
-        raise InvariantViolation(f"inverted range {ranges[0]}")
-    size = (
-        1
-        + varint_size(frame.largest_acked)
-        + varint_size(frame.ack_delay >> ACK_DELAY_EXPONENT)
-        + varint_size(len(ranges) - 1)
-        + varint_size(first_length)
-    )
-    prev_smallest = ranges[0].smallest
-    for largest, smallest in ranges[1:]:
-        gap = prev_smallest - largest - 2
-        length = largest - smallest
-        if gap < 0 or length < 0:
-            raise InvariantViolation("ranges must be descending, non-adjacent and not inverted")
-        # varints below 2^6 take 1 byte and below 2^14 take 2
-        size += 1 if gap < 64 else 2 if gap < 16384 else varint_size(gap)
-        size += 1 if length < 64 else 2 if length < 16384 else varint_size(length)
-        prev_smallest = smallest
+    size = frame.wire_size
+    if size is None:
+        ranges = frame.ranges
+        if not ranges:
+            raise InvariantViolation("ACK frame must carry at least one range")
+        if ranges[0].largest != frame.largest_acked:
+            raise InvariantViolation("first range must start at largest_acked")
+        size = _header_size(frame.largest_acked, frame.ack_delay, ranges)
+        prev_smallest = ranges[0].smallest
+        for largest, smallest in ranges[1:]:
+            if largest > prev_smallest - 2 or smallest > largest:
+                raise InvariantViolation("ranges must be descending, non-adjacent and not inverted")
+            size += _range_bytes(prev_smallest, largest, smallest)
+            prev_smallest = smallest
     if mode is SpaceMode.MPNS:
         size += varint_size(frame.space)
     return size
@@ -169,12 +205,17 @@ class RangeSet:
     tuples, bisected on `smallest`; adjacent ranges are merged so the hole
     count is always len(ranges) - 1. `descending` hands out the tuples
     themselves, so frames share them instead of copying.
+
+    A parallel list caches each range's share of an ACK frame: entry k is
+    `varint(gap) + varint(length)`, the bytes range k adds when it follows
+    range k + 1 in a frame. The top range has no range above it and keeps 0.
     """
 
-    __slots__ = ("_ranges",)
+    __slots__ = ("_ranges", "_gap_bytes")
 
     def __init__(self) -> None:
         self._ranges: list[AckRange] = []
+        self._gap_bytes: list[int] = []
 
     def insert(self, pn: int) -> None:
         self.add_range(pn, pn)
@@ -182,16 +223,19 @@ class RangeSet:
     def add_range(self, lo: int, hi: int) -> None:
         if lo < 0 or lo > hi:
             raise InvariantViolation(f"invalid range ({lo}, {hi})")
-        ranges = self._ranges
+        ranges, gap_bytes = self._ranges, self._gap_bytes
         if not ranges:
             ranges.append(AckRange(hi, lo))
+            gap_bytes.append(0)
             return
         last_hi, last_lo = ranges[-1]
         if lo > last_hi + 1:
+            gap_bytes[-1] = _range_bytes(lo, last_hi, last_lo)
             ranges.append(AckRange(hi, lo))
+            gap_bytes.append(0)
             return
         if lo >= last_lo:
-            # touches or overlaps only the final range
+            # touches or overlaps only the final range, whose entry stays 0
             if hi > last_hi:
                 ranges[-1] = AckRange(hi, last_lo)
             return
@@ -204,7 +248,26 @@ class RangeSet:
         while j < len(ranges) and ranges[j].smallest <= hi + 1:
             hi = max(hi, ranges[j].largest)
             j += 1
+        # the merged range's entry follows the range above it; the entry of
+        # the range below follows the merged range's smallest
+        entry = _range_bytes(ranges[j].smallest, hi, lo) if j < len(ranges) else 0
         ranges[i:j] = [AckRange(hi, lo)]
+        gap_bytes[i:j] = [entry]
+        if i > 0:
+            gap_bytes[i - 1] = _range_bytes(lo, *ranges[i - 1])
+
+    def ack_frame(self, space: int, ack_delay: int, ranges: list[AckRange]) -> AckFrame:
+        """The ACK frame carrying `ranges`, sized from the byte cache.
+
+        `ranges` must be the first ranges of a `descending` list of this
+        set, in its order; only the first may be clipped at the anchor.
+        """
+        count = len(ranges)
+        top = bisect.bisect_left(self._ranges, ranges[0].smallest, key=_smallest)
+        largest = ranges[0].largest
+        size = _header_size(largest, ack_delay, ranges)
+        size += sum(self._gap_bytes[top - count + 1 : top])
+        return AckFrame(space, largest, ack_delay, ranges, size)
 
     def __contains__(self, pn: int) -> bool:
         i = bisect.bisect_right(self._ranges, pn, key=_smallest) - 1

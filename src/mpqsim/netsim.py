@@ -102,6 +102,11 @@ class LinkModel:
                 raise ValueError(f"{name} must be in [0, 1)")
         if self.mtu <= 0 or self.queue_capacity < 0:
             raise ValueError("mtu and queue_capacity must be positive")
+        # `LinkDirection.transmit` rounds this to whole µs; a subnormal rate
+        # makes it infinite, while a merely tiny one runs to the cap
+        rate = self.rate_mbps
+        if rate is not None and not math.isfinite(self.mtu * 8 * 1e6 / (rate * 1e6)):
+            raise ValueError("rate_mbps is too small: one MTU's serialization time overflows")
         window = self.window_packets
         if window not in ("auto", None) and not (isinstance(window, int) and window >= 1):
             raise ValueError(f"window_packets must be 'auto', None or an int >= 1, not {window!r}")

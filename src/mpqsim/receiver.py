@@ -144,8 +144,9 @@ class ReceiverState:
         """Build the ACK frame this path would send right now.
 
         Anchored at the path's largest received packet number; ranges above
-        it belong to the other paths' frames. Resets the path's eliciting
-        counter and timer.
+        it belong to the other paths' frames. The frame carries its wire
+        size, read from the space's `RangeSet` byte cache. Resets the path's
+        eliciting counter and timer.
         """
         self._check_path(path)
         prs = self.per_path[path]
@@ -177,7 +178,7 @@ class ReceiverState:
         self.uncovered[space] = {pn for pn in self.uncovered[space] if not lowest <= pn <= largest}
         prs.ack_eliciting_since_ack = 0
         prs.ack_timer_deadline = None
-        return AckFrame(space=space, largest_acked=largest, ack_delay=ack_delay, ranges=ranges)
+        return rs.ack_frame(space, ack_delay, ranges)
 
     def on_ack_timer(self, path: int, deadline: int, now: int) -> AckFrame | None:
         """Handle the ack timer armed for `deadline` by emitting the pending ACK.

@@ -88,12 +88,14 @@ class PathSendState:
 
 
 class _SpaceState:
-    __slots__ = ("next_pn", "unacked", "lost", "records")
+    __slots__ = ("next_pn", "outstanding", "lost", "records")
 
     def __init__(self) -> None:
         self.next_pn = 0
-        self.unacked: dict[int, SentPacketRecord] = {}  # ascending pn
-        self.lost: dict[int, SentPacketRecord] = {}
+        # unacked and declared-lost records, ascending pn; an ACK covering
+        # a lost one marks its loss spurious
+        self.outstanding: dict[int, SentPacketRecord] = {}
+        self.lost: set[int] = set()
         self.records: dict[int, SentPacketRecord] = {}
 
 
@@ -124,7 +126,7 @@ class SenderState:
         if record.pn in sp.records:
             raise InvariantViolation(f"packet number {record.pn} reused")
         sp.records[record.pn] = record
-        sp.unacked[record.pn] = record
+        sp.outstanding[record.pn] = record
         if record.pn >= sp.next_pn:
             sp.next_pn = record.pn + 1
         ps = self.paths[path]
@@ -147,7 +149,6 @@ class SenderState:
         return record
 
     def on_ack_received(self, arrival_path: int, frame: AckFrame, now: int) -> AckProcessResult:
-        frame.validate()
         if self.mode is SpaceMode.SPNS:
             space = 0
             credit_path = arrival_path
@@ -157,6 +158,8 @@ class SenderState:
         sp = self._spaces.get(space)
         if sp is None:
             raise ProtocolError(f"ACK names unknown space {frame.space}")
+        # one walk checks the frame and finds the outstanding numbers it covers
+        covered = frame.validate(sp.outstanding)
         if frame.largest_acked >= sp.next_pn:
             raise ProtocolError(
                 f"ACK covers never-sent packet {frame.largest_acked} in space {space}"
@@ -168,47 +171,25 @@ class SenderState:
         credit_state = self.paths[credit_path]
         largest_newly_for_path = frame.largest_acked > credit_state.largest_credited
 
-        # walk the descending ranges bottom-up alongside the ascending unacked
-        ranges = frame.ranges
-        ri = len(ranges) - 1
-        r_largest, r_smallest = ranges[ri]
         newly: list[SentPacketRecord] = []
-        for pn, rec in sp.unacked.items():
-            if pn > r_largest:
-                ri -= 1
-                while ri >= 0 and ranges[ri].largest < pn:
-                    ri -= 1
-                if ri < 0:
-                    break
-                r_largest, r_smallest = ranges[ri]
-            if pn >= r_smallest:
-                newly.append(rec)
-
         spurious: list[int] = []
-        if sp.lost:
-            # lost packets inside the frame's span, ascending, walked against
-            # the ranges bottom-up; the top range ends at largest_acked, so
-            # the walk stops inside the list
-            bottom = ranges[-1].smallest
-            ri = len(ranges) - 1
-            for pn in sorted(pn for pn in sp.lost if bottom <= pn <= frame.largest_acked):
-                while ranges[ri].largest < pn:
-                    ri -= 1
-                if ranges[ri].smallest <= pn:
-                    spurious.append(pn)
-                    del sp.lost[pn]
-            self.spurious_count += len(spurious)
-
         acked_bytes_by_path: dict[int, int] = {}
-        for rec in newly:
-            del sp.unacked[rec.pn]
+        outstanding, lost = sp.outstanding, sp.lost
+        for pn in covered:
+            rec = outstanding.pop(pn)
+            if pn in lost:
+                lost.remove(pn)
+                spurious.append(pn)
+                continue
+            newly.append(rec)
             ps = self.paths[rec.path]
-            del ps.unacked[rec.pn]
+            del ps.unacked[pn]
             ps.bytes_in_flight -= rec.size
             # packet numbers rise with send indexes on a path
             if rec.path_history_index > ps.largest_acked_index:
                 ps.largest_acked_index = rec.path_history_index
             acked_bytes_by_path[rec.path] = acked_bytes_by_path.get(rec.path, 0) + rec.size
+        self.spurious_count += len(spurious)
         for path, acked in acked_bytes_by_path.items():
             self.paths[path].cc.on_ack(acked, now)
 
@@ -254,8 +235,7 @@ class SenderState:
         out = []
         for rec, by_count in lost:
             del ps.unacked[rec.pn]
-            del sp.unacked[rec.pn]
-            sp.lost[rec.pn] = rec
+            sp.lost.add(rec.pn)
             ps.bytes_in_flight -= rec.size
             if by_count:
                 self.packet_threshold_losses += 1

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mpqsim.core import (
@@ -310,13 +310,14 @@ def _range_lists(draw):
                 ranges[-1] = (ranges[-1][0], -1)
     largest_acked = ranges[0][0] if ranges else 0
     largest_acked += draw(st.sampled_from([0, 0, 0, 1, -1]))
-    return largest_acked, ranges
+    pns = sorted(set(draw(st.lists(st.integers(-2, 45), max_size=30))))
+    return largest_acked, ranges, pns
 
 
 @settings(max_examples=400)
 @given(_range_lists())
 def test_validate_refuses_exactly_the_invalid_range_lists(case):
-    largest_acked, ranges = case
+    largest_acked, ranges, _ = case
     frame = AckFrame(
         space=0, largest_acked=largest_acked, ack_delay=0, ranges=[AckRange(*r) for r in ranges]
     )
@@ -325,6 +326,27 @@ def test_validate_refuses_exactly_the_invalid_range_lists(case):
     else:
         with pytest.raises(InvariantViolation):
             frame.validate()
+
+
+@settings(max_examples=400)
+@given(_range_lists())
+@example((9, [(9, 7), (4, 2)], [0, 2, 3, 5, 7, 10]))
+@example((5, [(5, -1)], [0, 3]))  # negative bottom range
+@example((9, [(9, 5), (4, 0)], [4, 5]))  # adjacent ranges
+@example((9, [(9, 9), (3, 5)], []))  # inverted range
+def test_validate_returns_exactly_the_acknowledged_numbers(case):
+    largest_acked, ranges, pns = case
+    frame = AckFrame(
+        space=0, largest_acked=largest_acked, ack_delay=0, ranges=[AckRange(*r) for r in ranges]
+    )
+    if _reference_valid(largest_acked, ranges):
+        expected = [pn for pn in pns if any(lo <= pn <= hi for hi, lo in ranges)]
+        assert frame.validate(pns) == expected
+        assert frame.validate(dict.fromkeys(pns)) == expected
+        assert frame.validate() == []
+    else:
+        with pytest.raises(InvariantViolation):
+            frame.validate(pns)
 
 
 def _reference_wire_size(frame: AckFrame, mode: SpaceMode) -> int:
@@ -367,3 +389,50 @@ def test_wire_size_equals_varint_sum_on_valid_frames(base, gaps_and_lengths, ack
     frame = AckFrame(space=space, largest_acked=ranges[0].largest, ack_delay=ack_delay, ranges=ranges)
     frame.validate()
     assert ack_frame_wire_size(frame, mode) == _reference_wire_size(frame, mode)
+
+
+# gap and length sizes on both sides of the 1/2 and 2/4 byte varint boundaries
+_span = st.sampled_from([0, 1, 62, 63, 64, 65, 16382, 16383, 16384, 16385]) | st.integers(0, 80)
+
+
+@st.composite
+def _insert_orders(draw):
+    """Adds that build a set of ranges with drawn gaps and lengths, split
+    into pieces, repeated and shuffled."""
+    low = draw(st.integers(0, 20_000))
+    layout = []
+    for gap, length in draw(st.lists(st.tuples(_span, _span), min_size=1, max_size=8)):
+        lo = layout[-1][1] + gap + 2 if layout else low
+        layout.append((lo, lo + length))
+    pieces = []
+    for lo, hi in layout:
+        cuts = sorted(draw(st.lists(st.integers(lo, hi), max_size=2)))
+        bounds = [lo, *cuts, hi + 1]
+        pieces += [(a, b - 1) for a, b in zip(bounds, bounds[1:]) if a < b]
+    pieces += draw(st.lists(st.sampled_from(pieces), max_size=4))  # duplicates
+    return layout, draw(st.permutations(pieces))
+
+
+@settings(max_examples=200)
+@given(_insert_orders(), st.data())
+def test_cached_frame_size_equals_the_range_by_range_sum(case, data):
+    layout, adds = case
+    rs = RangeSet()
+    delay = data.draw(st.sampled_from([0, 504, 512, 1 << 20]))
+    for lo, hi in adds:
+        rs.add_range(lo, hi)
+        # every cache entry, after every add
+        frame = rs.ack_frame(0, delay, rs.descending())
+        for mode in SpaceMode:
+            assert ack_frame_wire_size(frame, mode) == _reference_wire_size(frame, mode)
+    assert ranges_of(rs) == [(hi, lo) for lo, hi in reversed(layout)]
+    for _ in range(4):
+        anchor = data.draw(st.sampled_from([v for piece in adds for v in piece]))
+        limit = data.draw(st.none() | st.integers(1, 6))
+        frame = rs.ack_frame(1, delay, rs.descending(anchor, limit))
+        assert frame.wire_size is not None
+        by_hand = AckFrame(frame.space, frame.largest_acked, frame.ack_delay, frame.ranges)
+        assert frame == by_hand
+        for mode in SpaceMode:
+            assert ack_frame_wire_size(frame, mode) == ack_frame_wire_size(by_hand, mode)
+            assert ack_frame_wire_size(frame, mode) == _reference_wire_size(frame, mode)

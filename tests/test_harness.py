@@ -211,6 +211,7 @@ def test_window_packets_auto_none_and_integer(tmp_path):
         ("seed = 5", "seed = 5\ntransfer_mb = 0.2", r"\[scenario\] transfer_mb: transfer_size is already"),
         ("rate_mbps = 15\n", "trace = missing.trace\n", r"\[path\.1\] trace: .*missing\.trace"),
         ("seed = 5", "seed = 5\nseed = 6", r"option 'seed' in section 'scenario' already exists"),
+        ("rate_mbps = 15\n", "rate_mbps = 5e-324\n", r"path 1: rate_mbps is too small"),
     ],
 )
 def test_parse_refusals_name_the_section_and_key(tmp_path, old, new, message):

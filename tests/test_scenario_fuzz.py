@@ -1,5 +1,5 @@
-"""Whole random scenarios: the file format round trip, end-of-run checks and
-the single-path SPNS/MPNS differential.
+"""Whole random scenarios: the file format round trip, per-event and
+end-of-run checks, and the single-path SPNS/MPNS differential.
 
 Every test is derandomised, so a failure reproduces on every run.
 """
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpqsim.congestion import CcAlgorithm
-from mpqsim.core import ConfigError, SpaceMode
+from mpqsim.core import AckFrame, ConfigError, SpaceMode, ack_frame_wire_size
 from mpqsim.harness import compare_modes, parse_config_file
 from mpqsim.netsim import LinkModel, TraceSchedule, ms_to_us
 from mpqsim.receiver import RecvConfig
@@ -138,11 +138,52 @@ def test_scenario_file_round_trip(config):
             assert comparable(parse_config_file(path)) == comparable(config)
 
 
+def watch_invariants(sim: Simulation) -> list:
+    """Check the protocol invariants after every event and on every built frame.
+
+    Returns a one-item list that holds the time of the next pending event
+    after the latest one, for the end-of-run check.
+    """
+    config, receiver = sim.config, sim.receiver
+    build = receiver.build_ack_frame
+    widest = config.recv.maximum_limit if config.recv.suppression_enabled else None
+    received = {space: set() for space in receiver.spaces}  # from the arrival series
+    read = dict.fromkeys(sim.received_pn, 0)
+
+    def checked_build(path: int, now: int) -> AckFrame:
+        frame = build(path, now)
+        assert frame.validate() == []
+        for p, series in sim.received_pn.items():
+            received[sim.mode.space_of(p)].update(pn for _, pn in series[read[p] :])
+            read[p] = len(series)
+        got = received[frame.space]
+        assert all(pn in got for hi, lo in frame.ranges for pn in range(lo, hi + 1))
+        by_hand = dataclasses.replace(frame, wire_size=None)
+        assert ack_frame_wire_size(frame, sim.mode) == ack_frame_wire_size(by_hand, sim.mode)
+        assert widest is None or len(frame.ranges) <= widest
+        return frame
+
+    receiver.build_ack_frame = checked_build
+    clock = [sim.loop.now]
+    next_event = [None]
+
+    def after_event(sim_: Simulation) -> None:
+        for ps in sim_.sender.paths:
+            assert ps.bytes_in_flight == sum(r.size for r in ps.unacked.values()) >= 0
+        assert sim_.delivered_bytes <= config.transfer_size
+        assert sim_.loop.now >= clock[0]
+        clock[0] = sim_.loop.now
+        next_event[0] = sim_.loop.peek_time()
+
+    sim.after_event = after_event
+    return next_event
+
+
 def checked_run(config: ScenarioConfig) -> MetricsReport:
-    """Run to the end and check what must hold of every finished run."""
+    """Run to the end, checking the per-event invariants, then check what
+    must hold of every finished run."""
     sim = Simulation(config)
-    next_event = [None]  # the time of the next event after the latest one
-    sim.after_event = lambda s: next_event.__setitem__(0, s.loop.peek_time())
+    next_event = watch_invariants(sim)
     report = sim.run()
     # complete, or stopped with events still due past the cap
     assert report.complete or (

@@ -161,6 +161,28 @@ def test_ack_for_never_sent_packet_is_protocol_error():
         sender.on_ack_received(0, ack(largest=5), now=10)
 
 
+def test_refused_frame_changes_no_sender_state():
+    sender = send_fig_history(make_sender())
+
+    def state():
+        return [
+            (list(ps.unacked), ps.bytes_in_flight, ps.largest_acked_index, ps.cc.cwnd)
+            for ps in sender.paths
+        ]
+
+    before = state()
+    # the bottom range covers outstanding packets before the walk meets the
+    # overlapping range above it
+    with pytest.raises(InvariantViolation):
+        sender.on_ack_received(0, ack(ranges=[AckRange(9, 6), AckRange(6, 0)]), now=50)
+    # a well-formed frame whose largest was never sent
+    with pytest.raises(ProtocolError):
+        sender.on_ack_received(0, ack(ranges=[AckRange(20, 18), AckRange(6, 0)]), now=50)
+    assert state() == before
+    result = sender.on_ack_received(0, ack(ranges=[AckRange(7, 6), AckRange(2, 0)]), now=50)
+    assert [rec.pn for rec in result.newly_acked] == [0, 1, 2, 6, 7]
+
+
 def test_mpns_ack_targets_its_space():
     sender = make_sender(SpaceMode.MPNS)
     sender.send_packet(0, 100, now=0)  # path 0 space, pn 0

@@ -109,6 +109,8 @@ def test_finished_simulation_is_freed_without_cyclic_gc():
         ({"delay_down_ms": 0.0001}, {}),
         ({"rate_mbps": 1e8, "delay_down_ms": 0, "delay_up_ms": 0}, {}),
         ({"rate_mbps": None, "trace": TraceSchedule([0, 1]), "delay_down_ms": 0}, {}),
+        # one MTU's serialization time would be infinite
+        ({"rate_mbps": 5e-324}, {}),
     ],
 )
 def test_bad_link_and_receiver_values_refused_before_the_run(link, recv):
@@ -120,6 +122,14 @@ def test_bad_link_and_receiver_values_refused_before_the_run(link, recv):
         cfg.validate()
     with pytest.raises(ConfigError):
         Simulation(cfg)
+
+
+def test_tiny_finite_rate_runs_to_the_cap():
+    paths = [LinkModel(delay_down_ms=10, delay_up_ms=10, rate_mbps=1e-300)]
+    cfg = ScenarioConfig(mode=SpaceMode.SPNS, paths=paths, transfer_size=10_000, duration_cap_s=1)
+    report = Simulation(cfg).run()
+    assert not report.complete
+    assert report.packets_received == 0
 
 
 def test_link_conservation_counters():
