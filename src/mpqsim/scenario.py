@@ -68,7 +68,11 @@ class MetricsReport:
     packets_received: int
 
     def to_dict(self) -> dict:
-        """JSON-ready dict: field order, int map keys as strings, pairs as lists."""
+        """JSON-ready dict: field order, int map keys as strings.
+
+        Each series is a fresh list holding the report's own pair tuples,
+        not copies of them; `json` writes a tuple as the same array.
+        """
         return {
             name: getattr(self, name) if codec is None else codec[0](getattr(self, name))
             for name, codec in FIELD_CODECS
@@ -86,14 +90,14 @@ class MetricsReport:
 
 # (encode, decode) for each kind of non-scalar report field
 PER_PATH = (  # path -> series
-    lambda v: {str(k): [list(p) for p in s] for k, s in v.items()},
+    lambda v: {str(k): list(s) for k, s in v.items()},
     lambda d: {int(k): [tuple(p) for p in s] for k, s in d.items()},
 )
 HISTOGRAM = (
     lambda v: {str(k): c for k, c in v.items()},
     lambda d: {int(k): c for k, c in d.items()},
 )
-SERIES = (lambda v: [list(p) for p in v], lambda d: [tuple(p) for p in d])
+SERIES = (list, lambda d: [tuple(p) for p in d])
 
 
 def _field_codec(hint) -> tuple[Callable, Callable] | None:

@@ -110,19 +110,21 @@ class SenderState:
             cc_factory = lambda path: CongestionController(CcAlgorithm.CUBIC)
         self.paths = [PathSendState(p, cc_factory(p)) for p in range(num_paths)]
         self._spaces = {s: _SpaceState() for s in mode.spaces(num_paths)}
+        # the space each path sends in, by path id
+        self._path_spaces = [self._spaces[mode.space_of(p)] for p in range(num_paths)]
         self.packet_threshold_losses = 0
         self.time_threshold_losses = 0
         self.spurious_count = 0
         self.mixed_samples: list[tuple[int, int]] = []  # (ack time, sample)
 
     def next_packet_number(self, path: int) -> int:
-        sp = self._spaces[self.mode.space_of(path)]
+        sp = self._path_spaces[path]
         pn = sp.next_pn
         sp.next_pn += 1
         return pn
 
     def on_packet_sent(self, path: int, record: SentPacketRecord) -> None:
-        sp = self._spaces[self.mode.space_of(path)]
+        sp = self._path_spaces[path]
         if record.pn in sp.records:
             raise InvariantViolation(f"packet number {record.pn} reused")
         sp.records[record.pn] = record
@@ -231,7 +233,7 @@ class SenderState:
                 lost.append((rec, True))
             elif time_cutoff is not None and rec.send_time <= time_cutoff:
                 lost.append((rec, False))
-        sp = self._spaces[self.mode.space_of(path)]
+        sp = self._path_spaces[path]
         out = []
         for rec, by_count in lost:
             del ps.unacked[rec.pn]

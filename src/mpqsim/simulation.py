@@ -18,7 +18,7 @@ from .netsim import EventLoop, LinkDirection, LinkModel, ms_to_us
 from .receiver import ArmTimer, EmitAckOnPath, ReceiverState
 from .scenario import MetricsReport, ScenarioConfig
 from .scheduler import select_path
-from .sender import PathSendState, SenderState
+from .sender import SenderState
 
 # Sender pacing at cwnd/srtt. Window growth then cannot burst a whole
 # newly-acked chunk into a droptail queue at once, and a standing queue
@@ -96,9 +96,12 @@ class Simulation:
         self.rtt_samples: dict[int, list[tuple[float, float]]] = {p: [] for p in range(n)}
         self.received_pn: dict[int, list[tuple[float, int]]] = {p: [] for p in range(n)}
         self.hole_timeline: list[tuple[float, int]] = []
+        # per path: the receiver's ranges of its space, whose holes the timeline counts
+        self._recv_ranges = [self.receiver.spaces[config.mode.space_of(p)] for p in range(n)]
 
         self._pto_deadline: list[int | None] = [None] * n
         self._pto_scheduled = [False] * n
+        self._ack_timer_scheduled = [False] * n
         self._pace_next = [0] * n
         self._wake_at: int | None = None
         self._rr_cursor = -1  # round-robin position, advanced by select_path
@@ -106,52 +109,37 @@ class Simulation:
 
     # -- sending ---------------------------------------------------------
 
-    def _pace_rate(self, ps: PathSendState) -> float | None:
-        """Pacing rate in bytes/second, once the path has an RTT estimate."""
-        if ps.smoothed_rtt is None:
-            return None
-        return PACING_GAIN * ps.cc.cwnd / (ps.smoothed_rtt / 1e6)
-
     def _send_on_path(self, path: int, size: int, offset: int, now: int) -> None:
         ps = self.sender.paths[path]
         rec = self.sender.send_packet(path, size, now, offset)
-        rate = self._pace_rate(ps)
-        if rate is not None:
+        srtt = ps.smoothed_rtt
+        if srtt is not None:
+            # paced at cwnd/srtt bytes per second once the path has an estimate
+            rate = PACING_GAIN * ps.cc.cwnd / (srtt / 1e6)
             self._pace_next[path] = max(now, self._pace_next[path]) + int(size / rate * 1e6)
         arrival = self.down[path].transmit(size, now)
         if arrival is not None:
             self.loop.schedule(arrival, self._on_data, path, rec.pn, size, offset)
         self._arm_pto(path, now)
 
-    def _schedule_wake(self, when: int) -> None:
-        if self._wake_at is None or when < self._wake_at:
-            self._wake_at = when
-            self.loop.schedule(when, self._on_wake)
-
     def _try_send(self, now: int) -> None:
+        config, paths, pace_next = self.config, self.sender.paths, self._pace_next
         while True:
             if self.retx_queue:
                 offset, size = self.retx_queue[0]
-            elif self.next_offset < self.config.transfer_size:
+            elif self.next_offset < config.transfer_size:
                 offset = self.next_offset
-                size = min(self.mtu, self.config.transfer_size - offset)
+                size = min(self.mtu, config.transfer_size - offset)
             else:
                 return
-            sendable = [ps for ps in self.sender.paths if now >= self._pace_next[ps.path]]
-            path = None
-            if sendable:
-                path, self._rr_cursor = select_path(
-                    self.config.scheduler, sendable, size, self._rr_cursor
-                )
+            path, self._rr_cursor, wake = select_path(
+                config.scheduler, paths, size, pace_next, now, self._rr_cursor
+            )
             if path is None:
-                # wake up when the earliest pace-blocked eligible path frees up
-                wake = None
-                for ps in self.sender.paths:
-                    gate = self._pace_next[ps.path]
-                    if now < gate and ps.bytes_in_flight + size <= ps.cc.cwnd:
-                        wake = gate if wake is None else min(wake, gate)
-                if wake is not None:
-                    self._schedule_wake(wake)
+                # wake up when the earliest pace-blocked path with room frees up
+                if wake is not None and (self._wake_at is None or wake < self._wake_at):
+                    self._wake_at = wake
+                    self.loop.schedule(wake, self._on_wake)
                 return
             if self.retx_queue:
                 self.retx_queue.popleft()
@@ -206,8 +194,7 @@ class Simulation:
         actions = self.receiver.on_packet_received(path, pn, now)
         t_ms = now / 1000
         self.received_pn[path].append((t_ms, pn))
-        space = self.mode.space_of(path)
-        self.hole_timeline.append((t_ms, self.receiver.spaces[space].holes()))
+        self.hole_timeline.append((t_ms, self._recv_ranges[path].holes()))
         if offset not in self.seen_offsets:
             self.seen_offsets.add(offset)
             self.delivered_bytes += size
@@ -218,10 +205,21 @@ class Simulation:
                 frame = self.receiver.build_ack_frame(action.path, now)
                 self._emit_ack(frame, action.path, now)
             elif isinstance(action, ArmTimer):
-                deadline = action.deadline
-                self.loop.schedule(deadline, self._on_ack_timer, action.path, deadline)
+                # a pending event is due no later than this deadline and
+                # re-arms itself to it, so one event per path suffices
+                if not self._ack_timer_scheduled[action.path]:
+                    self.loop.schedule(action.deadline, self._on_ack_timer, action.path)
+                    self._ack_timer_scheduled[action.path] = True
 
-    def _on_ack_timer(self, now: int, path: int, deadline: int) -> None:
+    def _on_ack_timer(self, now: int, path: int) -> None:
+        self._ack_timer_scheduled[path] = False
+        deadline = self.receiver.per_path[path].ack_timer_deadline
+        if deadline is None:
+            return  # an ACK sent since superseded every timer armed before
+        if now < deadline:
+            self.loop.schedule(deadline, self._on_ack_timer, path)
+            self._ack_timer_scheduled[path] = True
+            return
         frame = self.receiver.on_ack_timer(path, deadline, now)
         if frame is not None:
             self._emit_ack(frame, path, now)

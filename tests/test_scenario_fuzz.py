@@ -6,6 +6,7 @@ Every test is derandomised, so a failure reproduces on every run.
 
 import dataclasses
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -166,10 +167,21 @@ def watch_invariants(sim: Simulation) -> list:
     receiver.build_ack_frame = checked_build
     clock = [sim.loop.now]
     next_event = [None]
+    timer = sim._on_ack_timer
 
     def after_event(sim_: Simulation) -> None:
         for ps in sim_.sender.paths:
             assert ps.bytes_in_flight == sum(r.size for r in ps.unacked.values()) >= 0
+        # at most one pending ack-timer event per path; an armed timer has
+        # one, due no later than its deadline
+        pending = {}
+        for time, _, handler, args in sim_.loop._heap:
+            if handler == timer:
+                assert args[0] not in pending
+                pending[args[0]] = time
+        for prs in receiver.per_path:
+            deadline = prs.ack_timer_deadline
+            assert deadline is None or pending.get(prs.path, math.inf) <= deadline
         assert sim_.delivered_bytes <= config.transfer_size
         assert sim_.loop.now >= clock[0]
         clock[0] = sim_.loop.now

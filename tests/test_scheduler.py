@@ -1,4 +1,8 @@
+import math
 import random
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mpqsim.congestion import CongestionController
 from mpqsim.scheduler import SchedulerKind, select_path
@@ -17,40 +21,46 @@ def make_path(path, srtt_ms=None, cwnd_pkts=10, in_flight_pkts=0, sent=0):
     return ps
 
 
+def select(kind, paths, rr_cursor=-1):
+    """One decision with every pacing gate open."""
+    return select_path(kind, paths, MSS, [0] * len(paths), 0, rr_cursor)
+
+
 def test_minrtt_picks_smallest_srtt():
     paths = [make_path(0, srtt_ms=50), make_path(1, srtt_ms=20)]
-    path, _ = select_path(SchedulerKind.MIN_RTT, paths, MSS)
+    path, _, _ = select(SchedulerKind.MIN_RTT, paths)
     assert path == 1
 
 
 def test_minrtt_ties_break_to_lower_path_id():
     paths = [make_path(0, srtt_ms=20), make_path(1, srtt_ms=20)]
-    path, _ = select_path(SchedulerKind.MIN_RTT, paths, MSS)
+    path, _, _ = select(SchedulerKind.MIN_RTT, paths)
     assert path == 0
 
 
 def test_cwnd_limited_path_is_skipped():
     paths = [make_path(0, srtt_ms=50), make_path(1, srtt_ms=20, in_flight_pkts=10)]
-    path, _ = select_path(SchedulerKind.MIN_RTT, paths, MSS)
+    path, _, _ = select(SchedulerKind.MIN_RTT, paths)
     assert path == 0
 
 
 def test_no_path_eligible_returns_none():
     paths = [make_path(0, srtt_ms=50, in_flight_pkts=10), make_path(1, srtt_ms=20, in_flight_pkts=10)]
-    path, cursor = select_path(SchedulerKind.MIN_RTT, paths, MSS, rr_cursor=5)
+    path, cursor, wake = select(SchedulerKind.MIN_RTT, paths, rr_cursor=5)
     assert path is None
     assert cursor == 5
+    assert wake is None
 
 
 def test_unprobed_fresh_path_ranks_first_once():
     # path 1 has no sample and nothing sent: probe it before the measured path
     paths = [make_path(0, srtt_ms=20, sent=4), make_path(1)]
-    path, _ = select_path(SchedulerKind.MIN_RTT, paths, MSS)
+    path, _, _ = select(SchedulerKind.MIN_RTT, paths)
     assert path == 1
     # once something is in its history, an unsampled path waits behind
     # measured ones until its sample lands
     paths = [make_path(0, srtt_ms=20, sent=4), make_path(1, sent=1)]
-    path, _ = select_path(SchedulerKind.MIN_RTT, paths, MSS)
+    path, _, _ = select(SchedulerKind.MIN_RTT, paths)
     assert path == 0
 
 
@@ -58,7 +68,7 @@ def round_robin_picks(paths, count):
     """`count` selections, threading the cursor as the simulation does."""
     cursor, picks = -1, []
     for _ in range(count):
-        path, cursor = select_path(SchedulerKind.ROUND_ROBIN, paths, MSS, cursor)
+        path, cursor, _ = select(SchedulerKind.ROUND_ROBIN, paths, cursor)
         picks.append(path)
     return picks
 
@@ -88,7 +98,7 @@ def test_selection_never_violates_cwnd():
             for p in range(rng.randint(1, 4))
         ]
         kind = rng.choice([SchedulerKind.MIN_RTT, SchedulerKind.ROUND_ROBIN])
-        path, _ = select_path(kind, paths, MSS, rr_cursor=rng.randint(-1, 3))
+        path, _, _ = select(kind, paths, rr_cursor=rng.randint(-1, 3))
         if path is not None:
             ps = paths[path]
             assert ps.bytes_in_flight + MSS <= ps.cc.cwnd
@@ -100,8 +110,8 @@ def test_minrtt_invariant_under_uniform_scaling():
         srtts = [rng.uniform(5, 500) for _ in range(3)]
         base = [make_path(p, srtt_ms=srtts[p]) for p in range(3)]
         scaled = [make_path(p, srtt_ms=srtts[p] * 3.7) for p in range(3)]
-        pick_base, _ = select_path(SchedulerKind.MIN_RTT, base, MSS)
-        pick_scaled, _ = select_path(SchedulerKind.MIN_RTT, scaled, MSS)
+        pick_base, _, _ = select(SchedulerKind.MIN_RTT, base)
+        pick_scaled, _, _ = select(SchedulerKind.MIN_RTT, scaled)
         assert pick_base == pick_scaled
 
 
@@ -113,3 +123,90 @@ def test_round_robin_shares_evenly():
             for path in round_robin_picks(paths, n):
                 counts[path] += 1
             assert max(counts) - min(counts) <= 1
+
+
+# -- the list-based decision the single pass replaced, kept as the reference
+
+
+def _reference_eligible(ps, packet_size):
+    return ps.bytes_in_flight + packet_size <= ps.cc.cwnd
+
+
+def _reference_min_rtt_key(ps):
+    if ps.smoothed_rtt is None:
+        bucket = 0 if not ps.sent_count else 1
+        return (bucket, math.inf, ps.path)
+    return (1, ps.smoothed_rtt, ps.path)
+
+
+def _reference_select_path(kind, paths, packet_size, rr_cursor=-1):
+    if not paths:
+        raise ValueError("no paths configured")
+    eligible = [ps for ps in paths if _reference_eligible(ps, packet_size)]
+    if not eligible:
+        return None, rr_cursor
+    if kind is SchedulerKind.MIN_RTT:
+        return min(eligible, key=_reference_min_rtt_key).path, rr_cursor
+    eligible_ids = {ps.path for ps in eligible}
+    n = len(paths)
+    for step in range(1, n + 1):
+        candidate = (rr_cursor + step) % n
+        if candidate in eligible_ids:
+            return candidate, candidate
+    return None, rr_cursor
+
+
+def reference_decision(kind, paths, size, pace_next, now, rr_cursor):
+    """Pace-eligible paths to the list-based selector, then the wake-up loop."""
+    sendable = [ps for ps in paths if now >= pace_next[ps.path]]
+    path = None
+    if sendable:
+        path, rr_cursor = _reference_select_path(kind, sendable, size, rr_cursor)
+    wake = None
+    if path is None:
+        for ps in paths:
+            gate = pace_next[ps.path]
+            if now < gate and ps.bytes_in_flight + size <= ps.cc.cwnd:
+                wake = gate if wake is None else min(wake, gate)
+    return path, rr_cursor, wake
+
+
+NOW = 50_000
+
+
+@st.composite
+def decisions(draw):
+    """Paths with room on both sides of the packet size and gates around now."""
+    size = draw(st.sampled_from([1, 600, MSS]))
+    paths, gates = [], []
+    for p in range(draw(st.integers(1, 4))):
+        ps = PathSendState(p, CongestionController(mss=MSS))
+        ps.cc.cwnd = draw(st.integers(2, 20)) * MSS
+        room = draw(st.one_of(st.sampled_from([-1, 0, 1]), st.integers(-3 * MSS, 3 * MSS)))
+        ps.bytes_in_flight = max(0, ps.cc.cwnd - size - room)
+        srtt = draw(st.one_of(st.none(), st.sampled_from([20_000.0, 40_000.0]), st.floats(1.0, 1e6)))
+        ps.smoothed_rtt = srtt
+        ps.sent_count = draw(st.integers(0, 3))
+        paths.append(ps)
+        gates.append(NOW + draw(st.one_of(st.sampled_from([-1, 0, 1]), st.integers(-NOW, 20_000))))
+    kind = draw(st.sampled_from(SchedulerKind))
+    return kind, paths, size, gates, draw(st.integers(-1, 3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(decisions())
+# round robin with path 0 pace-blocked: counting modulo the three open
+# paths never reaches path 3 (ROADMAP item 3a)
+@example(
+    (
+        SchedulerKind.ROUND_ROBIN,
+        [make_path(p) for p in range(4)],
+        MSS,
+        [NOW + 1, 0, 0, 0],
+        2,
+    )
+)
+def test_single_pass_matches_the_list_based_decision(decision):
+    kind, paths, size, gates, cursor = decision
+    expected = reference_decision(kind, paths, size, gates, NOW, cursor)
+    assert select_path(kind, paths, size, gates, NOW, cursor) == expected

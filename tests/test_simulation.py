@@ -139,6 +139,29 @@ def test_link_conservation_counters():
         assert link.attempts == link.delivered + link.queue_drops + link.loss_drops
 
 
+def test_ack_leaves_at_the_later_deadline_after_a_superseded_timer():
+    paths = [LinkModel(delay_down_ms=10, delay_up_ms=10, rate_mbps=10)]
+    recv = RecvConfig(ack_eliciting_threshold=2, max_ack_delay=25_000)
+    sim = Simulation(ScenarioConfig(mode=SpaceMode.SPNS, paths=paths, transfer_size=100_000, recv=recv))
+    sent = []
+    sim._emit_ack = lambda frame, path, now: sent.append((now, frame.largest_acked))
+    loop, timer = sim.loop, sim._on_ack_timer
+    # pn 0 arms a timer for 25 ms; pn 1 reaches the threshold and is
+    # acknowledged at once, which supersedes it; pn 2 arms one for 27 ms
+    # while the first timer's event is still pending
+    for pn in range(3):
+        loop.schedule(pn * 1_000, sim._on_data, 0, pn, 1_000, pn * 1_000)
+    fired = []
+    while loop.peek_time() is not None:
+        time, handler, args = loop.pop()
+        if handler == timer:
+            fired.append(time)
+        handler(time, *args)
+        assert sum(entry[2] == timer for entry in loop._heap) <= 1
+    assert sent == [(1_000, 1), (27_000, 2)]
+    assert fired == [25_000, 27_000]
+
+
 def test_deterministic_repeat_runs():
     first = Simulation(two_path_config()).run()
     second = Simulation(two_path_config()).run()
