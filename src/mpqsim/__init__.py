@@ -32,7 +32,7 @@ from .harness import (
     sweep_default_limits,
 )
 from .netsim import EventLoop, LinkDirection, LinkModel, TraceSchedule, load_trace
-from .receiver import ArmTimer, EmitAckOnPath, PathRecvState, ReceiverState, RecvConfig, apply_range_limits
+from .receiver import PathRecvState, ReceiverState, RecvConfig, apply_range_limits
 from .scenario import MetricsReport, ScenarioConfig
 from .scheduler import SchedulerKind, select_path
 from .sender import AckProcessResult, PathSendState, SenderState
@@ -44,12 +44,10 @@ __all__ = [
     "AckFrame",
     "AckProcessResult",
     "AckRange",
-    "ArmTimer",
     "CcAlgorithm",
     "ComparisonReport",
     "ConfigError",
     "CongestionController",
-    "EmitAckOnPath",
     "EventLoop",
     "InvariantViolation",
     "LinkDirection",

@@ -100,8 +100,10 @@ class LinkModel:
         for name in ("loss_rate", "reverse_loss_rate"):
             if not (0.0 <= getattr(self, name) < 1.0):
                 raise ValueError(f"{name} must be in [0, 1)")
-        if self.mtu <= 0 or self.queue_capacity < 0:
-            raise ValueError("mtu and queue_capacity must be positive")
+        if self.mtu <= 0:
+            raise ValueError("mtu must be positive")
+        if self.queue_capacity < 0:
+            raise ValueError("queue_capacity must be non-negative")
         # `LinkDirection.transmit` rounds this to whole µs; a subnormal rate
         # makes it infinite, while a merely tiny one runs to the cap
         rate = self.rate_mbps

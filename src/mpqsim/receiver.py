@@ -1,16 +1,16 @@
 """Receiver-side (ACK sender) state machine.
 
-Each path keeps its own ack-eliciting counter and ack timer, and ACK frames
-are always sent back on the path that triggered them, anchored at that
-path's largest received packet number. Range suppression trims frames to a
-soft Default_Limit, extending only as far as needed to cover packets not
-yet acknowledged by any frame, and never past Maximum_Limit.
+Each path keeps its own ack-eliciting counter and ack-timer deadline, which
+the caller fires by building the frame. ACK frames are always sent back on
+the path that triggered them, anchored at that path's largest received
+packet number. Range suppression trims frames to a soft Default_Limit,
+extending only as far as needed to cover packets not yet acknowledged by
+any frame, and never past Maximum_Limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .core import AckFrame, AckRange, ConfigError, RangeSet, SpaceMode
 
@@ -28,24 +28,16 @@ class RecvConfig:
     per_path_anchoring: bool = True
 
     def validate(self) -> None:
+        for name in ("ack_eliciting_threshold", "max_ack_delay", "default_limit", "maximum_limit"):
+            value = getattr(self, name)
+            if type(value) is not int:  # a bool is refused too
+                raise ConfigError(f"{name} must be an int, not {value!r}")
         if self.ack_eliciting_threshold < 1:
             raise ConfigError("ack_eliciting_threshold must be >= 1")
         if self.max_ack_delay < 0:
             raise ConfigError("max_ack_delay must be non-negative")
         if not (1 <= self.default_limit <= self.maximum_limit):
             raise ConfigError("need 1 <= default_limit <= maximum_limit")
-
-
-class EmitAckOnPath(NamedTuple):
-    path: int
-
-
-class ArmTimer(NamedTuple):
-    path: int
-    deadline: int  # microseconds
-
-
-Action = EmitAckOnPath | ArmTimer
 
 
 @dataclass(slots=True)
@@ -107,13 +99,17 @@ class ReceiverState:
         if not (0 <= path < self.num_paths):
             raise ValueError(f"unknown path {path}")
 
-    def on_packet_received(self, path: int, pn: int, now: int) -> list[Action]:
-        """Record an arrival; returns ACK emission / timer actions to perform."""
+    def on_packet_received(self, path: int, pn: int, now: int) -> bool:
+        """Record an arrival; True when `path` owes an ACK now.
+
+        Otherwise the path's ack timer stays or is armed, at
+        `per_path[path].ack_timer_deadline` (None only after a duplicate).
+        """
         self._check_path(path)
         space = self.mode.space_of(path)
         rs = self.spaces[space]
         if pn in rs:
-            return []  # duplicate: ignore without resetting timers
+            return False  # duplicate: ignore without resetting timers
         prev_max = rs.max_value()
         # late or gap-creating arrivals; the first packet of a space is in order
         out_of_order = prev_max is not None and pn != prev_max + 1
@@ -134,11 +130,10 @@ class ReceiverState:
         if emit:
             prs.ack_eliciting_since_ack = 0
             prs.ack_timer_deadline = None
-            return [EmitAckOnPath(path)]
+            return True
         if prs.ack_timer_deadline is None:
             prs.ack_timer_deadline = now + self.config.max_ack_delay
-            return [ArmTimer(path, prs.ack_timer_deadline)]
-        return []
+        return False
 
     def build_ack_frame(self, path: int, now: int) -> AckFrame:
         """Build the ACK frame this path would send right now.
@@ -179,16 +174,3 @@ class ReceiverState:
         prs.ack_eliciting_since_ack = 0
         prs.ack_timer_deadline = None
         return rs.ack_frame(space, ack_delay, ranges)
-
-    def on_ack_timer(self, path: int, deadline: int, now: int) -> AckFrame | None:
-        """Handle the ack timer armed for `deadline` by emitting the pending ACK.
-
-        Returns None when an ACK sent since then superseded that timer.
-        """
-        self._check_path(path)
-        prs = self.per_path[path]
-        if prs.ack_timer_deadline != deadline or prs.ack_eliciting_since_ack == 0:
-            return None
-        if now < deadline:
-            raise ValueError(f"ack timer on path {path} has not expired")
-        return self.build_ack_frame(path, now)

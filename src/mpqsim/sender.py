@@ -41,7 +41,6 @@ class AckProcessResult:
     newly_acked: list[SentPacketRecord]
     rtt_sample: int | None = None
     rtt_path: int | None = None
-    mixed_sample: int | None = None
     lost: list[SentPacketRecord] = field(default_factory=list)
     spurious: list[int] = field(default_factory=list)
 
@@ -88,14 +87,14 @@ class PathSendState:
 
 
 class _SpaceState:
-    __slots__ = ("next_pn", "outstanding", "lost", "records")
+    __slots__ = ("next_pn", "outstanding", "records")
 
     def __init__(self) -> None:
         self.next_pn = 0
-        # unacked and declared-lost records, ascending pn; an ACK covering
-        # a lost one marks its loss spurious
+        # unacked and declared-lost records, ascending pn; a record missing
+        # from its path's `unacked` was declared lost, and an ACK covering
+        # it marks the loss spurious
         self.outstanding: dict[int, SentPacketRecord] = {}
-        self.lost: set[int] = set()
         self.records: dict[int, SentPacketRecord] = {}
 
 
@@ -176,16 +175,14 @@ class SenderState:
         newly: list[SentPacketRecord] = []
         spurious: list[int] = []
         acked_bytes_by_path: dict[int, int] = {}
-        outstanding, lost = sp.outstanding, sp.lost
+        outstanding, paths = sp.outstanding, self.paths
         for pn in covered:
             rec = outstanding.pop(pn)
-            if pn in lost:
-                lost.remove(pn)
-                spurious.append(pn)
+            ps = paths[rec.path]
+            if ps.unacked.pop(pn, None) is None:
+                spurious.append(pn)  # declared lost before
                 continue
             newly.append(rec)
-            ps = self.paths[rec.path]
-            del ps.unacked[pn]
             ps.bytes_in_flight -= rec.size
             # packet numbers rise with send indexes on a path
             if rec.path_history_index > ps.largest_acked_index:
@@ -204,7 +201,6 @@ class SenderState:
                 result.rtt_path = credit_path
             else:
                 self.mixed_samples.append((now, sample))
-                result.mixed_sample = sample
             credit_state.largest_credited = frame.largest_acked
 
         for path in sorted(acked_bytes_by_path):
@@ -233,11 +229,9 @@ class SenderState:
                 lost.append((rec, True))
             elif time_cutoff is not None and rec.send_time <= time_cutoff:
                 lost.append((rec, False))
-        sp = self._path_spaces[path]
         out = []
         for rec, by_count in lost:
-            del ps.unacked[rec.pn]
-            sp.lost.add(rec.pn)
+            del ps.unacked[rec.pn]  # the record stays in its space's outstanding
             ps.bytes_in_flight -= rec.size
             if by_count:
                 self.packet_threshold_losses += 1

@@ -15,7 +15,7 @@ from collections import deque
 from .congestion import CongestionController
 from .core import ack_frame_wire_size
 from .netsim import EventLoop, LinkDirection, LinkModel, ms_to_us
-from .receiver import ArmTimer, EmitAckOnPath, ReceiverState
+from .receiver import ReceiverState
 from .scenario import MetricsReport, ScenarioConfig
 from .scheduler import select_path
 from .sender import SenderState
@@ -105,7 +105,6 @@ class Simulation:
         self._pace_next = [0] * n
         self._wake_at: int | None = None
         self._rr_cursor = -1  # round-robin position, advanced by select_path
-        self.after_event = None  # test hook: called as after_event(sim) after each event
 
     # -- sending ---------------------------------------------------------
 
@@ -191,7 +190,7 @@ class Simulation:
             self.loop.schedule(arrival, self._on_ack, path, frame)
 
     def _on_data(self, now: int, path: int, pn: int, size: int, offset: int) -> None:
-        actions = self.receiver.on_packet_received(path, pn, now)
+        ack_now = self.receiver.on_packet_received(path, pn, now)
         t_ms = now / 1000
         self.received_pn[path].append((t_ms, pn))
         self.hole_timeline.append((t_ms, self._recv_ranges[path].holes()))
@@ -200,19 +199,19 @@ class Simulation:
             self.delivered_bytes += size
             if self.delivered_bytes >= self.config.transfer_size:
                 self.completion_us = now
-        for action in actions:
-            if isinstance(action, EmitAckOnPath):
-                frame = self.receiver.build_ack_frame(action.path, now)
-                self._emit_ack(frame, action.path, now)
-            elif isinstance(action, ArmTimer):
-                # a pending event is due no later than this deadline and
-                # re-arms itself to it, so one event per path suffices
-                if not self._ack_timer_scheduled[action.path]:
-                    self.loop.schedule(action.deadline, self._on_ack_timer, action.path)
-                    self._ack_timer_scheduled[action.path] = True
+        if ack_now:
+            self._emit_ack(self.receiver.build_ack_frame(path, now), path, now)
+        elif not self._ack_timer_scheduled[path]:
+            # a pending event is due no later than the deadline and re-arms
+            # itself to it, so one event per path suffices
+            deadline = self.receiver.per_path[path].ack_timer_deadline
+            if deadline is not None:  # None only after a duplicate
+                self.loop.schedule(deadline, self._on_ack_timer, path)
+                self._ack_timer_scheduled[path] = True
 
     def _on_ack_timer(self, now: int, path: int) -> None:
         self._ack_timer_scheduled[path] = False
+        # a deadline is armed exactly while the path has unacknowledged arrivals
         deadline = self.receiver.per_path[path].ack_timer_deadline
         if deadline is None:
             return  # an ACK sent since superseded every timer armed before
@@ -220,9 +219,7 @@ class Simulation:
             self.loop.schedule(deadline, self._on_ack_timer, path)
             self._ack_timer_scheduled[path] = True
             return
-        frame = self.receiver.on_ack_timer(path, deadline, now)
-        if frame is not None:
-            self._emit_ack(frame, path, now)
+        self._emit_ack(self.receiver.build_ack_frame(path, now), path, now)
 
     def _on_ack(self, now: int, path: int, frame) -> None:
         result = self.sender.on_ack_received(path, frame, now)
@@ -249,14 +246,14 @@ class Simulation:
         loop = self.loop
         loop.schedule(0, self._on_wake)
         try:
-            while self.completion_us is None:
+            while True:
+                # one peek before the first event and one after each, the last
+                # included, so a wrapper around it sees every event's outcome
                 next_time = loop.peek_time()
-                if next_time is None or next_time > cap_us:
+                if self.completion_us is not None or next_time is None or next_time > cap_us:
                     break
                 time, handler, args = loop.pop()
                 handler(time, *args)
-                if self.after_event is not None:
-                    self.after_event(self)
         finally:
             # Pending handlers are bound methods of this Simulation; dropping
             # them breaks the Simulation <-> EventLoop cycle, so a finished

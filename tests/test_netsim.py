@@ -188,3 +188,11 @@ def test_link_model_validation():
     with pytest.raises(ValueError):
         LinkModel(delay_down_ms=10, delay_up_ms=10, loss_rate=1.0).validate()
     LinkModel(delay_down_ms=10, delay_up_ms=10, rate_mbps=10).validate()
+
+
+def test_mtu_and_queue_capacity_refused_each_with_its_own_message():
+    with pytest.raises(ValueError, match="^mtu must be positive$"):
+        LinkModel(delay_down_ms=10, delay_up_ms=10, mtu=0).validate()
+    with pytest.raises(ValueError, match="^queue_capacity must be non-negative$"):
+        LinkModel(delay_down_ms=10, delay_up_ms=10, queue_capacity=-1).validate()
+    LinkModel(delay_down_ms=10, delay_up_ms=10, rate_mbps=10, queue_capacity=0).validate()

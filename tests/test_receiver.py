@@ -3,13 +3,10 @@ import random
 import pytest
 
 from mpqsim.core import AckRange, ConfigError, SpaceMode, ack_frame_wire_size
-from mpqsim.receiver import (
-    ArmTimer,
-    EmitAckOnPath,
-    ReceiverState,
-    RecvConfig,
-    apply_range_limits,
-)
+from mpqsim.netsim import LinkModel
+from mpqsim.receiver import ReceiverState, RecvConfig, apply_range_limits
+from mpqsim.scenario import ScenarioConfig
+from mpqsim.simulation import Simulation
 
 MS = 1000
 
@@ -19,13 +16,11 @@ def make_receiver(mode=SpaceMode.SPNS, paths=2, **cfg) -> ReceiverState:
 
 
 def feed(recv, arrivals, start=0, step=100):
-    """arrivals: list of (path, pn); returns collected actions."""
-    actions = []
+    """arrivals: list of (path, pn)."""
     now = start
     for path, pn in arrivals:
-        actions.extend(recv.on_packet_received(path, pn, now))
+        recv.on_packet_received(path, pn, now)
         now += step
-    return actions
 
 
 # -- ack-eliciting counting and timers ----------------------------------------
@@ -33,16 +28,14 @@ def feed(recv, arrivals, start=0, step=100):
 
 def test_first_eliciting_packet_arms_timer():
     recv = make_receiver()
-    actions = recv.on_packet_received(0, 5, now=0)
-    assert actions == [ArmTimer(0, 25 * MS)]
+    assert recv.on_packet_received(0, 5, now=0) is False
     assert recv.per_path[0].ack_timer_deadline == 25 * MS
 
 
 def test_second_eliciting_packet_emits_on_same_path():
     recv = make_receiver()
     recv.on_packet_received(0, 5, now=0)
-    actions = recv.on_packet_received(0, 6, now=100)
-    assert actions == [EmitAckOnPath(0)]
+    assert recv.on_packet_received(0, 6, now=100) is True
     assert recv.per_path[0].ack_eliciting_since_ack == 0
     assert recv.per_path[0].ack_timer_deadline is None
 
@@ -50,9 +43,9 @@ def test_second_eliciting_packet_emits_on_same_path():
 def test_counters_are_per_path():
     recv = make_receiver()
     recv.on_packet_received(0, 0, now=0)
-    actions = recv.on_packet_received(1, 1, now=10)
     # one eliciting packet on each path: two armed timers, no ACK yet
-    assert actions == [ArmTimer(1, 10 + 25 * MS)]
+    assert recv.on_packet_received(1, 1, now=10) is False
+    assert recv.per_path[1].ack_timer_deadline == 10 + 25 * MS
     assert recv.per_path[0].ack_eliciting_since_ack == 1
     assert recv.per_path[1].ack_eliciting_since_ack == 1
 
@@ -60,7 +53,8 @@ def test_counters_are_per_path():
 def test_duplicate_reception_is_noop():
     recv = make_receiver()
     recv.on_packet_received(0, 5, now=0)
-    assert recv.on_packet_received(0, 5, now=50) == []
+    assert recv.on_packet_received(0, 5, now=50) is False
+    assert recv.per_path[0].ack_timer_deadline == 25 * MS
     assert recv.per_path[0].ack_eliciting_since_ack == 1
 
 
@@ -75,8 +69,7 @@ def test_out_of_order_forces_ack_when_suppression_disabled():
     for pn in range(3):
         recv.on_packet_received(0, pn, now=pn)
     recv.build_ack_frame(0, now=10)
-    actions = recv.on_packet_received(0, 11, now=20)  # gap: 3..10 missing
-    assert EmitAckOnPath(0) in actions
+    assert recv.on_packet_received(0, 11, now=20) is True  # gap: 3..10 missing
 
 
 def test_out_of_order_respects_threshold_when_suppressed():
@@ -84,10 +77,10 @@ def test_out_of_order_respects_threshold_when_suppressed():
     for pn in range(3):
         recv.on_packet_received(0, pn, now=pn)
     recv.build_ack_frame(0, now=10)
-    actions = recv.on_packet_received(0, 11, now=20)
-    assert actions == [ArmTimer(0, 20 + 25 * MS)]
-    actions = recv.on_packet_received(0, 9, now=30)  # still out of order
-    assert actions == [EmitAckOnPath(0)]  # threshold of two, not reorder
+    assert recv.on_packet_received(0, 11, now=20) is False
+    assert recv.per_path[0].ack_timer_deadline == 20 + 25 * MS
+    # still out of order; the threshold of two, not reorder, emits
+    assert recv.on_packet_received(0, 9, now=30) is True
 
 
 # -- ACK frame construction ----------------------------------------------------
@@ -283,9 +276,8 @@ def test_coverage_bookkeeping_matches_a_brute_force_union():
             if pn not in received[space]:
                 pending[path].add(pn)
             received[space].add(pn)
-            for action in recv.on_packet_received(path, pn, now):
-                if isinstance(action, EmitAckOnPath):
-                    build(action.path, now)
+            if recv.on_packet_received(path, pn, now):
+                build(path, now)
             if rng.random() < 0.2:
                 heard = [p for p in range(paths) if recv.per_path[p].largest_recv_pn is not None]
                 build(rng.choice(heard), now)
@@ -294,45 +286,54 @@ def test_coverage_bookkeeping_matches_a_brute_force_union():
 
 
 # -- timer-driven ACKs ---------------------------------------------------------
+# The simulation fires a path's ack timer at the receiver's deadline by
+# building that path's frame.
+
+
+def timer_sim():
+    """One-path simulation with the default receiver whose ACKs are
+    recorded as (time, largest acked) instead of sent."""
+    paths = [LinkModel(delay_down_ms=10, delay_up_ms=10, rate_mbps=10)]
+    sim = Simulation(ScenarioConfig(mode=SpaceMode.SPNS, paths=paths, transfer_size=100_000))
+    sim.sent = []
+    sim._emit_ack = lambda frame, path, now: sim.sent.append((now, frame.largest_acked))
+    return sim
 
 
 def test_timer_expiry_emits_ack():
-    recv = make_receiver()
-    recv.on_packet_received(0, 0, now=0)
-    frame = recv.on_ack_timer(0, 25 * MS, now=25 * MS)
-    assert frame.largest_acked == 0
-    assert recv.per_path[0].ack_eliciting_since_ack == 0
-    assert recv.per_path[0].ack_timer_deadline is None
+    sim = timer_sim()
+    sim._on_data(0, 0, 0, 1_000, 0)
+    sim._on_ack_timer(25 * MS, 0)
+    assert sim.sent == [(25 * MS, 0)]
+    assert sim.receiver.per_path[0].ack_eliciting_since_ack == 0
+    assert sim.receiver.per_path[0].ack_timer_deadline is None
 
 
 def test_timer_without_pending_packets_is_a_no_op():
-    recv = make_receiver()
-    assert recv.on_ack_timer(0, 25 * MS, now=25 * MS) is None
-
-
-def test_timer_before_deadline_is_error():
-    recv = make_receiver()
-    recv.on_packet_received(0, 0, now=0)
-    with pytest.raises(ValueError):
-        recv.on_ack_timer(0, 25 * MS, now=10 * MS)
+    sim = timer_sim()
+    sim._on_ack_timer(25 * MS, 0)
+    assert sim.sent == []
 
 
 def test_timer_cleared_after_threshold_ack():
-    recv = make_receiver()
-    recv.on_packet_received(0, 0, now=0)
-    recv.on_packet_received(0, 1, now=10)
+    sim = timer_sim()
+    sim._on_data(0, 0, 0, 1_000, 0)
+    sim._on_data(10, 0, 1, 1_000, 1_000)
     # the threshold ACK superseded the timer armed by the first packet
-    assert recv.on_ack_timer(0, 25 * MS, now=25 * MS) is None
-    assert recv.per_path[0].ack_eliciting_since_ack == 0
+    sim._on_ack_timer(25 * MS, 0)
+    assert sim.sent == [(10, 1)]
+    assert sim.receiver.per_path[0].ack_eliciting_since_ack == 0
 
 
 def test_timer_superseded_by_a_later_timer_is_a_no_op():
-    recv = make_receiver()
-    recv.on_packet_received(0, 0, now=0)
-    recv.build_ack_frame(0, now=MS)
-    recv.on_packet_received(0, 1, now=2 * MS)  # re-arms for 27 ms
-    assert recv.on_ack_timer(0, 25 * MS, now=25 * MS) is None
-    assert recv.on_ack_timer(0, 27 * MS, now=27 * MS).largest_acked == 1
+    sim = timer_sim()
+    sim._on_data(0, 0, 0, 1_000, 0)
+    sim.receiver.build_ack_frame(0, now=MS)
+    sim._on_data(2 * MS, 0, 1, 1_000, 1_000)  # re-arms for 27 ms
+    sim._on_ack_timer(25 * MS, 0)
+    assert sim.sent == []
+    sim._on_ack_timer(27 * MS, 0)
+    assert sim.sent == [(27 * MS, 1)]
 
 
 def test_timer_deadline_set_iff_counter_positive():

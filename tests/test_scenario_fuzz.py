@@ -139,13 +139,15 @@ def test_scenario_file_round_trip(config):
             assert comparable(parse_config_file(path)) == comparable(config)
 
 
-def watch_invariants(sim: Simulation) -> list:
+def watch_invariants(sim: Simulation) -> dict:
     """Check the protocol invariants after every event and on every built frame.
 
-    Returns a one-item list that holds the time of the next pending event
-    after the latest one, for the end-of-run check.
+    The run peeks at its event loop once before the first event and once
+    after each one; the checks run in a wrapper around that peek. Returns
+    the counts of peeks and pops and the latest peeked time, for the
+    end-of-run checks.
     """
-    config, receiver = sim.config, sim.receiver
+    config, receiver, sender, loop = sim.config, sim.receiver, sim.sender, sim.loop
     build = receiver.build_ack_frame
     widest = config.recv.maximum_limit if config.recv.suppression_enabled else None
     received = {space: set() for space in receiver.spaces}  # from the arrival series
@@ -165,41 +167,58 @@ def watch_invariants(sim: Simulation) -> list:
         return frame
 
     receiver.build_ack_frame = checked_build
-    clock = [sim.loop.now]
-    next_event = [None]
+    watched = {"peeks": 0, "pops": 0, "next_event": None, "clock": loop.now}
     timer = sim._on_ack_timer
+    peek, pop = loop.peek_time, loop.pop
 
-    def after_event(sim_: Simulation) -> None:
-        for ps in sim_.sender.paths:
+    def counted_pop():
+        watched["pops"] += 1
+        return pop()
+
+    def checked_peek():
+        watched["peeks"] += 1
+        for ps in sender.paths:
             assert ps.bytes_in_flight == sum(r.size for r in ps.unacked.values()) >= 0
+            # an unacked record is its space's outstanding one; the others
+            # there were declared lost
+            outstanding = sender._path_spaces[ps.path].outstanding
+            assert all(outstanding.get(pn) is rec for pn, rec in ps.unacked.items())
+        for sp in sender._spaces.values():
+            # ascending, as `AckFrame.validate` walks it
+            pns = list(sp.outstanding)
+            assert all(a < b for a, b in zip(pns, pns[1:]))
         # at most one pending ack-timer event per path; an armed timer has
         # one, due no later than its deadline
         pending = {}
-        for time, _, handler, args in sim_.loop._heap:
+        for time, _, handler, args in loop._heap:
             if handler == timer:
                 assert args[0] not in pending
                 pending[args[0]] = time
         for prs in receiver.per_path:
             deadline = prs.ack_timer_deadline
             assert deadline is None or pending.get(prs.path, math.inf) <= deadline
-        assert sim_.delivered_bytes <= config.transfer_size
-        assert sim_.loop.now >= clock[0]
-        clock[0] = sim_.loop.now
-        next_event[0] = sim_.loop.peek_time()
+        assert sim.delivered_bytes <= config.transfer_size
+        assert loop.now >= watched["clock"]
+        watched["clock"] = loop.now
+        watched["next_event"] = peek()
+        return watched["next_event"]
 
-    sim.after_event = after_event
-    return next_event
+    loop.peek_time, loop.pop = checked_peek, counted_pop
+    return watched
 
 
 def checked_run(config: ScenarioConfig) -> MetricsReport:
     """Run to the end, checking the per-event invariants, then check what
     must hold of every finished run."""
     sim = Simulation(config)
-    next_event = watch_invariants(sim)
+    watched = watch_invariants(sim)
     report = sim.run()
+    # the invariants were checked after every event
+    assert watched["peeks"] == watched["pops"] + 1
     # complete, or stopped with events still due past the cap
+    next_event = watched["next_event"]
     assert report.complete or (
-        next_event[0] is not None and next_event[0] > config.duration_cap_s * 1e6
+        next_event is not None and next_event > config.duration_cap_s * 1e6
     )
     assert report.packets_received <= report.packets_sent
     assert config.recv.suppression_enabled or report.received_never_acked == 0

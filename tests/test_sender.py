@@ -113,7 +113,7 @@ def test_same_path_ack_below_largest_credited_gives_no_sample():
     late = sender.on_ack_received(0, ack(largest=1, ranges=[AckRange(1, 0)]), now=150)
     assert {r.pn for r in late.newly_acked} == {0, 1}
     assert late.rtt_sample is None
-    assert late.mixed_sample is None
+    assert sender.mixed_samples == []
     assert sender.paths[0].largest_credited == 2
 
 
@@ -137,7 +137,6 @@ def test_mismatched_largest_goes_to_mixed_bucket():
     sender.send_packet(0, 100, now=1)
     result = sender.on_ack_received(1, ack(largest=1, ranges=[AckRange(1, 0)]), now=90)
     assert result.rtt_sample is None
-    assert result.mixed_sample == 89
     assert sender.mixed_samples == [(90, 89)]
     assert sender.paths[0].smoothed_rtt is None
     assert sender.paths[1].smoothed_rtt is None
@@ -151,7 +150,7 @@ def test_stale_cross_path_ack_is_of_no_use():
     # a second slow-path ACK with the same largest: acked already, no sample
     result = sender.on_ack_received(1, ack(largest=1, ranges=[AckRange(1, 0)]), now=150)
     assert result.rtt_sample is None
-    assert result.mixed_sample is None
+    assert sender.mixed_samples == [(90, 89)]  # no second mixed sample
 
 
 def test_ack_for_never_sent_packet_is_protocol_error():

@@ -63,13 +63,16 @@ def test_single_path_modes_complete_identically():
 
 def test_bytes_in_flight_conserved_after_every_event():
     sim = Simulation(two_path_config(transfer=200_000))
+    peek = sim.loop.peek_time
 
-    def check(sim_):
-        for ps in sim_.sender.paths:
+    def check():
+        # the run peeks once before the first event and once after each one
+        for ps in sim.sender.paths:
             expected = sum(r.size for r in ps.unacked.values())
             assert ps.bytes_in_flight == expected
+        return peek()
 
-    sim.after_event = check
+    sim.loop.peek_time = check
     assert sim.run().complete
 
 
@@ -111,6 +114,12 @@ def test_finished_simulation_is_freed_without_cyclic_gc():
         ({"rate_mbps": None, "trace": TraceSchedule([0, 1]), "delay_down_ms": 0}, {}),
         # one MTU's serialization time would be infinite
         ({"rate_mbps": 5e-324}, {}),
+        # non-int receiver settings; the first two would otherwise fail
+        # mid-run, in slicing and in the varint encoding
+        ({}, {"suppression_enabled": True, "default_limit": 2.5}),
+        ({}, {"max_ack_delay": 25000.5}),
+        ({}, {"maximum_limit": 64.0}),
+        ({}, {"ack_eliciting_threshold": True}),
     ],
 )
 def test_bad_link_and_receiver_values_refused_before_the_run(link, recv):
