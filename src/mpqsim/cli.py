@@ -80,6 +80,12 @@ def _cmd_compare(args) -> int:
     config = parse_config_file(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
+    try:
+        limits = [int(v) for v in (args.sweep_default_limit or "").split(",") if v.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad --sweep-default-limit: {exc}") from exc
+    # the sweep runs first, so that a bad limit is refused before any run
+    sweep = sweep_default_limits(config, limits)
     comparison = compare_modes(config)
     rows = [
         ("", "Speed (kB/s)", "ACK frame size (Byte)"),
@@ -100,11 +106,6 @@ def _cmd_compare(args) -> int:
 
     payload = comparison.to_dict()
     if args.sweep_default_limit:
-        try:
-            limits = [int(v) for v in args.sweep_default_limit.split(",") if v.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"bad --sweep-default-limit: {exc}") from exc
-        sweep = sweep_default_limits(config, limits)
         print("\nSPNS suppression sweep:")
         print(f"{'default_limit':>13} {'goodput kB/s':>14} {'avg ACK B':>10}")
         payload["sweep"] = []

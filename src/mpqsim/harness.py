@@ -60,14 +60,14 @@ def sweep_default_limits(
     base_config: ScenarioConfig, limits: list[int]
 ) -> list[tuple[int, MetricsReport]]:
     """Run SPNS with suppression at each default_limit, same seed each time."""
-    out = []
+    configs = []
     for limit in limits:
         recv = dataclasses.replace(
             base_config.recv, suppression_enabled=True, default_limit=limit
         )
-        cfg = dataclasses.replace(base_config, mode=SpaceMode.SPNS, recv=recv)
-        out.append((limit, run_scenario(cfg)))
-    return out
+        configs.append(dataclasses.replace(base_config, mode=SpaceMode.SPNS, recv=recv))
+        configs[-1].validate()  # every limit, before the first run
+    return [(limit, run_scenario(cfg)) for limit, cfg in zip(limits, configs)]
 
 
 # -- export ----------------------------------------------------------------

@@ -100,6 +100,9 @@ class LinkModel:
         for name in ("loss_rate", "reverse_loss_rate"):
             if not (0.0 <= getattr(self, name) < 1.0):
                 raise ValueError(f"{name} must be in [0, 1)")
+        for name in ("mtu", "queue_capacity"):
+            if type(getattr(self, name)) is not int:  # a bool is refused too
+                raise ValueError(f"{name} must be an int, not {getattr(self, name)!r}")
         if self.mtu <= 0:
             raise ValueError("mtu must be positive")
         if self.queue_capacity < 0:
@@ -110,7 +113,7 @@ class LinkModel:
         if rate is not None and not math.isfinite(self.mtu * 8 * 1e6 / (rate * 1e6)):
             raise ValueError("rate_mbps is too small: one MTU's serialization time overflows")
         window = self.window_packets
-        if window not in ("auto", None) and not (isinstance(window, int) and window >= 1):
+        if window not in ("auto", None) and not (type(window) is int and window >= 1):
             raise ValueError(f"window_packets must be 'auto', None or an int >= 1, not {window!r}")
 
 

@@ -26,8 +26,8 @@ class ScenarioConfig:
     duration_cap_s: float = 60.0
 
     def validate(self) -> None:
-        if self.transfer_size <= 0:
-            raise ConfigError("transfer_size must be positive")
+        if type(self.transfer_size) is not int or self.transfer_size <= 0:
+            raise ConfigError(f"transfer_size must be a positive int, not {self.transfer_size!r}")
         if not self.paths:
             raise ConfigError("need at least one path")
         if not (0.0 < self.duration_cap_s < float("inf")):

@@ -1,9 +1,10 @@
 """Sender-side (ACK receiver) state machine.
 
-Numbering follows the configured space mode: one shared counter, or one
-counter per path. Every packet is indexed both in its number space and in
-its path's send history, so loss detection can use per-path packet-count
-and time thresholds instead of raw packet-number arithmetic.
+Each number space keeps one list of its sent records, indexed by packet
+number: one list shared by every path under SPNS, one per path under MPNS.
+`SenderState.send_packet`, the one way to send, numbers a packet by the
+length of its space's list. Each packet also has an index in its path's send
+history, so loss detection uses per-path packet-count and time thresholds.
 
 RTT samples are attributed per path: an ACK counts toward the path it
 arrived on (or the space it names), and yields a sample only when its
@@ -24,7 +25,6 @@ from dataclasses import dataclass, field
 from .congestion import CcAlgorithm, CongestionController
 from .core import (
     AckFrame,
-    InvariantViolation,
     ProtocolError,
     SentPacketRecord,
     SpaceMode,
@@ -42,7 +42,6 @@ class AckProcessResult:
     rtt_sample: int | None = None
     rtt_path: int | None = None
     lost: list[SentPacketRecord] = field(default_factory=list)
-    spurious: list[int] = field(default_factory=list)
 
 
 class PathSendState:
@@ -87,15 +86,14 @@ class PathSendState:
 
 
 class _SpaceState:
-    __slots__ = ("next_pn", "outstanding", "records")
+    __slots__ = ("outstanding", "records")
 
     def __init__(self) -> None:
-        self.next_pn = 0
         # unacked and declared-lost records, ascending pn; a record missing
         # from its path's `unacked` was declared lost, and an ACK covering
         # it marks the loss spurious
         self.outstanding: dict[int, SentPacketRecord] = {}
-        self.records: dict[int, SentPacketRecord] = {}
+        self.records: list[SentPacketRecord] = []  # every send; index = pn
 
 
 class SenderState:
@@ -116,37 +114,21 @@ class SenderState:
         self.spurious_count = 0
         self.mixed_samples: list[tuple[int, int]] = []  # (ack time, sample)
 
-    def next_packet_number(self, path: int) -> int:
-        sp = self._path_spaces[path]
-        pn = sp.next_pn
-        sp.next_pn += 1
-        return pn
-
-    def on_packet_sent(self, path: int, record: SentPacketRecord) -> None:
-        sp = self._path_spaces[path]
-        if record.pn in sp.records:
-            raise InvariantViolation(f"packet number {record.pn} reused")
-        sp.records[record.pn] = record
-        sp.outstanding[record.pn] = record
-        if record.pn >= sp.next_pn:
-            sp.next_pn = record.pn + 1
-        ps = self.paths[path]
-        ps.sent_count += 1
-        ps.unacked[record.pn] = record
-        ps.bytes_in_flight += record.size
-
     def send_packet(self, path: int, size: int, now: int, payload_offset: int = 0) -> SentPacketRecord:
-        """Allocate the next packet number on `path` and register the send."""
-        ps = self.paths[path]
+        """Number the next packet of `path`'s space and register the send."""
+        sp, ps = self._path_spaces[path], self.paths[path]
         record = SentPacketRecord(
-            pn=self.next_packet_number(path),
+            pn=len(sp.records),
             path=path,
             send_time=now,
             size=size,
             path_history_index=ps.sent_count,
             payload_offset=payload_offset,
         )
-        self.on_packet_sent(path, record)
+        sp.records.append(record)
+        sp.outstanding[record.pn] = ps.unacked[record.pn] = record
+        ps.sent_count += 1
+        ps.bytes_in_flight += size
         return record
 
     def on_ack_received(self, arrival_path: int, frame: AckFrame, now: int) -> AckProcessResult:
@@ -161,26 +143,23 @@ class SenderState:
             raise ProtocolError(f"ACK names unknown space {frame.space}")
         # one walk checks the frame and finds the outstanding numbers it covers
         covered = frame.validate(sp.outstanding)
-        if frame.largest_acked >= sp.next_pn:
+        if frame.largest_acked >= len(sp.records):
             raise ProtocolError(
                 f"ACK covers never-sent packet {frame.largest_acked} in space {space}"
             )
-        largest_record = sp.records.get(frame.largest_acked)
-        if largest_record is None:
-            raise ProtocolError(f"ACK largest {frame.largest_acked} was never sent")
+        largest_record = sp.records[frame.largest_acked]
 
         credit_state = self.paths[credit_path]
         largest_newly_for_path = frame.largest_acked > credit_state.largest_credited
 
         newly: list[SentPacketRecord] = []
-        spurious: list[int] = []
         acked_bytes_by_path: dict[int, int] = {}
         outstanding, paths = sp.outstanding, self.paths
         for pn in covered:
             rec = outstanding.pop(pn)
             ps = paths[rec.path]
             if ps.unacked.pop(pn, None) is None:
-                spurious.append(pn)  # declared lost before
+                self.spurious_count += 1  # declared lost before
                 continue
             newly.append(rec)
             ps.bytes_in_flight -= rec.size
@@ -188,11 +167,10 @@ class SenderState:
             if rec.path_history_index > ps.largest_acked_index:
                 ps.largest_acked_index = rec.path_history_index
             acked_bytes_by_path[rec.path] = acked_bytes_by_path.get(rec.path, 0) + rec.size
-        self.spurious_count += len(spurious)
         for path, acked in acked_bytes_by_path.items():
             self.paths[path].cc.on_ack(acked, now)
 
-        result = AckProcessResult(newly_acked=newly, spurious=spurious)
+        result = AckProcessResult(newly_acked=newly)
         if largest_newly_for_path:
             sample = now - largest_record.send_time
             if largest_record.path == credit_path:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from mpqsim import cli
+from mpqsim import cli, harness
 from mpqsim.core import ConfigError, SpaceMode
 from mpqsim.harness import (
     compare_modes,
@@ -376,6 +376,23 @@ def test_cli_compare_with_sweep(config_file, tmp_path, capsys):
     data = json.loads(out.read_text())
     assert {entry["default_limit"] for entry in data["sweep"]} == {2, 64}
     assert "speed_delta_pct" in data
+
+
+@pytest.mark.parametrize("limits", ["2,100", "2,x", "0,4"])
+def test_cli_bad_sweep_limit_refused_before_any_run(config_file, tmp_path, capsys, monkeypatch, limits):
+    def no_run(config):
+        raise AssertionError("a scenario ran before the limits were checked")
+
+    monkeypatch.setattr(harness, "run_scenario", no_run)
+    out = tmp_path / "cmp.json"
+    code = cli.main(
+        ["compare", "--config", str(config_file), "--sweep-default-limit", limits, "--out", str(out)]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:")
+    assert not out.exists()
 
 
 def test_report_from_dict_restores_types():

@@ -183,10 +183,14 @@ def watch_invariants(sim: Simulation) -> dict:
             # there were declared lost
             outstanding = sender._path_spaces[ps.path].outstanding
             assert all(outstanding.get(pn) is rec for pn, rec in ps.unacked.items())
-        for sp in sender._spaces.values():
+        for space, sp in sender._spaces.items():
             # ascending, as `AckFrame.validate` walks it
             pns = list(sp.outstanding)
             assert all(a < b for a, b in zip(pns, pns[1:]))
+            # the space's records are its paths' sends, each at its number
+            sends = sum(ps.sent_count for ps in sender.paths if sim.mode.space_of(ps.path) == space)
+            assert len(sp.records) == sends
+            assert not sp.records or sp.records[-1].pn == sends - 1
         # at most one pending ack-timer event per path; an armed timer has
         # one, due no later than its deadline
         pending = {}

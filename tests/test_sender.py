@@ -35,14 +35,14 @@ def ack(space=0, largest=None, ranges=None, delay=0):
 
 def test_spns_numbers_globally():
     sender = make_sender(SpaceMode.SPNS)
-    pns = [sender.next_packet_number(p) for p in (0, 1, 0, 1, 0, 1)]
+    pns = [sender.send_packet(p, 100, now=0).pn for p in (0, 1, 0, 1, 0, 1)]
     assert pns == [0, 1, 2, 3, 4, 5]
 
 
 def test_mpns_numbers_per_path():
     sender = make_sender(SpaceMode.MPNS)
-    path0 = [sender.next_packet_number(0) for _ in range(3)]
-    path1 = [sender.next_packet_number(1) for _ in range(3)]
+    path0 = [sender.send_packet(0, 100, now=0).pn for _ in range(3)]
+    path1 = [sender.send_packet(1, 100, now=0).pn for _ in range(3)]
     assert path0 == [0, 1, 2]
     assert path1 == [0, 1, 2]
 
@@ -69,13 +69,6 @@ def test_bytes_in_flight_counts_eliciting_unacked():
     sender.send_packet(0, 500, now=0)
     sender.send_packet(0, 300, now=1)
     assert sender.paths[0].bytes_in_flight == 800
-
-
-def test_duplicate_packet_number_rejected():
-    sender = make_sender()
-    rec = sender.send_packet(0, 100, now=0)
-    with pytest.raises(InvariantViolation):
-        sender.on_packet_sent(0, rec)
 
 
 # -- ack processing ----------------------------------------------------------------
@@ -300,13 +293,15 @@ def test_spurious_ack_counted_once_and_flight_not_double_decremented():
     sender.on_ack_received(0, ack(largest=4, ranges=[AckRange(4, 4)]), now=1000)
     assert sender.packet_threshold_losses == 2  # pns 0 and 1
     assert sender.paths[0].bytes_in_flight == 200  # pns 2, 3 still out
+    outstanding = sender._spaces[0].outstanding
+    assert list(outstanding) == [0, 1, 2, 3]  # the lost pns 0 and 1 stay here
     result = sender.on_ack_received(0, ack(largest=4, ranges=[AckRange(4, 0)]), now=2000)
-    assert sorted(result.spurious) == [0, 1]
+    assert outstanding == {}  # the spurious pns 0 and 1 left with 2 and 3
     assert {r.pn for r in result.newly_acked} == {2, 3}
     assert sender.paths[0].bytes_in_flight == 0
     assert sender.spurious_count == 2
-    repeat = sender.on_ack_received(0, ack(largest=4, ranges=[AckRange(4, 0)]), now=3000)
-    assert repeat.spurious == []
+    sender.on_ack_received(0, ack(largest=4, ranges=[AckRange(4, 0)]), now=3000)
+    assert sender.spurious_count == 2
 
 
 def test_congestion_notified_once_per_loss_event():
@@ -365,10 +360,11 @@ def test_ack_processing_matches_brute_force(data):
         acked = set(data.draw(st.lists(st.integers(0, count - 1), min_size=1, max_size=count)))
         unacked = {pn for ps in sender.paths for pn in ps.unacked}
         spurious_before = sender.spurious_count
+        assert lost <= set(sender._spaces[0].outstanding)
         result = sender.on_ack_received(
             data.draw(st.integers(0, paths - 1)), _frame_of(acked), now=1000 * (round_ + 1)
         )
         assert {r.pn for r in result.newly_acked} == unacked & acked
-        assert set(result.spurious) == lost & acked
         assert sender.spurious_count - spurious_before == len(lost & acked)
+        assert not (lost & acked) & set(sender._spaces[0].outstanding)
         lost = (lost - acked) | {r.pn for r in result.lost}

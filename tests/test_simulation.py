@@ -120,6 +120,11 @@ def test_finished_simulation_is_freed_without_cyclic_gc():
         ({}, {"max_ack_delay": 25000.5}),
         ({}, {"maximum_limit": 64.0}),
         ({}, {"ack_eliciting_threshold": True}),
+        # non-int link sizes; each would otherwise run, a bool as 1
+        ({"mtu": True}, {}),
+        ({"window_packets": True}, {}),
+        ({"mtu": 1350.5}, {}),
+        ({"queue_capacity": 2.5}, {}),
     ],
 )
 def test_bad_link_and_receiver_values_refused_before_the_run(link, recv):
@@ -130,6 +135,15 @@ def test_bad_link_and_receiver_values_refused_before_the_run(link, recv):
     with pytest.raises(ConfigError):
         cfg.validate()
     with pytest.raises(ConfigError):
+        Simulation(cfg)
+
+
+@pytest.mark.parametrize("size", [2.5, True, 10_000.0])
+def test_non_int_transfer_size_refused_before_the_run(size):
+    # 2.5 would otherwise complete after one 2.5-byte packet
+    paths = [LinkModel(delay_down_ms=10, delay_up_ms=10, rate_mbps=10)]
+    cfg = ScenarioConfig(mode=SpaceMode.SPNS, paths=paths, transfer_size=size)
+    with pytest.raises(ConfigError, match="transfer_size must be a positive int"):
         Simulation(cfg)
 
 
