@@ -17,8 +17,6 @@ from .core import (
     SentPacketRecord,
     SpaceMode,
     ack_frame_wire_size,
-    varint_decode,
-    varint_encode,
     varint_size,
 )
 from .harness import (
@@ -78,7 +76,5 @@ __all__ = [
     "run_scenario",
     "select_path",
     "sweep_default_limits",
-    "varint_decode",
-    "varint_encode",
     "varint_size",
 ]

@@ -7,11 +7,13 @@ Times are integer microseconds unless noted otherwise.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import operator
-from dataclasses import dataclass, field
+import types
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, Literal, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 MAX_PACKET_NUMBER = (1 << 62) - 1
 
@@ -29,6 +31,46 @@ class ProtocolError(ValueError):
 
 class ConfigError(ValueError):
     """Invalid scenario or receiver configuration."""
+
+
+def _admits(hint) -> Callable[[object], bool]:
+    """The test of whether a value is of the type `hint` names."""
+    origin, args = get_origin(hint), get_args(hint)
+    if hint is float:
+        return lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+    if hint is int or hint is bool:  # exactly: a bool is no int, and an int no bool
+        return lambda v: type(v) is hint
+    if origin is list:
+        item = _admits(args[0])
+        return lambda v: type(v) is list and all(map(item, v))
+    if origin is Literal:  # any one of the values, each of its own type
+        options = [lambda v, a=a: type(v) is type(a) and v == a for a in args]
+    elif origin is Union or origin is types.UnionType:
+        options = [_admits(a) for a in args]
+    else:
+        return lambda v: isinstance(v, hint)  # an enum, a class or NoneType
+    return functools.reduce(lambda first, rest: lambda v: first(v) or rest(v), options)
+
+
+@functools.cache
+def _field_checks(cls: type) -> list[tuple[str, object, Callable[[object], bool]]]:
+    """Each field of a config dataclass: its name, declared type and test."""
+    hints = get_type_hints(cls)
+    return [(f.name, f.type, _admits(hints[f.name])) for f in fields(cls)]
+
+
+def check_field_types(config: object) -> None:
+    """Refuse the first field of a config dataclass whose value its type hint does not admit.
+
+    An int field takes only an int and a bool field only a bool; a float
+    field takes an int or a float, never a bool. An enum field takes a
+    member, `X | None` also None and `list[X]` a list of X. Each class's
+    hints are turned into tests once.
+    """
+    for name, declared, admits in _field_checks(type(config)):
+        value = getattr(config, name)
+        if not admits(value):
+            raise ConfigError(f"{name} must be {declared}, not {value!r}")
 
 
 class SpaceMode(Enum):
@@ -57,29 +99,6 @@ def varint_size(value: int) -> int:
     if value < 1 << 30:
         return 4
     return 8
-
-
-def varint_encode(value: int) -> bytes:
-    """Encode an integer as a QUIC variable-length integer."""
-    size = varint_size(value)
-    if size == 1:
-        return value.to_bytes(1, "big")
-    prefix = {2: 0x40, 4: 0x80, 8: 0xC0}[size]
-    raw = value.to_bytes(size, "big")
-    return bytes([raw[0] | prefix]) + raw[1:]
-
-
-def varint_decode(data: bytes, offset: int = 0) -> tuple[int, int]:
-    """Decode a QUIC varint, returning (value, bytes consumed)."""
-    if offset >= len(data):
-        raise ValueError("varint: empty input")
-    size = 1 << (data[offset] >> 6)
-    if offset + size > len(data):
-        raise ValueError("varint: truncated input")
-    value = data[offset] & 0x3F
-    for i in range(1, size):
-        value = (value << 8) | data[offset + i]
-    return value, size
 
 
 class AckRange(NamedTuple):
@@ -150,15 +169,12 @@ def _range_bytes(above_smallest: int, largest: int, smallest: int) -> int:
 def _header_size(largest_acked: int, ack_delay: int, ranges: list[AckRange]) -> int:
     """Bytes of an ACK frame up to its first range: type, largest
     acknowledged, encoded delay, range count - 1 and first range length."""
-    first_length = largest_acked - ranges[0].smallest
-    if first_length < 0:
-        raise InvariantViolation(f"inverted range {ranges[0]}")
     return (
         1
         + varint_size(largest_acked)
         + varint_size(ack_delay >> ACK_DELAY_EXPONENT)
         + varint_size(len(ranges) - 1)
-        + varint_size(first_length)
+        + varint_size(largest_acked - ranges[0].smallest)
     )
 
 
@@ -171,25 +187,16 @@ def ack_frame_wire_size(frame: AckFrame, mode: SpaceMode) -> int:
     and length. Per-path spaces carry one extra varint naming the space.
 
     A frame built from a `RangeSet` carries the size without that last
-    varint; a frame built by hand is summed range by range here. That sum
-    refuses only the frames it cannot encode: no ranges, a first range
-    that does not start at largest acknowledged, or a negative gap or
-    length. Full validation happens once, where the sender accepts the frame.
+    varint. A frame built by hand is validated, and its ranges are put in
+    a fresh `RangeSet` and read back through the same byte cache.
     """
     size = frame.wire_size
     if size is None:
-        ranges = frame.ranges
-        if not ranges:
-            raise InvariantViolation("ACK frame must carry at least one range")
-        if ranges[0].largest != frame.largest_acked:
-            raise InvariantViolation("first range must start at largest_acked")
-        size = _header_size(frame.largest_acked, frame.ack_delay, ranges)
-        prev_smallest = ranges[0].smallest
-        for largest, smallest in ranges[1:]:
-            if largest > prev_smallest - 2 or smallest > largest:
-                raise InvariantViolation("ranges must be descending, non-adjacent and not inverted")
-            size += _range_bytes(prev_smallest, largest, smallest)
-            prev_smallest = smallest
+        frame.validate()
+        rs = RangeSet()
+        for largest, smallest in reversed(frame.ranges):  # ascending: each one appends
+            rs.add_range(smallest, largest)
+        size = rs.ack_frame(frame.space, frame.ack_delay, frame.ranges).wire_size
     if mode is SpaceMode.MPNS:
         size += varint_size(frame.space)
     return size

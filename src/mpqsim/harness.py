@@ -46,8 +46,7 @@ class ComparisonReport:
 def compare_modes(base_config: ScenarioConfig) -> ComparisonReport:
     reports = {}
     for mode in (SpaceMode.SPNS, SpaceMode.MPNS):
-        cfg = dataclasses.replace(base_config, mode=mode, recv=dataclasses.replace(base_config.recv))
-        reports[mode] = run_scenario(cfg)
+        reports[mode] = run_scenario(dataclasses.replace(base_config, mode=mode))
     spns, mpns = reports[SpaceMode.SPNS], reports[SpaceMode.MPNS]
     if not (spns.complete and mpns.complete):
         return ComparisonReport(spns, mpns, None, None)
@@ -60,6 +59,7 @@ def sweep_default_limits(
     base_config: ScenarioConfig, limits: list[int]
 ) -> list[tuple[int, MetricsReport]]:
     """Run SPNS with suppression at each default_limit, same seed each time."""
+    base_config.validate()
     configs = []
     for limit in limits:
         recv = dataclasses.replace(

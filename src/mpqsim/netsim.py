@@ -15,7 +15,9 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Literal
+
+from .core import check_field_types
 
 DEFAULT_MTU = 1350  # payload bytes per packet
 
@@ -84,9 +86,10 @@ class LinkModel:
     # Per-path cwnd ceiling in packets. "auto" sizes it to the BDP plus a
     # small queue allowance on rate-limited paths (no cap on trace or
     # pure-delay paths); None means no cap.
-    window_packets: int | str | None = "auto"
+    window_packets: int | Literal["auto"] | None = "auto"
 
     def validate(self) -> None:
+        check_field_types(self)
         if self.rate_mbps is not None and self.trace is not None:
             raise ValueError("configure either a rate or a trace, not both")
         if self.rate_mbps is not None and not (0.0 < self.rate_mbps < math.inf):
@@ -100,9 +103,6 @@ class LinkModel:
         for name in ("loss_rate", "reverse_loss_rate"):
             if not (0.0 <= getattr(self, name) < 1.0):
                 raise ValueError(f"{name} must be in [0, 1)")
-        for name in ("mtu", "queue_capacity"):
-            if type(getattr(self, name)) is not int:  # a bool is refused too
-                raise ValueError(f"{name} must be an int, not {getattr(self, name)!r}")
         if self.mtu <= 0:
             raise ValueError("mtu must be positive")
         if self.queue_capacity < 0:
@@ -112,9 +112,8 @@ class LinkModel:
         rate = self.rate_mbps
         if rate is not None and not math.isfinite(self.mtu * 8 * 1e6 / (rate * 1e6)):
             raise ValueError("rate_mbps is too small: one MTU's serialization time overflows")
-        window = self.window_packets
-        if window not in ("auto", None) and not (type(window) is int and window >= 1):
-            raise ValueError(f"window_packets must be 'auto', None or an int >= 1, not {window!r}")
+        if type(self.window_packets) is int and self.window_packets < 1:
+            raise ValueError(f"window_packets must be 'auto', None or at least 1, not {self.window_packets}")
 
 
 class LinkDirection:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import AckFrame, AckRange, ConfigError, RangeSet, SpaceMode
+from .core import AckFrame, AckRange, ConfigError, RangeSet, SpaceMode, check_field_types
 
 
 @dataclass(slots=True)
@@ -28,10 +28,7 @@ class RecvConfig:
     per_path_anchoring: bool = True
 
     def validate(self) -> None:
-        for name in ("ack_eliciting_threshold", "max_ack_delay", "default_limit", "maximum_limit"):
-            value = getattr(self, name)
-            if type(value) is not int:  # a bool is refused too
-                raise ConfigError(f"{name} must be an int, not {value!r}")
+        check_field_types(self)
         if self.ack_eliciting_threshold < 1:
             raise ConfigError("ack_eliciting_threshold must be >= 1")
         if self.max_ack_delay < 0:

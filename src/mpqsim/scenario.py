@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, get_args, get_origin, get_type_hints
 
 from .congestion import CcAlgorithm
-from .core import ConfigError, SpaceMode
+from .core import ConfigError, SpaceMode, check_field_types
 from .netsim import LinkModel
 from .receiver import RecvConfig
 from .scheduler import SchedulerKind
@@ -28,6 +28,7 @@ class ScenarioConfig:
     def validate(self) -> None:
         if type(self.transfer_size) is not int or self.transfer_size <= 0:
             raise ConfigError(f"transfer_size must be a positive int, not {self.transfer_size!r}")
+        check_field_types(self)
         if not self.paths:
             raise ConfigError("need at least one path")
         if not (0.0 < self.duration_cap_s < float("inf")):

@@ -18,8 +18,6 @@ from mpqsim.core import (
     RangeSet,
     SpaceMode,
     ack_frame_wire_size,
-    varint_decode,
-    varint_encode,
     varint_size,
 )
 from mpqsim.netsim import LinkModel
@@ -27,6 +25,7 @@ from mpqsim.receiver import ReceiverState, RecvConfig
 from mpqsim.scenario import ScenarioConfig
 from mpqsim.sender import K_PACKET_THRESHOLD, SenderState
 from mpqsim.simulation import Simulation
+from varint_codec import varint_decode, varint_encode
 
 SEED = 7
 TRANSFER = 20_000_000

@@ -9,10 +9,9 @@ from mpqsim.core import (
     RangeSet,
     SpaceMode,
     ack_frame_wire_size,
-    varint_decode,
-    varint_encode,
     varint_size,
 )
+from varint_codec import varint_decode, varint_encode
 
 # -- varints -----------------------------------------------------------------
 

@@ -273,6 +273,18 @@ def test_compare_of_incomplete_runs_reports_no_deltas(tmp_path, capsys):
     assert data["speed_delta_pct"] is None and data["ack_size_delta_pct"] is None
 
 
+def test_compare_modes_refuses_a_missing_receiver_config():
+    config = dataclasses.replace(small_config(), recv=None)
+    with pytest.raises(ConfigError, match="^recv must be RecvConfig, not None$"):
+        compare_modes(config)
+
+
+def test_sweep_refuses_a_missing_receiver_config():
+    config = dataclasses.replace(small_config(), recv=None)
+    with pytest.raises(ConfigError, match="^recv must be RecvConfig, not None$"):
+        sweep_default_limits(config, [2, 8])
+
+
 def test_sweep_runs_each_limit():
     results = sweep_default_limits(small_config(), [2, 8])
     assert [limit for limit, _ in results] == [2, 8]

@@ -139,6 +139,61 @@ def test_scenario_file_round_trip(config):
             assert comparable(parse_config_file(path)) == comparable(config)
 
 
+# for every config field, values of a type its hint does not admit
+WRONG_TYPES = {
+    ScenarioConfig: {
+        "mode": ["spns", 0, None],
+        "paths": [None, "path", (), [None]],
+        "transfer_size": [2.5, True, "100000"],
+        "scheduler": ["minrtt", None],
+        "cc": ["cubic", 1],
+        "recv": [None, {}],
+        "seed": [2.5, True, "7", None],
+        "duration_cap_s": [True, "60", None],
+    },
+    LinkModel: {
+        "delay_down_ms": [True, "10", None],
+        "delay_up_ms": [False, "10", None],
+        "rate_mbps": [True, "10"],
+        "trace": [[0, 1], "path0.trace"],
+        "loss_rate": [False, "0", None],
+        "reverse_loss_rate": [False, None],
+        "queue_capacity": [2.5, True, None],
+        "mtu": [1350.0, True, None],
+        "window_packets": ["big", "none", True, 2.5],
+    },
+    RecvConfig: {
+        "ack_eliciting_threshold": [2.0, True, None],
+        "max_ack_delay": [25_000.5, False, None],
+        "suppression_enabled": ["false", 0, None],
+        "default_limit": [4.0, True],
+        "maximum_limit": [64.0, None],
+        "per_path_anchoring": ["no", 1, None],
+    },
+}
+
+
+def test_wrong_type_table_covers_every_field():
+    for cls, wrong in WRONG_TYPES.items():
+        assert list(wrong) == [f.name for f in dataclasses.fields(cls)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(scenario_configs(min_delay_down_ms=0.001))
+def test_a_field_of_the_wrong_type_is_refused_before_the_run(config):
+    # one field at a time, in the scenario, its receiver config and each path
+    for owner in [config, config.recv, *config.paths]:
+        for name, values in WRONG_TYPES[type(owner)].items():
+            good = getattr(owner, name)
+            for value in values:
+                setattr(owner, name, value)
+                # only a path's message carries a prefix, "path N: "
+                with pytest.raises(ConfigError, match=rf"^(path \d+: )?{name} must be "):
+                    Simulation(config)
+            setattr(owner, name, good)
+    Simulation(config)
+
+
 def watch_invariants(sim: Simulation) -> dict:
     """Check the protocol invariants after every event and on every built frame.
 

@@ -147,6 +147,37 @@ def test_non_int_transfer_size_refused_before_the_run(size):
         Simulation(cfg)
 
 
+# each would otherwise run another algorithm than it names, run a bool as 1,
+# or fail inside the simulator
+@pytest.mark.parametrize(
+    "owner, name, value",
+    [
+        ("scenario", "cc", "cubic"),
+        ("scenario", "scheduler", "roundrobin"),
+        ("scenario", "mode", "spns"),
+        ("scenario", "recv", None),
+        ("scenario", "duration_cap_s", True),
+        ("scenario", "seed", 2.5),
+        ("recv", "suppression_enabled", "false"),
+        ("recv", "per_path_anchoring", "no"),
+        ("path", "rate_mbps", True),
+        ("path", "delay_down_ms", True),
+    ],
+)
+def test_wrong_field_type_refused_before_the_run(owner, name, value):
+    cfg = two_path_config()
+    setattr({"scenario": cfg, "recv": cfg.recv, "path": cfg.paths[1]}[owner], name, value)
+    where = "path 1: " if owner == "path" else ""
+    with pytest.raises(ConfigError, match=f"^{where}{name} must be "):
+        Simulation(cfg)
+
+
+def test_ints_in_float_fields_are_accepted():
+    paths = [LinkModel(delay_down_ms=15, delay_up_ms=15, rate_mbps=40, loss_rate=0)]
+    cfg = ScenarioConfig(mode=SpaceMode.SPNS, paths=paths, transfer_size=10_000, duration_cap_s=5)
+    assert Simulation(cfg).run().complete
+
+
 def test_tiny_finite_rate_runs_to_the_cap():
     paths = [LinkModel(delay_down_ms=10, delay_up_ms=10, rate_mbps=1e-300)]
     cfg = ScenarioConfig(mode=SpaceMode.SPNS, paths=paths, transfer_size=10_000, duration_cap_s=1)
