@@ -30,7 +30,7 @@ from .harness import (
     sweep_default_limits,
 )
 from .netsim import EventLoop, LinkDirection, LinkModel, TraceSchedule, load_trace
-from .receiver import PathRecvState, ReceiverState, RecvConfig, apply_range_limits
+from .receiver import PathRecvState, ReceiverState, RecvConfig
 from .scenario import MetricsReport, ScenarioConfig
 from .scheduler import SchedulerKind, select_path
 from .sender import AckProcessResult, PathSendState, SenderState
@@ -65,7 +65,6 @@ __all__ = [
     "SpaceMode",
     "TraceSchedule",
     "ack_frame_wire_size",
-    "apply_range_limits",
     "auto_window_packets",
     "compare_modes",
     "export_range_count_cdf",

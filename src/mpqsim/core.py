@@ -19,6 +19,8 @@ MAX_PACKET_NUMBER = (1 << 62) - 1
 
 # QUIC default ack_delay_exponent: encoded delay unit is 2^3 = 8 microseconds.
 ACK_DELAY_EXPONENT = 3
+# QUIC default max_ack_delay (RFC 9000 §18.2), in microseconds
+DEFAULT_MAX_ACK_DELAY = 25_000
 
 
 class InvariantViolation(ValueError):
@@ -294,6 +296,11 @@ class RangeSet:
     def __repr__(self) -> str:
         body = ", ".join(f"({hi},{lo})" for hi, lo in self._ranges)
         return f"RangeSet[{body}]"
+
+    def span(self, high: int, low: int) -> int:
+        """How many ranges run from the one holding `high` down to the one holding `low`."""
+        upper = bisect.bisect_right(self._ranges, high, key=_smallest)
+        return upper - bisect.bisect_right(self._ranges, low, key=_smallest) + 1
 
     def holes(self) -> int:
         """Number of gaps between ranges (0 for an empty set)."""

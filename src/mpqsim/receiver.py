@@ -4,21 +4,22 @@ Each path keeps its own ack-eliciting counter and ack-timer deadline, which
 the caller fires by building the frame. ACK frames are always sent back on
 the path that triggered them, anchored at that path's largest received
 packet number. Range suppression trims frames to a soft Default_Limit,
-extending only as far as needed to cover packets not yet acknowledged by
-any frame, and never past Maximum_Limit.
+extending only as far as needed to cover the packets that arrived on the
+emitting path and that none of its own frames has covered yet
+(`PathRecvState.lowest_pending`), and never past Maximum_Limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import AckFrame, AckRange, ConfigError, RangeSet, SpaceMode, check_field_types
+from .core import DEFAULT_MAX_ACK_DELAY, AckFrame, ConfigError, RangeSet, SpaceMode, check_field_types
 
 
 @dataclass(slots=True)
 class RecvConfig:
     ack_eliciting_threshold: int = 2
-    max_ack_delay: int = 25_000  # microseconds
+    max_ack_delay: int = DEFAULT_MAX_ACK_DELAY  # microseconds
     suppression_enabled: bool = False
     default_limit: int = 4
     maximum_limit: int = 64
@@ -48,31 +49,6 @@ class PathRecvState:
     # covered yet; suppression extends a frame down to it, so every packet
     # is covered at least once unless Maximum_Limit strands it
     lowest_pending: int | None = None
-
-
-def apply_range_limits(
-    ranges: list[AckRange],
-    default_limit: int,
-    maximum_limit: int,
-    must_cover: int | None,
-) -> list[AckRange]:
-    """Trim a descending range list to the two suppression limits.
-
-    Keeps the newest `default_limit` ranges, extending the prefix just far
-    enough to cover packet number `must_cover` (None: nothing to cover),
-    but never beyond `maximum_limit` ranges. The caller guarantees that
-    `must_cover` lies in some range of `ranges`.
-    """
-    if default_limit < 1:
-        raise ConfigError("default_limit must be >= 1")
-    if len(ranges) <= default_limit:
-        return ranges
-    needed = default_limit
-    if must_cover is not None:
-        # keep every range before the first one wholly below must_cover
-        reaching = next((i for i, r in enumerate(ranges) if r.largest < must_cover), len(ranges))
-        needed = max(needed, reaching)
-    return ranges[: min(needed, maximum_limit)]
 
 
 class ReceiverState:
@@ -152,15 +128,16 @@ class ReceiverState:
         else:
             largest = rs.max_value()
             ack_delay = now - self._space_largest_time[space]
-        suppress = self.config.suppression_enabled
-        # under suppression no frame carries more than Maximum_Limit ranges
-        ranges = rs.descending(largest, self.config.maximum_limit if suppress else None)
-        if suppress:
-            # the lowest pending packet arrived on this path, so it lies at
-            # or below the anchor and inside one of the ranges
-            ranges = apply_range_limits(
-                ranges, self.config.default_limit, self.config.maximum_limit, prs.lowest_pending
-            )
+        width = None
+        if self.config.suppression_enabled:
+            # the newest Default_Limit ranges, or down to the range holding the
+            # lowest pending packet, which arrived on this path and so lies at
+            # or below the anchor; never more than Maximum_Limit
+            width = self.config.default_limit
+            if prs.lowest_pending is not None:
+                width = max(width, rs.span(largest, prs.lowest_pending))
+            width = min(width, self.config.maximum_limit)
+        ranges = rs.descending(largest, width)
         # The frame covers exactly the received packets in [lowest, largest].
         # A pending packet Maximum_Limit left below it stays pending so a
         # later frame retries it; otherwise nothing is pending any more.

@@ -21,13 +21,12 @@ def select_path(
     kind: SchedulerKind,
     paths: list[PathSendState],
     packet_size: int,
-    pace_next: list[int],
     now: int,
     rr_cursor: int = -1,
 ) -> tuple[int | None, int, int | None]:
     """Decide one send in a single pass over `paths`, indexed by path id.
 
-    A path may send when its pacing gate `pace_next[id]` is at or before
+    A path may send when its pacing gate `pace_next` is at or before
     `now` and its congestion window has room for `packet_size`. minRTT
     picks the one with the smallest smoothed RTT; a path with no sample
     is probed once (before anything was sent on it) and after that waits
@@ -48,7 +47,7 @@ def select_path(
     ready = 0  # bit i set: path i may send
     for ps in paths:
         room = ps.bytes_in_flight + packet_size <= ps.cc.cwnd
-        gate = pace_next[ps.path]
+        gate = ps.pace_next
         if now < gate:
             if room and (wake is None or gate < wake):
                 wake = gate

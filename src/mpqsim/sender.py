@@ -16,6 +16,11 @@ and both anchoring modes only raise the anchor. Samples whose largest was
 sent on a different path than the one that carried the ACK land in a mixed
 bucket instead of any path's smoothed estimate; with per-path anchored
 ACKs this never happens.
+
+Each path's state also holds its pacing gate and its PTO deadline. A send
+moves the gate on at cwnd/srtt and restarts the deadline; an ACK restarts
+the deadline of every path it newly acknowledges a packet of, and clears
+it when that path has nothing unacked left.
 """
 
 from __future__ import annotations
@@ -23,17 +28,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .congestion import CcAlgorithm, CongestionController
-from .core import (
-    AckFrame,
-    ProtocolError,
-    SentPacketRecord,
-    SpaceMode,
-)
+from .core import DEFAULT_MAX_ACK_DELAY, AckFrame, ProtocolError, SentPacketRecord, SpaceMode
 
 K_INITIAL_RTT = 333_000  # microseconds, used for PTO before the first sample
 # RFC 9002 §6.1 loss detection; the time threshold is 9/8 of the RTT
 K_PACKET_THRESHOLD = 3
 K_GRANULARITY = 1_000  # microseconds
+# Pacing at cwnd/srtt (RFC 9002 §7.7). Window growth then cannot burst a
+# whole newly-acked chunk into a droptail queue at once, and a standing
+# queue raises srtt until the pacing rate settles at the bottleneck rate.
+PACING_GAIN = 1.0
 
 
 @dataclass(slots=True)
@@ -45,7 +49,7 @@ class AckProcessResult:
 
 
 class PathSendState:
-    """Per-path sending history, unacked packets, RTT estimate, and cwnd."""
+    """Per-path sending history, unacked packets, RTT estimate, cwnd, pacing and PTO."""
 
     def __init__(self, path: int, cc: CongestionController):
         self.path = path
@@ -61,6 +65,9 @@ class PathSendState:
         self.cc = cc
         # largest acknowledged of every ACK attributed to this path so far
         self.largest_credited: int = -1
+        self.pace_next = 0  # pacing gate: the path sends again from this time on
+        # PTO deadline (RFC 9002 §6.2.1), None exactly while nothing is unacked
+        self.pto_deadline: int | None = None
 
     def update_rtt(self, sample: int, ack_delay: int = 0) -> None:
         """Fold one RTT sample into latest/min/smoothed/rttvar."""
@@ -97,12 +104,22 @@ class _SpaceState:
 
 
 class SenderState:
-    """Connection-level sender: numbering, ack processing, loss detection."""
+    """Connection-level sender: numbering, ack processing, loss detection.
 
-    def __init__(self, mode: SpaceMode, num_paths: int, cc_factory=None):
+    `max_ack_delay` is the peer's, which every path's PTO interval adds.
+    """
+
+    def __init__(
+        self,
+        mode: SpaceMode,
+        num_paths: int,
+        cc_factory=None,
+        max_ack_delay: int = DEFAULT_MAX_ACK_DELAY,
+    ):
         if num_paths < 1:
             raise ValueError("need at least one path")
         self.mode = mode
+        self.max_ack_delay = max_ack_delay
         if cc_factory is None:
             cc_factory = lambda path: CongestionController(CcAlgorithm.CUBIC)
         self.paths = [PathSendState(p, cc_factory(p)) for p in range(num_paths)]
@@ -115,7 +132,8 @@ class SenderState:
         self.mixed_samples: list[tuple[int, int]] = []  # (ack time, sample)
 
     def send_packet(self, path: int, size: int, now: int, payload_offset: int = 0) -> SentPacketRecord:
-        """Number the next packet of `path`'s space and register the send."""
+        """Number the next packet of `path`'s space, register the send, and
+        move the path's pacing gate and PTO deadline past it."""
         sp, ps = self._path_spaces[path], self.paths[path]
         record = SentPacketRecord(
             pn=len(sp.records),
@@ -129,18 +147,21 @@ class SenderState:
         sp.outstanding[record.pn] = ps.unacked[record.pn] = record
         ps.sent_count += 1
         ps.bytes_in_flight += size
+        srtt = ps.smoothed_rtt
+        if srtt is not None:
+            # paced at cwnd/srtt bytes per second once the path has an estimate
+            rate = PACING_GAIN * ps.cc.cwnd / (srtt / 1e6)
+            ps.pace_next = max(now, ps.pace_next) + int(size / rate * 1e6)
+        ps.pto_deadline = now + ps.pto_interval(self.max_ack_delay)
         return record
 
     def on_ack_received(self, arrival_path: int, frame: AckFrame, now: int) -> AckProcessResult:
-        if self.mode is SpaceMode.SPNS:
-            space = 0
-            credit_path = arrival_path
-        else:
-            space = frame.space
-            credit_path = frame.space
+        space = frame.space
         sp = self._spaces.get(space)
         if sp is None:
-            raise ProtocolError(f"ACK names unknown space {frame.space}")
+            raise ProtocolError(f"ACK names unknown space {space}")
+        # under SPNS a sample counts for the path the ACK arrived on
+        credit_path = arrival_path if self.mode is SpaceMode.SPNS else space
         # one walk checks the frame and finds the outstanding numbers it covers
         covered = frame.validate(sp.outstanding)
         if frame.largest_acked >= len(sp.records):
@@ -183,6 +204,8 @@ class SenderState:
 
         for path in sorted(acked_bytes_by_path):
             result.lost.extend(self.detect_losses(path, now))
+            ps = paths[path]
+            ps.pto_deadline = now + ps.pto_interval(self.max_ack_delay) if ps.unacked else None
         return result
 
     def detect_losses(self, path: int, now: int) -> list[SentPacketRecord]:

@@ -20,11 +20,6 @@ from .scenario import MetricsReport, ScenarioConfig
 from .scheduler import select_path
 from .sender import SenderState
 
-# Sender pacing at cwnd/srtt. Window growth then cannot burst a whole
-# newly-acked chunk into a droptail queue at once, and a standing queue
-# raises srtt until the pacing rate settles at the bottleneck rate.
-PACING_GAIN = 1.0
-
 
 def auto_window_packets(link: LinkModel, mtu: int) -> int | None:
     """BDP plus roughly 3 ms of queue allowance, in packets of `mtu` bytes.
@@ -79,7 +74,7 @@ class Simulation:
         def cc_factory(path: int) -> CongestionController:
             return CongestionController(config.cc, mss=self.mtu, max_cwnd=window_bytes[path])
 
-        self.sender = SenderState(config.mode, n, cc_factory)
+        self.sender = SenderState(config.mode, n, cc_factory, config.recv.max_ack_delay)
         self.receiver = ReceiverState(config.mode, n, config.recv)
         self.loop = EventLoop()
 
@@ -99,30 +94,24 @@ class Simulation:
         # per path: the receiver's ranges of its space, whose holes the timeline counts
         self._recv_ranges = [self.receiver.spaces[config.mode.space_of(p)] for p in range(n)]
 
-        self._pto_deadline: list[int | None] = [None] * n
-        self._pto_scheduled = [False] * n
-        self._ack_timer_scheduled = [False] * n
-        self._pace_next = [0] * n
+        # per path: whether a PTO / ack-timer event is pending
+        self._pto_pending = [False] * n
+        self._ack_timer_pending = [False] * n
         self._wake_at: int | None = None
         self._rr_cursor = -1  # round-robin position, advanced by select_path
 
     # -- sending ---------------------------------------------------------
 
     def _send_on_path(self, path: int, size: int, offset: int, now: int) -> None:
-        ps = self.sender.paths[path]
         rec = self.sender.send_packet(path, size, now, offset)
-        srtt = ps.smoothed_rtt
-        if srtt is not None:
-            # paced at cwnd/srtt bytes per second once the path has an estimate
-            rate = PACING_GAIN * ps.cc.cwnd / (srtt / 1e6)
-            self._pace_next[path] = max(now, self._pace_next[path]) + int(size / rate * 1e6)
         arrival = self.down[path].transmit(size, now)
         if arrival is not None:
             self.loop.schedule(arrival, self._on_data, path, rec.pn, size, offset)
-        self._arm_pto(path, now)
+        deadline = self.sender.paths[path].pto_deadline
+        self._keep_pending(self._pto_pending, self._on_pto, path, deadline)
 
     def _try_send(self, now: int) -> None:
-        config, paths, pace_next = self.config, self.sender.paths, self._pace_next
+        config, paths = self.config, self.sender.paths
         while True:
             if self.retx_queue:
                 offset, size = self.retx_queue[0]
@@ -132,7 +121,7 @@ class Simulation:
             else:
                 return
             path, self._rr_cursor, wake = select_path(
-                config.scheduler, paths, size, pace_next, now, self._rr_cursor
+                config.scheduler, paths, size, now, self._rr_cursor
             )
             if path is None:
                 # wake up when the earliest pace-blocked path with room frees up
@@ -146,32 +135,34 @@ class Simulation:
                 self.next_offset += size
             self._send_on_path(path, size, offset, now)
 
-    # -- probe timeout ----------------------------------------------------
+    # -- timers ------------------------------------------------------------
 
-    def _arm_pto(self, path: int, now: int) -> None:
-        ps = self.sender.paths[path]
-        if not ps.unacked:
-            self._pto_deadline[path] = None
-            return
-        deadline = now + ps.pto_interval(self.receiver.config.max_ack_delay)
-        self._pto_deadline[path] = deadline
-        if not self._pto_scheduled[path]:
-            self.loop.schedule(deadline, self._on_pto, path)
-            self._pto_scheduled[path] = True
+    def _keep_pending(
+        self, pending: list[bool], handler, path: int, deadline: int | None, now: int | None = None
+    ) -> bool:
+        """Keep one `handler` event pending for `path` while `deadline` is set.
+
+        Schedules the event at `deadline` unless one is already pending.
+        The handler passes the `now` it fired at: True means the deadline
+        has come and the handler acts on it; an event that came due early
+        is re-armed to the deadline.
+        """
+        if now is not None:  # the pending event fired
+            pending[path] = False
+            if deadline is not None and now >= deadline:
+                return True
+        if deadline is not None and not pending[path]:
+            pending[path] = True
+            self.loop.schedule(deadline, handler, path)
+        return False
 
     def _on_pto(self, now: int, path: int) -> None:
-        self._pto_scheduled[path] = False
-        deadline = self._pto_deadline[path]
         ps = self.sender.paths[path]
-        if deadline is None or not ps.unacked:
-            return
-        if now < deadline:
-            self.loop.schedule(deadline, self._on_pto, path)
-            self._pto_scheduled[path] = True
-            return
-        # probe: resend the oldest unacked payload on this path, ignoring cwnd
-        oldest = next(iter(ps.unacked.values()))
-        self._send_on_path(path, oldest.size, oldest.payload_offset, now)
+        # the deadline is set exactly while the path has unacked packets
+        if self._keep_pending(self._pto_pending, self._on_pto, path, ps.pto_deadline, now):
+            # probe: resend the oldest unacked payload on this path, ignoring cwnd
+            oldest = next(iter(ps.unacked.values()))
+            self._send_on_path(path, oldest.size, oldest.payload_offset, now)
 
     # -- receiving --------------------------------------------------------
 
@@ -201,25 +192,16 @@ class Simulation:
                 self.completion_us = now
         if ack_now:
             self._emit_ack(self.receiver.build_ack_frame(path, now), path, now)
-        elif not self._ack_timer_scheduled[path]:
-            # a pending event is due no later than the deadline and re-arms
-            # itself to it, so one event per path suffices
+        else:  # the deadline is None only after a duplicate
             deadline = self.receiver.per_path[path].ack_timer_deadline
-            if deadline is not None:  # None only after a duplicate
-                self.loop.schedule(deadline, self._on_ack_timer, path)
-                self._ack_timer_scheduled[path] = True
+            self._keep_pending(self._ack_timer_pending, self._on_ack_timer, path, deadline)
 
     def _on_ack_timer(self, now: int, path: int) -> None:
-        self._ack_timer_scheduled[path] = False
-        # a deadline is armed exactly while the path has unacknowledged arrivals
+        # a deadline is armed exactly while the path has unacknowledged
+        # arrivals; an ACK sent since then cleared it
         deadline = self.receiver.per_path[path].ack_timer_deadline
-        if deadline is None:
-            return  # an ACK sent since superseded every timer armed before
-        if now < deadline:
-            self.loop.schedule(deadline, self._on_ack_timer, path)
-            self._ack_timer_scheduled[path] = True
-            return
-        self._emit_ack(self.receiver.build_ack_frame(path, now), path, now)
+        if self._keep_pending(self._ack_timer_pending, self._on_ack_timer, path, deadline, now):
+            self._emit_ack(self.receiver.build_ack_frame(path, now), path, now)
 
     def _on_ack(self, now: int, path: int, frame) -> None:
         result = self.sender.on_ack_received(path, frame, now)
@@ -230,8 +212,8 @@ class Simulation:
             self.srtt_series[p].append((t_ms, self.sender.paths[p].smoothed_rtt / 1000))
         for rec in result.lost:
             self.retx_queue.append((rec.payload_offset, rec.size))
-        for p in sorted({rec.path for rec in result.newly_acked}):
-            self._arm_pto(p, now)
+        # the sender restarted the PTO deadline of each path it acked; each
+        # had one set, and so a pending event, before
         self._try_send(now)
 
     # -- main loop ---------------------------------------------------------

@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpqsim.core import AckRange, ConfigError, SpaceMode, ack_frame_wire_size
 from mpqsim.netsim import LinkModel
-from mpqsim.receiver import ReceiverState, RecvConfig, apply_range_limits
+from mpqsim.receiver import ReceiverState, RecvConfig
 from mpqsim.scenario import ScenarioConfig
 from mpqsim.simulation import Simulation
 
@@ -179,32 +181,110 @@ def seven_ranges():
     return [AckRange(2 * k, 2 * k) for k in range(7, 0, -1)]
 
 
+def suppressed_ranges(ranges, pending, default_limit, maximum_limit):
+    """The ranges of the frame path 0 builds when `pending` (None: nothing)
+    arrives last, after a frame was built over every other number of `ranges`."""
+    recv = make_receiver(
+        suppression_enabled=True,
+        default_limit=default_limit,
+        maximum_limit=maximum_limit,
+        ack_eliciting_threshold=100,
+    )
+    numbers = [pn for hi, lo in reversed(ranges) for pn in range(lo, hi + 1)]
+    for pn in numbers:
+        if pn != pending:
+            recv.on_packet_received(0, pn, now=pn)
+    recv.build_ack_frame(0, now=100)
+    if pending is not None:
+        recv.on_packet_received(0, pending, now=200)
+    assert recv.per_path[0].lowest_pending == pending
+    return recv.build_ack_frame(0, now=300).ranges
+
+
 def test_limits_keep_short_lists():
     ranges = seven_ranges()[:3]
-    assert apply_range_limits(ranges, 4, 64, None) == ranges
+    assert suppressed_ranges(ranges, None, 4, 64) == ranges
 
 
 def test_limits_truncate_to_default():
     ranges = seven_ranges()
-    out = apply_range_limits(ranges, 4, 64, 12)
-    assert out == ranges[:4]
+    assert suppressed_ranges(ranges, 12, 4, 64) == ranges[:4]
 
 
 def test_limits_extend_to_cover():
     ranges = seven_ranges()
-    out = apply_range_limits(ranges, 4, 64, 4)  # 4 sits in the 6th range
-    assert out == ranges[:6]
+    # 4 sits in the 6th range
+    assert suppressed_ranges(ranges, 4, 4, 64) == ranges[:6]
 
 
 def test_limits_never_exceed_maximum():
     ranges = seven_ranges()
-    out = apply_range_limits(ranges, 2, 3, 2)  # needs 7 ranges, capped at 3
-    assert out == ranges[:3]
+    # 2 needs 7 ranges, capped at 3
+    assert suppressed_ranges(ranges, 2, 2, 3) == ranges[:3]
 
 
 def test_limits_reject_bad_default():
     with pytest.raises(ConfigError):
-        apply_range_limits(seven_ranges(), 0, 64, None)
+        suppressed_ranges(seven_ranges(), None, 0, 64)
+
+
+def reference_trim(ranges, default_limit, maximum_limit, must_cover):
+    """The two-pass rule a suppressed frame was once cut by, kept as the oracle.
+
+    Keeps the newest `default_limit` of a descending range list, extending
+    the prefix just far enough to cover packet number `must_cover` (None:
+    nothing to cover), but never beyond `maximum_limit` ranges.
+    """
+    if len(ranges) <= default_limit:
+        return ranges
+    needed = default_limit
+    if must_cover is not None:
+        # keep every range before the first one wholly below must_cover
+        reaching = next((i for i, r in enumerate(ranges) if r.largest < must_cover), len(ranges))
+        needed = max(needed, reaching)
+    return ranges[: min(needed, maximum_limit)]
+
+
+@st.composite
+def arrival_runs(draw):
+    """A receiver config and arrivals (path, pn, build after it?) in drawn order."""
+    default = draw(st.integers(1, 6))
+    config = RecvConfig(
+        suppression_enabled=True,
+        default_limit=default,
+        maximum_limit=draw(st.integers(default, 8)),
+        per_path_anchoring=draw(st.booleans()),
+        ack_eliciting_threshold=draw(st.integers(1, 4)),
+    )
+    mode, paths = draw(st.sampled_from(SpaceMode)), draw(st.integers(1, 3))
+    pns = draw(st.lists(st.integers(0, 60), min_size=1, max_size=50, unique=True))
+    arrivals = [(draw(st.integers(0, paths - 1)), pn, draw(st.booleans())) for pn in pns]
+    return mode, paths, config, arrivals
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(arrival_runs())
+def test_suppressed_frames_match_the_two_pass_trim(run):
+    mode, paths, config, arrivals = run
+    recv = ReceiverState(mode, paths, config)
+
+    def check_build(path, now):
+        prs, rs = recv.per_path[path], recv.spaces[mode.space_of(path)]
+        anchor = prs.largest_recv_pn if config.per_path_anchoring else rs.max_value()
+        expected = reference_trim(
+            rs.descending(anchor, config.maximum_limit),
+            config.default_limit,
+            config.maximum_limit,
+            prs.lowest_pending,
+        )
+        assert recv.build_ack_frame(path, now).ranges == expected
+
+    for now, (path, pn, build) in enumerate(arrivals):
+        if recv.on_packet_received(path, pn, now) or build:
+            check_build(path, now)
+    for prs in recv.per_path:
+        if prs.largest_recv_pn is not None:
+            check_build(prs.path, len(arrivals))
 
 
 def test_uncovered_must_cover_retries_next_frame():

@@ -223,7 +223,8 @@ def watch_invariants(sim: Simulation) -> dict:
 
     receiver.build_ack_frame = checked_build
     watched = {"peeks": 0, "pops": 0, "next_event": None, "clock": loop.now}
-    timer = sim._on_ack_timer
+    timer, pto = sim._on_ack_timer, sim._on_pto
+    gates = [ps.pace_next for ps in sender.paths]
     peek, pop = loop.peek_time, loop.pop
 
     def counted_pop():
@@ -238,6 +239,11 @@ def watch_invariants(sim: Simulation) -> dict:
             # there were declared lost
             outstanding = sender._path_spaces[ps.path].outstanding
             assert all(outstanding.get(pn) is rec for pn, rec in ps.unacked.items())
+            # the PTO deadline is set exactly while the path has unacked packets
+            assert (ps.pto_deadline is None) == (not ps.unacked)
+            # the pacing gate never moves back
+            assert ps.pace_next >= gates[ps.path]
+            gates[ps.path] = ps.pace_next
         for space, sp in sender._spaces.items():
             # ascending, as `AckFrame.validate` walks it
             pns = list(sp.outstanding)
@@ -246,16 +252,21 @@ def watch_invariants(sim: Simulation) -> dict:
             sends = sum(ps.sent_count for ps in sender.paths if sim.mode.space_of(ps.path) == space)
             assert len(sp.records) == sends
             assert not sp.records or sp.records[-1].pn == sends - 1
-        # at most one pending ack-timer event per path; an armed timer has
-        # one, due no later than its deadline
-        pending = {}
+        # at most one pending ack-timer and one PTO event per path, and one
+        # while its deadline is set
+        pending = {timer: {}, pto: {}}
         for time, _, handler, args in loop._heap:
-            if handler == timer:
-                assert args[0] not in pending
-                pending[args[0]] = time
+            if handler in pending:
+                assert args[0] not in pending[handler]
+                pending[handler][args[0]] = time
+        # an ack-timer event is due no later than its deadline. A PTO event
+        # may be due later: a deadline moved earlier, as the first RTT sample
+        # does, keeps the event armed for the one before
         for prs in receiver.per_path:
             deadline = prs.ack_timer_deadline
-            assert deadline is None or pending.get(prs.path, math.inf) <= deadline
+            assert deadline is None or pending[timer].get(prs.path, math.inf) <= deadline
+        for ps in sender.paths:
+            assert ps.pto_deadline is None or ps.path in pending[pto]
         assert sim.delivered_bytes <= config.transfer_size
         assert loop.now >= watched["clock"]
         watched["clock"] = loop.now

@@ -23,7 +23,7 @@ def make_path(path, srtt_ms=None, cwnd_pkts=10, in_flight_pkts=0, sent=0):
 
 def select(kind, paths, rr_cursor=-1):
     """One decision with every pacing gate open."""
-    return select_path(kind, paths, MSS, [0] * len(paths), 0, rr_cursor)
+    return select_path(kind, paths, MSS, 0, rr_cursor)
 
 
 def test_minrtt_picks_smallest_srtt():
@@ -208,5 +208,7 @@ def decisions(draw):
 )
 def test_single_pass_matches_the_list_based_decision(decision):
     kind, paths, size, gates, cursor = decision
+    for ps, gate in zip(paths, gates):
+        ps.pace_next = gate
     expected = reference_decision(kind, paths, size, gates, NOW, cursor)
-    assert select_path(kind, paths, size, gates, NOW, cursor) == expected
+    assert select_path(kind, paths, size, NOW, cursor) == expected

@@ -188,6 +188,59 @@ def test_mpns_ack_targets_its_space():
         sender.on_ack_received(0, ack(space=7, largest=0), now=200)
 
 
+def test_spns_refuses_a_frame_naming_another_space():
+    sender = send_fig_history(make_sender(SpaceMode.SPNS))
+
+    def state():
+        paths = [
+            (list(ps.unacked), ps.bytes_in_flight, ps.largest_acked_index, ps.largest_credited,
+             ps.smoothed_rtt, ps.cc.cwnd)
+            for ps in sender.paths
+        ]
+        return paths, list(sender._spaces[0].outstanding), sender.mixed_samples[:]
+
+    before = state()
+    # the shared space is 0; a frame naming any other acknowledges nothing
+    with pytest.raises(ProtocolError, match="unknown space 7"):
+        sender.on_ack_received(0, ack(space=7, largest=1), now=100)
+    assert state() == before
+
+
+# -- pacing gate and PTO deadline ------------------------------------------------
+
+
+def test_pacing_gate_opens_at_cwnd_over_srtt():
+    sender = make_sender(paths=1)
+    ps = sender.paths[0]
+    sender.send_packet(0, 1_000, now=0)
+    assert ps.pace_next == 0  # no RTT estimate yet: unpaced
+    ps.update_rtt(100_000)
+    ps.cc.cwnd = 10_000  # 100 kB/s at 100 ms
+    sender.send_packet(0, 1_000, now=5_000)
+    assert ps.pace_next == 15_000
+    # a send before the gate (a probe) moves it on from the gate, not from now
+    sender.send_packet(0, 500, now=6_000)
+    assert ps.pace_next == 20_000
+
+
+def test_pto_deadline_is_set_exactly_while_packets_are_unacked():
+    sender = SenderState(SpaceMode.SPNS, 2, max_ack_delay=10_000)
+    ps = sender.paths[0]
+    assert ps.pto_deadline is None
+    sender.send_packet(0, 100, now=0)
+    sender.send_packet(0, 100, now=10)
+    assert ps.pto_deadline == 10 + ps.pto_interval(10_000)
+    sender.on_ack_received(0, ack(largest=0), now=50_000)
+    # restarted from the ACK, with the sample it carried
+    assert ps.pto_deadline == 50_000 + ps.pto_interval(10_000) == 50_000 + 50_000 + 100_000 + 10_000
+    # an ACK that credits path 0 but acknowledges only path 1 leaves it alone
+    sender.send_packet(1, 100, now=60_000)
+    sender.on_ack_received(0, ack(largest=2, ranges=[AckRange(2, 2), AckRange(0, 0)]), now=70_000)
+    assert ps.pto_deadline == 50_000 + 160_000
+    sender.on_ack_received(0, ack(largest=1), now=80_000)
+    assert ps.unacked == {} and ps.pto_deadline is None
+
+
 # -- RTT estimator ------------------------------------------------------------------
 
 
