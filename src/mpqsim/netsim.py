@@ -36,14 +36,17 @@ class TraceSchedule:
     """
 
     def __init__(self, times_ms: list[int]):
-        if not times_ms:
+        times = list(times_ms)
+        if not times:
             raise ValueError("a trace must contain at least one opportunity")
-        if any(t < 0 for t in times_ms):
+        if not set(map(type, times)) <= {int}:
+            raise ValueError("trace timestamps must be ints")
+        if min(times) < 0:
             raise ValueError("trace timestamps must be non-negative")
-        if any(b < a for a, b in zip(times_ms, times_ms[1:])):
+        if times != sorted(times):
             raise ValueError("trace timestamps must be non-decreasing")
-        self.times_ms = list(times_ms)
-        self.period_ms = times_ms[-1] if times_ms[-1] > 0 else 1
+        self.times_ms = times
+        self.period_ms = times[-1] if times[-1] > 0 else 1
 
     def opportunity_us(self, n: int) -> int:
         """Time of the n-th delivery opportunity (0-based), in microseconds."""
@@ -53,7 +56,26 @@ class TraceSchedule:
 
 
 def load_trace(path: str | Path) -> TraceSchedule:
-    """Parse one non-negative integer millisecond timestamp per line."""
+    """Parse one non-negative integer millisecond timestamp per line.
+
+    Blank lines and whitespace around a value are skipped; a bad line is
+    refused with its line number. A file of well-formed lines is decoded in
+    one ``map(int)`` pass; ``int`` strips whitespace (all that ``str.strip``
+    does but U+001C to U+001F), so a line it accepts has the value the line
+    loop gives. Any other file is read again line by line, which skips the
+    blank lines and names the bad one, so both give the same list or error.
+    """
+    try:
+        with open(path) as fh:
+            lines = fh.read().rstrip("\n").split("\n")
+        return TraceSchedule(list(map(int, lines)))
+    except ValueError:  # a blank or bad line, undecodable bytes, a refused list
+        pass
+    return TraceSchedule(_read_trace_lines(path))
+
+
+def _read_trace_lines(path: str | Path) -> list[int]:
+    """Line by line: skip blank lines, name the first bad one."""
     times: list[int] = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -67,7 +89,7 @@ def load_trace(path: str | Path) -> TraceSchedule:
             if value < 0:
                 raise ValueError(f"{path}:{lineno}: negative timestamp")
             times.append(value)
-    return TraceSchedule(times)
+    return times
 
 
 @dataclass(slots=True)

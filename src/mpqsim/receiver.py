@@ -18,6 +18,8 @@ from .core import DEFAULT_MAX_ACK_DELAY, AckFrame, ConfigError, RangeSet, SpaceM
 
 @dataclass(slots=True)
 class RecvConfig:
+    """Receiver settings: when an ACK is owed, and how far range suppression trims it."""
+
     ack_eliciting_threshold: int = 2
     max_ack_delay: int = DEFAULT_MAX_ACK_DELAY  # microseconds
     suppression_enabled: bool = False
@@ -40,6 +42,8 @@ class RecvConfig:
 
 @dataclass(slots=True)
 class PathRecvState:
+    """One path's receive side: its largest packet, ack-eliciting count and ack timer."""
+
     path: int
     largest_recv_pn: int | None = None
     largest_recv_time: int = 0

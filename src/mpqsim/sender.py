@@ -42,6 +42,10 @@ PACING_GAIN = 1.0
 
 @dataclass(slots=True)
 class AckProcessResult:
+    """What one ACK frame did: packets newly acknowledged, the RTT sample it
+    credited (with its path, or None if it gave none or a mixed one) and the
+    packets then declared lost."""
+
     newly_acked: list[SentPacketRecord]
     rtt_sample: int | None = None
     rtt_path: int | None = None

@@ -221,6 +221,22 @@ def test_parse_refusals_name_the_section_and_key(tmp_path, old, new, message):
         parse_config_file(path)
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"0\n1\xff\n2\n", r"^\[path\.1\] trace: .*codec can't decode byte 0xff"),
+        (b"0\n1\n-2\n", r"^\[path\.1\] trace: .*bad\.trace:3: negative timestamp$"),
+        (b"0\n1 2\n", r"^\[path\.1\] trace: .*bad\.trace:2: not an integer timestamp: '1 2'$"),
+    ],
+)
+def test_parse_refuses_a_bad_trace_file_naming_the_key(tmp_path, data, message):
+    (tmp_path / "bad.trace").write_bytes(data)
+    path = tmp_path / "bad.ini"
+    path.write_text(CONFIG_TEXT.replace("rate_mbps = 15\n", "trace = bad.trace\n"))
+    with pytest.raises(ConfigError, match=message):
+        parse_config_file(path)
+
+
 def test_unit_conversions_round(tmp_path):
     path = tmp_path / "fractions.ini"
     text = CONFIG_TEXT.replace("transfer_bytes = 200000", "transfer_mb = 4.1")

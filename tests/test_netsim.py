@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mpqsim.netsim import (
     EventLoop,
@@ -159,6 +161,136 @@ def test_empty_trace_rejected(tmp_path):
     f.write_text("\n")
     with pytest.raises(ValueError):
         load_trace(f)
+
+
+def test_trace_schedule_refuses_timestamps_that_are_not_ints():
+    for times in ([0.5, 1.5, 2.5], [True, 2, 3], ["1", "2"], [1, 2.0], [5.0, -3]):
+        with pytest.raises(ValueError, match="^trace timestamps must be ints$"):
+            TraceSchedule(times)
+
+
+def test_trace_schedule_refusals_keep_their_order():
+    with pytest.raises(ValueError, match="at least one opportunity"):
+        TraceSchedule([])
+    with pytest.raises(ValueError, match="non-negative"):
+        TraceSchedule([5, -3])  # also decreasing: the sign is checked first
+    with pytest.raises(ValueError, match="non-decreasing"):
+        TraceSchedule([5, 3])
+
+
+# -- trace loader against the line-by-line reference ------------------------------
+
+
+def reference_load_trace(path):
+    """The loader as a plain line loop: strip, skip blanks, name the bad line."""
+    times = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            try:
+                value = int(text)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: not an integer timestamp: {text!r}")
+            if value < 0:
+                raise ValueError(f"{path}:{lineno}: negative timestamp")
+            times.append(value)
+    return TraceSchedule(times)
+
+
+def outcome(load, path):
+    """The timestamps a loader accepts, or the type and message it raises."""
+    try:
+        return load(path).times_ms
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# whitespace that str.strip() removes, ASCII and not; int() keeps U+001C to U+001F
+SPACES = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"]
+
+
+@st.composite
+def trace_lines(draw, last, clean):
+    """One line's text and the last int value so far; only padded ints if `clean`."""
+    kinds = ["int"] if clean else ["int"] * 6 + ["blank", "space", "neg", "float", "pair", "word"]
+    kind = draw(st.sampled_from(kinds))
+    pad = st.sampled_from(["", " "]) | st.text(st.sampled_from(SPACES), max_size=2)
+    if kind == "blank":
+        return "", last
+    if kind == "space":
+        return draw(pad.filter(bool)), last
+    if kind == "neg":
+        return f"-{draw(st.integers(0, 5))}", last
+    if kind == "float":
+        return f"{last}.5", last
+    if kind == "pair":
+        return f"{last} {last}", last
+    if kind == "word":
+        return draw(st.sampled_from(["x", "1e3", "0x10", "_1", "1__0", "1_", "+", "--1", "++1"])), last
+    value = last + draw(st.integers(0, 30))
+    text = str(value)
+    if value >= 10 and draw(st.booleans()):
+        text = f"{text[0]}_{text[1:]}"
+    if draw(st.booleans()):
+        text = "+" + text
+    return draw(pad) + text + draw(pad), value
+
+
+@st.composite
+def trace_files(draw):
+    """Bytes of a trace file: mostly well formed, some with bad lines or bytes."""
+    clean = draw(st.booleans())
+    lines, last = [], 0
+    for _ in range(draw(st.integers(0, 12))):
+        text, last = draw(trace_lines(last, clean))
+        lines.append(text)
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if ends and draw(st.booleans()):
+        ends[-1] = ""  # no final newline
+    data = "".join(t + e for t, e in zip(lines, ends)).encode()
+    if not clean and draw(st.booleans()):
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xe2\x82", b"\x80"])) + data[cut:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def trace_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("traces")
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(trace_files())
+@example(b"1\r\n2\r\n3\r\n")  # CRLF endings
+@example(b"1\r2\r3")  # bare CR endings, no final newline
+@example(b"  1  \n\t2\t\n3 \n")  # ASCII padding
+@example("\u30001\xa0\n\u20282\x85\n".encode())  # Unicode whitespace
+@example(b"\x1c1\x1f\n2\n")  # whitespace to str.strip() but not to int()
+@example(b"+1\n+2\n")  # explicit sign
+@example(b"1_0\n2_0\n")  # digit grouping
+@example(b"1 2\n")  # two numbers on one line
+@example(b"1\x0c2\n")  # a form feed inside a line
+@example("\ufeff1\n2\n".encode())  # a byte order mark
+@example("\u0661\n\u0662\u0663\n".encode())  # Arabic-Indic digits
+@example(b"1\n-2\n3\n")  # a negative value
+@example(b"-0\n1\n")  # negative zero is zero
+@example(b"1\nxyz\n3\n")  # garbage
+@example(b"1\n2\xff\n3\n")  # bad UTF-8
+@example(b"")  # empty
+@example(b"\n\n\n")  # blank lines only
+@example(b" \n\t\r\n\x0c\n")  # whitespace-only lines
+@example(b"1\n\n3\n")  # a blank line among values
+@example(b"1.5\n")  # not an integer
+@example(b"3\n2\n")  # decreasing
+@example(b"0x10\n")  # hexadecimal
+@example(b"1e3\n")  # exponent form
+@example(b"1\r\n\r\n-5\r\n")  # a blank CRLF line, then a negative
+def test_load_trace_matches_the_line_loop(trace_dir, data):
+    path = trace_dir / "t.trace"
+    path.write_bytes(data)
+    assert outcome(load_trace, path) == outcome(reference_load_trace, path)
 
 
 def test_trace_wraps_with_final_timestamp_period():
