@@ -33,14 +33,13 @@ from .netsim import EventLoop, LinkDirection, LinkModel, TraceSchedule, load_tra
 from .receiver import PathRecvState, ReceiverState, RecvConfig
 from .scenario import MetricsReport, ScenarioConfig
 from .scheduler import SchedulerKind, select_path
-from .sender import AckProcessResult, PathSendState, SenderState
+from .sender import PathSendState, SenderState
 from .simulation import Simulation, auto_window_packets
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AckFrame",
-    "AckProcessResult",
     "AckRange",
     "CcAlgorithm",
     "ComparisonReport",

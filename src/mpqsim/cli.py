@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from pathlib import Path
 
 from .core import ConfigError, SpaceMode
 from .harness import (
@@ -60,6 +61,12 @@ def _print_summary(report) -> None:
 
 def _pct(delta: float | None) -> str:
     return "incomplete" if delta is None else f"{delta:+.2f}%"
+
+
+def _check_out(out: str | None) -> None:
+    """Refuse an --out that names a directory or lies in a missing one, before any run."""
+    if out and (Path(out).is_dir() or not Path(out).parent.is_dir()):
+        raise ConfigError(f"--out {out}: not a file in an existing directory")
 
 
 def _cmd_run(args) -> int:
@@ -125,6 +132,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_compare(args)

@@ -15,7 +15,9 @@ per-path ACK delivery is FIFO: the return direction has a constant delay
 and both anchoring modes only raise the anchor. Samples whose largest was
 sent on a different path than the one that carried the ACK land in a mixed
 bucket instead of any path's smoothed estimate; with per-path anchored
-ACKs this never happens.
+ACKs this never happens. Each sample is logged where it is taken, in the
+report's units (ms): a credited one in its path's `rtt_samples_ms` and
+`srtt_ms`, a mixed one in `SenderState.mixed_samples_ms`.
 
 Each path's state also holds its pacing gate and its PTO deadline. A send
 moves the gate on at cwnd/srtt and restarts the deadline; an ACK restarts
@@ -24,8 +26,6 @@ it when that path has nothing unacked left.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .congestion import CcAlgorithm, CongestionController
 from .core import DEFAULT_MAX_ACK_DELAY, AckFrame, ProtocolError, SentPacketRecord, SpaceMode
@@ -40,20 +40,8 @@ K_GRANULARITY = 1_000  # microseconds
 PACING_GAIN = 1.0
 
 
-@dataclass(slots=True)
-class AckProcessResult:
-    """What one ACK frame did: packets newly acknowledged, the RTT sample it
-    credited (with its path, or None if it gave none or a mixed one) and the
-    packets then declared lost."""
-
-    newly_acked: list[SentPacketRecord]
-    rtt_sample: int | None = None
-    rtt_path: int | None = None
-    lost: list[SentPacketRecord] = field(default_factory=list)
-
-
 class PathSendState:
-    """Per-path sending history, unacked packets, RTT estimate, cwnd, pacing and PTO."""
+    """Per-path send history, unacked packets, RTT estimate and samples, cwnd, pacing and PTO."""
 
     def __init__(self, path: int, cc: CongestionController):
         self.path = path
@@ -69,6 +57,9 @@ class PathSendState:
         self.cc = cc
         # largest acknowledged of every ACK attributed to this path so far
         self.largest_credited: int = -1
+        # (ack time ms, value ms) at each sample credited to this path
+        self.rtt_samples_ms: list[tuple[float, float]] = []
+        self.srtt_ms: list[tuple[float, float]] = []
         self.pace_next = 0  # pacing gate: the path sends again from this time on
         # PTO deadline (RFC 9002 §6.2.1), None exactly while nothing is unacked
         self.pto_deadline: int | None = None
@@ -133,7 +124,7 @@ class SenderState:
         self.packet_threshold_losses = 0
         self.time_threshold_losses = 0
         self.spurious_count = 0
-        self.mixed_samples: list[tuple[int, int]] = []  # (ack time, sample)
+        self.mixed_samples_ms: list[tuple[float, float]] = []  # (ack time ms, sample ms)
 
     def send_packet(self, path: int, size: int, now: int, payload_offset: int = 0) -> SentPacketRecord:
         """Number the next packet of `path`'s space, register the send, and
@@ -159,7 +150,8 @@ class SenderState:
         ps.pto_deadline = now + ps.pto_interval(self.max_ack_delay)
         return record
 
-    def on_ack_received(self, arrival_path: int, frame: AckFrame, now: int) -> AckProcessResult:
+    def on_ack_received(self, arrival_path: int, frame: AckFrame, now: int) -> list[SentPacketRecord]:
+        """Apply one ACK frame and return the records then declared lost."""
         space = frame.space
         sp = self._spaces.get(space)
         if sp is None:
@@ -177,7 +169,6 @@ class SenderState:
         credit_state = self.paths[credit_path]
         largest_newly_for_path = frame.largest_acked > credit_state.largest_credited
 
-        newly: list[SentPacketRecord] = []
         acked_bytes_by_path: dict[int, int] = {}
         outstanding, paths = sp.outstanding, self.paths
         for pn in covered:
@@ -186,7 +177,6 @@ class SenderState:
             if ps.unacked.pop(pn, None) is None:
                 self.spurious_count += 1  # declared lost before
                 continue
-            newly.append(rec)
             ps.bytes_in_flight -= rec.size
             # packet numbers rise with send indexes on a path
             if rec.path_history_index > ps.largest_acked_index:
@@ -195,22 +185,23 @@ class SenderState:
         for path, acked in acked_bytes_by_path.items():
             self.paths[path].cc.on_ack(acked, now)
 
-        result = AckProcessResult(newly_acked=newly)
         if largest_newly_for_path:
             sample = now - largest_record.send_time
+            t_ms = now / 1000
             if largest_record.path == credit_path:
                 credit_state.update_rtt(sample, frame.ack_delay)
-                result.rtt_sample = sample
-                result.rtt_path = credit_path
+                credit_state.rtt_samples_ms.append((t_ms, sample / 1000))
+                credit_state.srtt_ms.append((t_ms, credit_state.smoothed_rtt / 1000))
             else:
-                self.mixed_samples.append((now, sample))
+                self.mixed_samples_ms.append((t_ms, sample / 1000))
             credit_state.largest_credited = frame.largest_acked
 
+        lost: list[SentPacketRecord] = []
         for path in sorted(acked_bytes_by_path):
-            result.lost.extend(self.detect_losses(path, now))
+            lost += self.detect_losses(path, now)
             ps = paths[path]
             ps.pto_deadline = now + ps.pto_interval(self.max_ack_delay) if ps.unacked else None
-        return result
+        return lost
 
     def detect_losses(self, path: int, now: int) -> list[SentPacketRecord]:
         """Declare per-path losses by packet count and time thresholds.

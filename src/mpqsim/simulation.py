@@ -87,8 +87,6 @@ class Simulation:
         self.ack_size_sum = 0
         self.ack_frames = 0
         self.range_hist: dict[int, int] = {}
-        self.srtt_series: dict[int, list[tuple[float, float]]] = {p: [] for p in range(n)}
-        self.rtt_samples: dict[int, list[tuple[float, float]]] = {p: [] for p in range(n)}
         self.received_pn: dict[int, list[tuple[float, int]]] = {p: [] for p in range(n)}
         self.hole_timeline: list[tuple[float, int]] = []
         # per path: the receiver's ranges of its space, whose holes the timeline counts
@@ -204,13 +202,7 @@ class Simulation:
             self._emit_ack(self.receiver.build_ack_frame(path, now), path, now)
 
     def _on_ack(self, now: int, path: int, frame) -> None:
-        result = self.sender.on_ack_received(path, frame, now)
-        if result.rtt_sample is not None:
-            p = result.rtt_path
-            t_ms = now / 1000
-            self.rtt_samples[p].append((t_ms, result.rtt_sample / 1000))
-            self.srtt_series[p].append((t_ms, self.sender.paths[p].smoothed_rtt / 1000))
-        for rec in result.lost:
+        for rec in self.sender.on_ack_received(path, frame, now):
             self.retx_queue.append((rec.payload_offset, rec.size))
         # the sender restarted the PTO deadline of each path it acked; each
         # had one set, and so a pending event, before
@@ -270,9 +262,9 @@ class Simulation:
             avg_ack_frame_size=self.ack_size_sum / self.ack_frames if self.ack_frames else 0.0,
             ack_frames=self.ack_frames,
             ack_range_count_histogram=dict(sorted(self.range_hist.items())),
-            srtt_ms=self.srtt_series,
-            rtt_samples_ms=self.rtt_samples,
-            mixed_samples_ms=[(t / 1000, s / 1000) for t, s in self.sender.mixed_samples],
+            srtt_ms={ps.path: ps.srtt_ms for ps in self.sender.paths},
+            rtt_samples_ms={ps.path: ps.rtt_samples_ms for ps in self.sender.paths},
+            mixed_samples_ms=self.sender.mixed_samples_ms,
             received_pn=self.received_pn,
             hole_count=self.hole_timeline,
             packet_threshold_losses=self.sender.packet_threshold_losses,

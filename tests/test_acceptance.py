@@ -7,6 +7,8 @@ prints one PASS/FAIL line.
 """
 
 import functools
+import hashlib
+import json
 import random
 import time
 
@@ -77,6 +79,49 @@ def spns_suppressed(default_limit: int):
 def spns_ablation():
     recv = RecvConfig(per_path_anchoring=False)
     return timed_run(star_config(SpaceMode.SPNS, recv))
+
+
+# sha256 of each run's canonical JSON (`json.dumps(to_dict(), sort_keys=True)`).
+# At seed 7 these are also the `ref-spns`, `ref-mpns` and `suppress` bench
+# fingerprints (bench/NOTES.md), so a change to any of them is a change in
+# behaviour, like a golden's.
+RUN_FINGERPRINTS = {
+    "spns_base": (
+        spns_base,
+        "1609b40b3a49bff055d5bc10bcfa3f20c28f56781511b16453b32eaf127805d0",
+    ),
+    "mpns_base": (
+        mpns_base,
+        "c4533259b8a7a613e2a4719f72e6a9347cc6753ddfabb1b6e3e863e0dcdf2a55",
+    ),
+    "spns_ablation": (
+        spns_ablation,
+        "0714314c9590be84e1f7f7dedc9f2d9d0e63150d0b21e9b37b804bf6cda43114",
+    ),
+    "spns_suppressed(2)": (
+        lambda: spns_suppressed(2),
+        "311d851b6d756219e1457e54b2d085f49304dfe1d77ee29f63119412b81bbcee",
+    ),
+    "spns_suppressed(4)": (
+        lambda: spns_suppressed(4),
+        "a1fa38ce84a2208e0c2724316a49ef8c5e7c1aa991d244884234c214ea640923",
+    ),
+    "spns_suppressed(8)": (
+        lambda: spns_suppressed(8),
+        "fbc6c932070df21e8b811ae4124c7d02947bb22526ee2ec801e71093e9ea30a3",
+    ),
+    "spns_suppressed(64)": (
+        lambda: spns_suppressed(64),
+        "8d6c9f633d00079d2faa9538ba2c3ea51bd7de5e0777ff317b17107805cc758e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(RUN_FINGERPRINTS))
+def test_acceptance_run_keeps_its_fingerprint(name):
+    run, fingerprint = RUN_FINGERPRINTS[name]
+    canonical = json.dumps(run().to_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(canonical).hexdigest() == fingerprint
 
 
 def verdict(name: str, ok: bool, detail: str) -> None:
@@ -253,8 +298,8 @@ def test_criterion_6_loss_detection_oracle():
         acked = set()
         expected = set()
         for pn in ack_order:
-            result = sender.on_ack_received(path_of[pn], ack_frame_for(pn), now=count + 50)
-            declared |= {r.pn for r in result.lost}
+            lost = sender.on_ack_received(path_of[pn], ack_frame_for(pn), now=count + 50)
+            declared |= {r.pn for r in lost}
             # independent replay: acking pn condemns every not-yet-acked
             # packet at least `threshold` sends earlier on the same path
             for other, path in path_of.items():

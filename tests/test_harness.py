@@ -423,6 +423,25 @@ def test_cli_bad_sweep_limit_refused_before_any_run(config_file, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("target", ["missing/r.json", "."])
+def test_cli_unwritable_out_refused_before_any_run(
+    config_file, tmp_path, capsys, monkeypatch, command, target
+):
+    def no_run(config):
+        raise AssertionError("a scenario ran before --out was checked")
+
+    monkeypatch.setattr(harness, "run_scenario", no_run)
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    out = tmp_path / target
+    code = cli.main([command, "--config", str(config_file), "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: --out {out}:")
+    assert not (tmp_path / "missing").exists()
+
+
 def test_report_from_dict_restores_types():
     report = run_scenario(small_config(transfer=100_000))
     clone = MetricsReport.from_dict(json.loads(json.dumps(report.to_dict())))

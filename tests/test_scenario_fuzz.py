@@ -292,6 +292,14 @@ def checked_run(config: ScenarioConfig) -> MetricsReport:
     )
     assert report.packets_received <= report.packets_sent
     assert config.recv.suppression_enabled or report.received_never_acked == 0
+    # a sample's largest comes from another path only when an SPNS frame is
+    # anchored at the space's largest packet rather than its path's
+    if config.mode is SpaceMode.MPNS or config.recv.per_path_anchoring:
+        assert report.mixed_samples_ms == []
+    # each credited sample updates its path's srtt at the same instant
+    assert report.srtt_ms.keys() == report.rtt_samples_ms.keys()
+    for path, samples in report.rtt_samples_ms.items():
+        assert [t for t, _ in report.srtt_ms[path]] == [t for t, _ in samples]
     assert MetricsReport.from_dict(json.loads(json.dumps(report.to_dict()))) == report
     return report
 

@@ -24,6 +24,21 @@ def send_fig_history(sender, size=100):
     return sender
 
 
+def unacked_pns(sender):
+    return {pn for ps in sender.paths for pn in ps.unacked}
+
+
+def acknowledge(sender, arrival_path, frame, now):
+    """Process `frame`; return the pns it newly acked and the records it declared lost.
+
+    Newly acked = unacked before - unacked after - declared lost (SPNS only,
+    where a pn names one packet).
+    """
+    before = unacked_pns(sender)
+    lost = sender.on_ack_received(arrival_path, frame, now)
+    return before - unacked_pns(sender) - {r.pn for r in lost}, lost
+
+
 def ack(space=0, largest=None, ranges=None, delay=0):
     ranges = ranges or [AckRange(largest, 0)]
     return AckFrame(space=space, largest_acked=ranges[0].largest if largest is None else largest,
@@ -76,10 +91,12 @@ def test_bytes_in_flight_counts_eliciting_unacked():
 
 def test_ack_marks_covered_and_samples_arrival_path():
     sender = send_fig_history(make_sender())
-    result = sender.on_ack_received(0, ack(largest=7, ranges=[AckRange(7, 0)]), now=1000)
-    assert {r.pn for r in result.newly_acked} == set(range(8))
-    assert result.rtt_path == 0
-    assert result.rtt_sample == 1000 - 7  # send time of pn 7 was 7
+    newly, _ = acknowledge(sender, 0, ack(largest=7, ranges=[AckRange(7, 0)]), now=1000)
+    assert newly == set(range(8))
+    # logged in ms at the ACK's time: the send time of pn 7 was 7
+    assert sender.paths[0].rtt_samples_ms == [(1.0, (1000 - 7) / 1000)]
+    assert sender.paths[0].srtt_ms == [(1.0, 0.993)]
+    assert sender.paths[1].rtt_samples_ms == []
     assert sender.paths[0].largest_acked_index == 3  # pn 7, path 0's fourth send
     assert sender.paths[1].largest_acked_index == 3  # pn 5, the largest path-1 pn below 8
 
@@ -88,11 +105,11 @@ def test_ack_with_already_credited_largest_gives_no_sample():
     sender = make_sender()
     sender.send_packet(0, 100, now=0)
     sender.send_packet(0, 100, now=1)
-    first = sender.on_ack_received(0, ack(largest=1), now=100)
-    assert first.rtt_sample is not None
-    again = sender.on_ack_received(0, ack(largest=1), now=200)
-    assert again.rtt_sample is None
-    assert again.newly_acked == []
+    sender.on_ack_received(0, ack(largest=1), now=100)
+    assert sender.paths[0].rtt_samples_ms == [(0.1, 0.099)]
+    newly, _ = acknowledge(sender, 0, ack(largest=1), now=200)
+    assert sender.paths[0].rtt_samples_ms == [(0.1, 0.099)]
+    assert newly == set()
 
 
 def test_same_path_ack_below_largest_credited_gives_no_sample():
@@ -101,12 +118,12 @@ def test_same_path_ack_below_largest_credited_gives_no_sample():
     sender = make_sender()
     for t in range(3):
         sender.send_packet(0, 100, now=t)  # pns 0, 1, 2 on path 0
-    first = sender.on_ack_received(0, ack(largest=2, ranges=[AckRange(2, 2)]), now=100)
-    assert first.rtt_sample == 98
-    late = sender.on_ack_received(0, ack(largest=1, ranges=[AckRange(1, 0)]), now=150)
-    assert {r.pn for r in late.newly_acked} == {0, 1}
-    assert late.rtt_sample is None
-    assert sender.mixed_samples == []
+    sender.on_ack_received(0, ack(largest=2, ranges=[AckRange(2, 2)]), now=100)
+    assert sender.paths[0].rtt_samples_ms == [(0.1, 0.098)]
+    newly, _ = acknowledge(sender, 0, ack(largest=1, ranges=[AckRange(1, 0)]), now=150)
+    assert newly == {0, 1}
+    assert sender.paths[0].rtt_samples_ms == [(0.1, 0.098)]
+    assert sender.mixed_samples_ms == []
     assert sender.paths[0].largest_credited == 2
 
 
@@ -116,21 +133,23 @@ def test_slow_path_still_samples_after_cross_path_coverage():
     sender = make_sender()
     sender.send_packet(1, 100, now=0)  # pn 0 on path 1
     sender.send_packet(0, 100, now=10)  # pn 1 on path 0
-    fast = sender.on_ack_received(0, ack(largest=1, ranges=[AckRange(1, 0)]), now=40)
-    assert fast.rtt_path == 0
-    slow = sender.on_ack_received(1, ack(largest=0, ranges=[AckRange(0, 0)]), now=120)
-    assert slow.rtt_path == 1
-    assert slow.rtt_sample == 120
-    assert slow.newly_acked == []  # nothing newly acked connection-wide
+    sender.on_ack_received(0, ack(largest=1, ranges=[AckRange(1, 0)]), now=40)
+    assert sender.paths[0].rtt_samples_ms == [(0.04, 0.03)]
+    assert sender.paths[1].rtt_samples_ms == []
+    newly, _ = acknowledge(sender, 1, ack(largest=0, ranges=[AckRange(0, 0)]), now=120)
+    assert sender.paths[1].rtt_samples_ms == [(0.12, 0.12)]
+    assert sender.paths[0].rtt_samples_ms == [(0.04, 0.03)]
+    assert newly == set()  # nothing newly acked connection-wide
 
 
 def test_mismatched_largest_goes_to_mixed_bucket():
     sender = make_sender()
     sender.send_packet(0, 100, now=0)  # pn 0 on path 0
     sender.send_packet(0, 100, now=1)
-    result = sender.on_ack_received(1, ack(largest=1, ranges=[AckRange(1, 0)]), now=90)
-    assert result.rtt_sample is None
-    assert sender.mixed_samples == [(90, 89)]
+    sender.on_ack_received(1, ack(largest=1, ranges=[AckRange(1, 0)]), now=90)
+    assert sender.mixed_samples_ms == [(0.09, 0.089)]
+    assert [ps.rtt_samples_ms for ps in sender.paths] == [[], []]
+    assert [ps.srtt_ms for ps in sender.paths] == [[], []]
     assert sender.paths[0].smoothed_rtt is None
     assert sender.paths[1].smoothed_rtt is None
 
@@ -141,9 +160,9 @@ def test_stale_cross_path_ack_is_of_no_use():
     sender.send_packet(0, 100, now=1)
     sender.on_ack_received(1, ack(largest=1, ranges=[AckRange(1, 0)]), now=90)
     # a second slow-path ACK with the same largest: acked already, no sample
-    result = sender.on_ack_received(1, ack(largest=1, ranges=[AckRange(1, 0)]), now=150)
-    assert result.rtt_sample is None
-    assert sender.mixed_samples == [(90, 89)]  # no second mixed sample
+    sender.on_ack_received(1, ack(largest=1, ranges=[AckRange(1, 0)]), now=150)
+    assert [ps.rtt_samples_ms for ps in sender.paths] == [[], []]
+    assert sender.mixed_samples_ms == [(0.09, 0.089)]  # no second mixed sample
 
 
 def test_ack_for_never_sent_packet_is_protocol_error():
@@ -171,17 +190,19 @@ def test_refused_frame_changes_no_sender_state():
     with pytest.raises(ProtocolError):
         sender.on_ack_received(0, ack(ranges=[AckRange(20, 18), AckRange(6, 0)]), now=50)
     assert state() == before
-    result = sender.on_ack_received(0, ack(ranges=[AckRange(7, 6), AckRange(2, 0)]), now=50)
-    assert [rec.pn for rec in result.newly_acked] == [0, 1, 2, 6, 7]
+    newly, _ = acknowledge(sender, 0, ack(ranges=[AckRange(7, 6), AckRange(2, 0)]), now=50)
+    assert newly == {0, 1, 2, 6, 7}
 
 
 def test_mpns_ack_targets_its_space():
     sender = make_sender(SpaceMode.MPNS)
     sender.send_packet(0, 100, now=0)  # path 0 space, pn 0
     sender.send_packet(1, 100, now=5)  # path 1 space, pn 0
-    result = sender.on_ack_received(0, ack(space=1, largest=0), now=100)
+    sender.on_ack_received(0, ack(space=1, largest=0), now=100)
     # sample is attributed to the space's path, not the arrival path
-    assert result.rtt_path == 1
+    assert sender.paths[1].rtt_samples_ms == [(0.1, 0.095)]
+    assert sender.paths[0].rtt_samples_ms == []
+    assert sender.mixed_samples_ms == []
     assert sender.paths[1].unacked == {}
     assert 0 in sender.paths[0].unacked
     with pytest.raises(ProtocolError):
@@ -194,10 +215,10 @@ def test_spns_refuses_a_frame_naming_another_space():
     def state():
         paths = [
             (list(ps.unacked), ps.bytes_in_flight, ps.largest_acked_index, ps.largest_credited,
-             ps.smoothed_rtt, ps.cc.cwnd)
+             ps.smoothed_rtt, ps.rtt_samples_ms[:], ps.srtt_ms[:], ps.cc.cwnd)
             for ps in sender.paths
         ]
-        return paths, list(sender._spaces[0].outstanding), sender.mixed_samples[:]
+        return paths, list(sender._spaces[0].outstanding), sender.mixed_samples_ms[:]
 
     before = state()
     # the shared space is 0; a frame naming any other acknowledges nothing
@@ -299,10 +320,10 @@ def test_non_positive_sample_rejected():
 
 def test_packet_threshold_uses_path_history():
     sender = send_fig_history(make_sender())
-    result = sender.on_ack_received(0, ack(largest=11, ranges=[AckRange(11, 11)]), now=1000)
+    lost = sender.on_ack_received(0, ack(largest=11, ranges=[AckRange(11, 11)]), now=1000)
     # path 0 history [1,2,6,7,11,12]: 11 sits at index 4, so 1 and 2
     # (indices 0 and 1) are at least kPacketThreshold=3 sends behind
-    assert {r.pn for r in result.lost} == {1, 2}
+    assert {r.pn for r in lost} == {1, 2}
     assert sender.packet_threshold_losses == 2
     assert 6 in sender.paths[0].unacked and 7 in sender.paths[0].unacked
 
@@ -322,19 +343,16 @@ def test_largest_equal_to_first_send_loses_nothing():
     sender = make_sender()
     sender.send_packet(0, 100, now=0)
     sender.send_packet(0, 100, now=1)
-    result = sender.on_ack_received(0, ack(largest=0, ranges=[AckRange(0, 0)]), now=100)
-    assert result.lost == []
+    assert sender.on_ack_received(0, ack(largest=0, ranges=[AckRange(0, 0)]), now=100) == []
 
 
 def test_time_threshold_declares_aged_packets():
     sender = make_sender()
     sender.send_packet(0, 100, now=0)  # pn 0, will age out
     sender.send_packet(0, 100, now=200_000)  # pn 1
-    result = sender.on_ack_received(
-        0, ack(largest=1, ranges=[AckRange(1, 1)]), now=300_000
-    )
+    lost = sender.on_ack_received(0, ack(largest=1, ranges=[AckRange(1, 1)]), now=300_000)
     # srtt = 100ms; cutoff = 300ms - 112.5ms; pn 0 sent at 0 is long gone
-    assert [r.pn for r in result.lost] == [0]
+    assert [r.pn for r in lost] == [0]
     assert sender.time_threshold_losses == 1
     assert sender.packet_threshold_losses == 0
 
@@ -348,9 +366,9 @@ def test_spurious_ack_counted_once_and_flight_not_double_decremented():
     assert sender.paths[0].bytes_in_flight == 200  # pns 2, 3 still out
     outstanding = sender._spaces[0].outstanding
     assert list(outstanding) == [0, 1, 2, 3]  # the lost pns 0 and 1 stay here
-    result = sender.on_ack_received(0, ack(largest=4, ranges=[AckRange(4, 0)]), now=2000)
+    newly, _ = acknowledge(sender, 0, ack(largest=4, ranges=[AckRange(4, 0)]), now=2000)
     assert outstanding == {}  # the spurious pns 0 and 1 left with 2 and 3
-    assert {r.pn for r in result.newly_acked} == {2, 3}
+    assert newly == {2, 3}
     assert sender.paths[0].bytes_in_flight == 0
     assert sender.spurious_count == 2
     sender.on_ack_received(0, ack(largest=4, ranges=[AckRange(4, 0)]), now=3000)
@@ -411,13 +429,17 @@ def test_ack_processing_matches_brute_force(data):
     lost: set[int] = set()
     for round_ in range(data.draw(st.integers(1, 5))):
         acked = set(data.draw(st.lists(st.integers(0, count - 1), min_size=1, max_size=count)))
-        unacked = {pn for ps in sender.paths for pn in ps.unacked}
+        unacked = unacked_pns(sender)
         spurious_before = sender.spurious_count
         assert lost <= set(sender._spaces[0].outstanding)
-        result = sender.on_ack_received(
-            data.draw(st.integers(0, paths - 1)), _frame_of(acked), now=1000 * (round_ + 1)
+        newly, declared = acknowledge(
+            sender,
+            data.draw(st.integers(0, paths - 1)),
+            _frame_of(acked),
+            now=1000 * (round_ + 1),
         )
-        assert {r.pn for r in result.newly_acked} == unacked & acked
+        assert newly == unacked & acked
+        assert not {r.pn for r in declared} & acked
         assert sender.spurious_count - spurious_before == len(lost & acked)
         assert not (lost & acked) & set(sender._spaces[0].outstanding)
-        lost = (lost - acked) | {r.pn for r in result.lost}
+        lost = (lost - acked) | {r.pn for r in declared}
