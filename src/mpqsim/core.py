@@ -282,17 +282,6 @@ class RangeSet:
         i = bisect.bisect_right(self._ranges, pn, key=_smallest) - 1
         return i >= 0 and self._ranges[i].largest >= pn
 
-    def __bool__(self) -> bool:
-        return bool(self._ranges)
-
-    def __len__(self) -> int:
-        return len(self._ranges)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RangeSet):
-            return NotImplemented
-        return self._ranges == other._ranges
-
     def __repr__(self) -> str:
         body = ", ".join(f"({hi},{lo})" for hi, lo in self._ranges)
         return f"RangeSet[{body}]"
@@ -308,9 +297,6 @@ class RangeSet:
 
     def max_value(self) -> int | None:
         return self._ranges[-1].largest if self._ranges else None
-
-    def min_value(self) -> int | None:
-        return self._ranges[0].smallest if self._ranges else None
 
     def descending(self, anchor: int | None = None, limit: int | None = None) -> list[AckRange]:
         """Ranges largest first, covering only the numbers up to `anchor`.

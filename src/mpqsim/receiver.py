@@ -56,7 +56,12 @@ class PathRecvState:
 
 
 class ReceiverState:
-    """Tracks received packet numbers per space and drives ACK emission."""
+    """Tracks received packet numbers per space and drives ACK emission.
+
+    Each accepted arrival is logged in report units where it is recorded:
+    `(t_ms, pn)` in its path's `received_pn` series and `(t_ms, holes)`,
+    the hole count of its space, in `hole_count`.
+    """
 
     def __init__(self, mode: SpaceMode, num_paths: int, config: RecvConfig | None = None):
         if num_paths < 1:
@@ -64,16 +69,15 @@ class ReceiverState:
         self.mode = mode
         self.config = config or RecvConfig()
         self.config.validate()
-        self.num_paths = num_paths
         self.spaces = {s: RangeSet() for s in mode.spaces(num_paths)}
         self.per_path = [PathRecvState(p) for p in range(num_paths)]
-        # receive time of each space's largest packet, for ablation-mode delay
-        self._space_largest_time: dict[int, int] = {s: 0 for s in self.spaces}
         # per space: received packets that no built frame has covered yet
         self.uncovered: dict[int, set[int]] = {s: set() for s in self.spaces}
+        self.received_pn: dict[int, list[tuple[float, int]]] = {p: [] for p in range(num_paths)}
+        self.hole_count: list[tuple[float, int]] = []
 
     def _check_path(self, path: int) -> None:
-        if not (0 <= path < self.num_paths):
+        if not (0 <= path < len(self.per_path)):
             raise ValueError(f"unknown path {path}")
 
     def on_packet_received(self, path: int, pn: int, now: int) -> bool:
@@ -91,8 +95,9 @@ class ReceiverState:
         # late or gap-creating arrivals; the first packet of a space is in order
         out_of_order = prev_max is not None and pn != prev_max + 1
         rs.insert(pn)
-        if prev_max is None or pn > prev_max:
-            self._space_largest_time[space] = now
+        t_ms = now / 1000
+        self.received_pn[path].append((t_ms, pn))
+        self.hole_count.append((t_ms, rs.holes()))
         prs = self.per_path[path]
         if prs.largest_recv_pn is None or pn > prs.largest_recv_pn:
             prs.largest_recv_pn = pn
@@ -126,12 +131,14 @@ class ReceiverState:
             raise ValueError(f"no packets received on path {path}")
         space = self.mode.space_of(path)
         rs = self.spaces[space]
-        if self.config.per_path_anchoring:
-            largest = prs.largest_recv_pn
-            ack_delay = now - prs.largest_recv_time
-        else:
-            largest = rs.max_value()
-            ack_delay = now - self._space_largest_time[space]
+        # the path whose largest packet anchors the frame: this one, or in the
+        # ablation the one the shared space's largest arrived on (under MPNS
+        # the space is this path's own, so both anchorings agree)
+        anchor = prs
+        if not self.config.per_path_anchoring and self.mode is SpaceMode.SPNS:
+            top = rs.max_value()
+            anchor = next(p for p in self.per_path if p.largest_recv_pn == top)
+        largest, ack_delay = anchor.largest_recv_pn, now - anchor.largest_recv_time
         width = None
         if self.config.suppression_enabled:
             # the newest Default_Limit ranges, or down to the range holding the

@@ -83,14 +83,11 @@ class Simulation:
         self.seen_offsets: set[int] = set()
         self.delivered_bytes = 0
         self.completion_us: int | None = None
+        self.report: MetricsReport | None = None  # set when the run ends
 
         self.ack_size_sum = 0
         self.ack_frames = 0
         self.range_hist: dict[int, int] = {}
-        self.received_pn: dict[int, list[tuple[float, int]]] = {p: [] for p in range(n)}
-        self.hole_timeline: list[tuple[float, int]] = []
-        # per path: the receiver's ranges of its space, whose holes the timeline counts
-        self._recv_ranges = [self.receiver.spaces[config.mode.space_of(p)] for p in range(n)]
 
         # per path: whether a PTO / ack-timer event is pending
         self._pto_pending = [False] * n
@@ -180,9 +177,6 @@ class Simulation:
 
     def _on_data(self, now: int, path: int, pn: int, size: int, offset: int) -> None:
         ack_now = self.receiver.on_packet_received(path, pn, now)
-        t_ms = now / 1000
-        self.received_pn[path].append((t_ms, pn))
-        self.hole_timeline.append((t_ms, self._recv_ranges[path].holes()))
         if offset not in self.seen_offsets:
             self.seen_offsets.add(offset)
             self.delivered_bytes += size
@@ -216,6 +210,9 @@ class Simulation:
         self._try_send(now)
 
     def run(self) -> MetricsReport:
+        """Run to the end and return the report; a finished run returns it again."""
+        if self.report is not None:
+            return self.report
         cap_us = int(self.config.duration_cap_s * 1e6)
         loop = self.loop
         loop.schedule(0, self._on_wake)
@@ -234,7 +231,8 @@ class Simulation:
             # run is freed by reference counting alone.
             loop.clear()
         self._flush_pending_acks()
-        return self._build_report()
+        self.report = self._build_report()
+        return self.report
 
     def _flush_pending_acks(self) -> None:
         """Emit the ACKs whose timers were still pending when the run ended.
@@ -265,12 +263,12 @@ class Simulation:
             srtt_ms={ps.path: ps.srtt_ms for ps in self.sender.paths},
             rtt_samples_ms={ps.path: ps.rtt_samples_ms for ps in self.sender.paths},
             mixed_samples_ms=self.sender.mixed_samples_ms,
-            received_pn=self.received_pn,
-            hole_count=self.hole_timeline,
+            received_pn=self.receiver.received_pn,
+            hole_count=self.receiver.hole_count,
             packet_threshold_losses=self.sender.packet_threshold_losses,
             time_threshold_losses=self.sender.time_threshold_losses,
             spurious_retx=self.sender.spurious_count,
             received_never_acked=sum(map(len, self.receiver.uncovered.values())),
             packets_sent=sum(ps.sent_count for ps in self.sender.paths),
-            packets_received=sum(map(len, self.received_pn.values())),
+            packets_received=len(self.receiver.hole_count),
         )

@@ -100,7 +100,7 @@ def test_rangeset_holes():
     rs.insert(13)
     assert rs.holes() == 1
     assert rs.max_value() == 13
-    assert rs.min_value() == 0
+    assert ranges_of(rs)[-1] == (10, 0)
     assert _value_count(rs) == 12
 
 

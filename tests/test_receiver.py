@@ -60,6 +60,19 @@ def test_duplicate_reception_is_noop():
     assert recv.per_path[0].ack_eliciting_since_ack == 1
 
 
+@pytest.mark.parametrize("mode, holes", [(SpaceMode.SPNS, [0, 1, 0]), (SpaceMode.MPNS, [0, 0, 0])])
+def test_each_arrival_is_logged_with_its_space_holes(mode, holes):
+    recv = make_receiver(mode=mode)
+    recv.on_packet_received(0, 0, now=1000)
+    recv.on_packet_received(1, 2, now=1500)  # under SPNS, 1 is missing
+    recv.on_packet_received(1, 2, now=1700)  # a duplicate logs nothing
+    recv.on_packet_received(0, 1, now=2000)
+    assert recv.received_pn == {0: [(1.0, 0), (2.0, 1)], 1: [(1.5, 2)]}
+    assert recv.hole_count == list(zip([1.0, 1.5, 2.0], holes))
+    # both logs of an arrival hold one time object
+    assert recv.received_pn[1][0][0] is recv.hole_count[1][0]
+
+
 def test_unknown_path_rejected():
     recv = make_receiver(paths=2)
     with pytest.raises(ValueError):
@@ -265,8 +278,11 @@ def arrival_runs(draw):
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(arrival_runs())
 def test_suppressed_frames_match_the_two_pass_trim(run):
+    """Each frame's ranges follow the two-pass trim, and its delay is the
+    time its anchor has been held, under both anchorings and both modes."""
     mode, paths, config, arrivals = run
     recv = ReceiverState(mode, paths, config)
+    arrived = {}  # (space, pn) -> arrival time
 
     def check_build(path, now):
         prs, rs = recv.per_path[path], recv.spaces[mode.space_of(path)]
@@ -277,9 +293,12 @@ def test_suppressed_frames_match_the_two_pass_trim(run):
             config.maximum_limit,
             prs.lowest_pending,
         )
-        assert recv.build_ack_frame(path, now).ranges == expected
+        frame = recv.build_ack_frame(path, now)
+        assert frame.ranges == expected
+        assert frame.ack_delay == now - arrived[frame.space, anchor]
 
     for now, (path, pn, build) in enumerate(arrivals):
+        arrived[mode.space_of(path), pn] = now
         if recv.on_packet_received(path, pn, now) or build:
             check_build(path, now)
     for prs in recv.per_path:

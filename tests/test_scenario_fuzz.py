@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ack_codec import ack_decode, ack_encode
 from mpqsim.congestion import CcAlgorithm
-from mpqsim.core import AckFrame, ConfigError, SpaceMode, ack_frame_wire_size
+from mpqsim.core import ACK_DELAY_EXPONENT, AckFrame, ConfigError, SpaceMode, ack_frame_wire_size
 from mpqsim.harness import compare_modes, parse_config_file
 from mpqsim.netsim import LinkModel, TraceSchedule, ms_to_us
 from mpqsim.receiver import RecvConfig
@@ -206,18 +207,25 @@ def watch_invariants(sim: Simulation) -> dict:
     build = receiver.build_ack_frame
     widest = config.recv.maximum_limit if config.recv.suppression_enabled else None
     received = {space: set() for space in receiver.spaces}  # from the arrival series
-    read = dict.fromkeys(sim.received_pn, 0)
+    read = dict.fromkeys(receiver.received_pn, 0)
 
     def checked_build(path: int, now: int) -> AckFrame:
         frame = build(path, now)
         assert frame.validate() == []
-        for p, series in sim.received_pn.items():
+        for p, series in receiver.received_pn.items():
             received[sim.mode.space_of(p)].update(pn for _, pn in series[read[p] :])
             read[p] = len(series)
         got = received[frame.space]
         assert all(pn in got for hi, lo in frame.ranges for pn in range(lo, hi + 1))
         by_hand = dataclasses.replace(frame, wire_size=None)
         assert ack_frame_wire_size(frame, sim.mode) == ack_frame_wire_size(by_hand, sim.mode)
+        # the model's size is that of the frame's RFC 9000 encoding, which
+        # decodes back to the frame
+        data = ack_encode(frame, sim.mode)
+        assert len(data) == ack_frame_wire_size(frame, sim.mode)
+        space = frame.space if sim.mode is SpaceMode.MPNS else None
+        delay = frame.ack_delay >> ACK_DELAY_EXPONENT
+        assert ack_decode(data, sim.mode) == (space, frame.largest_acked, delay, frame.ranges)
         assert widest is None or len(frame.ranges) <= widest
         return frame
 
@@ -291,6 +299,10 @@ def checked_run(config: ScenarioConfig) -> MetricsReport:
         next_event is not None and next_event > config.duration_cap_s * 1e6
     )
     assert report.packets_received <= report.packets_sent
+    # one hole count per arrival, logged at the same instant
+    assert len(report.hole_count) == report.packets_received
+    arrivals = sorted(t for series in report.received_pn.values() for t, _ in series)
+    assert [t for t, _ in report.hole_count] == arrivals
     assert config.recv.suppression_enabled or report.received_never_acked == 0
     # a sample's largest comes from another path only when an SPNS frame is
     # anchored at the space's largest packet rather than its path's

@@ -223,6 +223,15 @@ def test_deterministic_repeat_runs():
     assert first.to_dict() == second.to_dict()
 
 
+def test_a_finished_run_returns_its_report_again():
+    paths = [LinkModel(delay_down_ms=10, delay_up_ms=10, rate_mbps=10)]
+    sim = Simulation(ScenarioConfig(mode=SpaceMode.SPNS, paths=paths, transfer_size=20_000))
+    first = sim.run()
+    frames, now = sim.ack_frames, sim.loop.now
+    assert sim.run() == first
+    assert (sim.ack_frames, sim.loop.now) == (frames, now)
+
+
 def test_lossy_forward_path_recovers_and_completes():
     cfg = two_path_config(transfer=300_000)
     cfg.paths[0].loss_rate = 0.03
