@@ -1,9 +1,10 @@
 """Sender-side (ACK receiver) state machine.
 
-Each number space keeps one list of its sent records, indexed by packet
-number: one list shared by every path under SPNS, one per path under MPNS.
-`SenderState.send_packet`, the one way to send, numbers a packet by the
-length of its space's list. Each packet also has an index in its path's send
+Each number space keeps two columns indexed by packet number, each send's
+time and path: one pair shared by every path under SPNS, one per path under
+MPNS. `SenderState.send_packet`, the one way to send, numbers a packet by
+their length. A `SentPacketRecord` lives only while its packet is outstanding
+(unacked or declared lost). Each packet also has an index in its path's send
 history, so loss detection uses per-path packet-count and time thresholds.
 
 RTT samples are attributed per path: an ACK counts toward the path it
@@ -26,6 +27,8 @@ it when that path has nothing unacked left.
 """
 
 from __future__ import annotations
+
+from array import array
 
 from .congestion import CcAlgorithm, CongestionController
 from .core import DEFAULT_MAX_ACK_DELAY, AckFrame, ProtocolError, SentPacketRecord, SpaceMode
@@ -88,14 +91,15 @@ class PathSendState:
 
 
 class _SpaceState:
-    __slots__ = ("outstanding", "records")
+    __slots__ = ("outstanding", "send_times", "sent_on")
 
     def __init__(self) -> None:
         # unacked and declared-lost records, ascending pn; a record missing
         # from its path's `unacked` was declared lost, and an ACK covering
         # it marks the loss spurious
         self.outstanding: dict[int, SentPacketRecord] = {}
-        self.records: list[SentPacketRecord] = []  # every send; index = pn
+        # every send's time and path; index = pn
+        self.send_times, self.sent_on = array("q"), array("q")
 
 
 class SenderState:
@@ -131,14 +135,15 @@ class SenderState:
         move the path's pacing gate and PTO deadline past it."""
         sp, ps = self._path_spaces[path], self.paths[path]
         record = SentPacketRecord(
-            pn=len(sp.records),
+            pn=len(sp.send_times),
             path=path,
             send_time=now,
             size=size,
             path_history_index=ps.sent_count,
             payload_offset=payload_offset,
         )
-        sp.records.append(record)
+        sp.send_times.append(now)
+        sp.sent_on.append(path)
         sp.outstanding[record.pn] = ps.unacked[record.pn] = record
         ps.sent_count += 1
         ps.bytes_in_flight += size
@@ -160,14 +165,12 @@ class SenderState:
         credit_path = arrival_path if self.mode is SpaceMode.SPNS else space
         # one walk checks the frame and finds the outstanding numbers it covers
         covered = frame.validate(sp.outstanding)
-        if frame.largest_acked >= len(sp.records):
-            raise ProtocolError(
-                f"ACK covers never-sent packet {frame.largest_acked} in space {space}"
-            )
-        largest_record = sp.records[frame.largest_acked]
+        largest = frame.largest_acked
+        if largest >= len(sp.send_times):
+            raise ProtocolError(f"ACK covers never-sent packet {largest} in space {space}")
 
         credit_state = self.paths[credit_path]
-        largest_newly_for_path = frame.largest_acked > credit_state.largest_credited
+        largest_newly_for_path = largest > credit_state.largest_credited
 
         acked_bytes_by_path: dict[int, int] = {}
         outstanding, paths = sp.outstanding, self.paths
@@ -186,15 +189,15 @@ class SenderState:
             self.paths[path].cc.on_ack(acked, now)
 
         if largest_newly_for_path:
-            sample = now - largest_record.send_time
+            sample = now - sp.send_times[largest]
             t_ms = now / 1000
-            if largest_record.path == credit_path:
+            if sp.sent_on[largest] == credit_path:
                 credit_state.update_rtt(sample, frame.ack_delay)
                 credit_state.rtt_samples_ms.append((t_ms, sample / 1000))
                 credit_state.srtt_ms.append((t_ms, credit_state.smoothed_rtt / 1000))
             else:
                 self.mixed_samples_ms.append((t_ms, sample / 1000))
-            credit_state.largest_credited = frame.largest_acked
+            credit_state.largest_credited = largest
 
         lost: list[SentPacketRecord] = []
         for path in sorted(acked_bytes_by_path):

@@ -80,7 +80,10 @@ class Simulation:
 
         self.retx_queue: deque[tuple[int, int]] = deque()  # (offset, size)
         self.next_offset = 0
-        self.seen_offsets: set[int] = set()
+        # payload held by the client: every byte below `delivered_to`, and
+        # the chunks above it (offset -> size)
+        self.delivered_to = 0
+        self.delivered_above: dict[int, int] = {}
         self.delivered_bytes = 0
         self.completion_us: int | None = None
         self.report: MetricsReport | None = None  # set when the run ends
@@ -177,8 +180,11 @@ class Simulation:
 
     def _on_data(self, now: int, path: int, pn: int, size: int, offset: int) -> None:
         ack_now = self.receiver.on_packet_received(path, pn, now)
-        if offset not in self.seen_offsets:
-            self.seen_offsets.add(offset)
+        above = self.delivered_above
+        if offset >= self.delivered_to and offset not in above:
+            above[offset] = size
+            while self.delivered_to in above:
+                self.delivered_to += above.pop(self.delivered_to)
             self.delivered_bytes += size
             if self.delivered_bytes >= self.config.transfer_size:
                 self.completion_us = now

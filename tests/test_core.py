@@ -11,6 +11,7 @@ from mpqsim.core import (
     ack_frame_wire_size,
     varint_size,
 )
+from ack_codec import ack_encode
 from varint_codec import varint_decode, varint_encode
 
 # -- varints -----------------------------------------------------------------
@@ -193,6 +194,21 @@ def test_wire_size_grows_with_each_extra_range():
         sizes.append(ack_frame_wire_size(frame, SpaceMode.SPNS))
     for smaller, bigger in zip(sizes, sizes[1:]):
         assert bigger >= smaller + 2
+
+
+def test_wire_size_counts_a_two_byte_range_count_and_gap():
+    # 70 single-number ranges 2 apart (gap field 0), then one 100 numbers
+    # above them (gap field 98): count - 1 = 70 and that gap both need 2 bytes
+    rs = RangeSet()
+    for pn in range(0, 140, 2):
+        rs.insert(pn)
+    rs.add_range(238, 240)
+    frame = rs.ack_frame(space=1, ack_delay=0, ranges=rs.descending())
+    assert len(frame.ranges) == 71
+    by_hand = AckFrame(frame.space, frame.largest_acked, frame.ack_delay, frame.ranges)
+    for mode in SpaceMode:
+        assert ack_frame_wire_size(frame, mode) == len(ack_encode(frame, mode))
+        assert ack_frame_wire_size(by_hand, mode) == len(ack_encode(frame, mode))
 
 
 def test_wire_size_rejects_malformed():

@@ -256,10 +256,14 @@ def watch_invariants(sim: Simulation) -> dict:
             # ascending, as `AckFrame.validate` walks it
             pns = list(sp.outstanding)
             assert all(a < b for a, b in zip(pns, pns[1:]))
-            # the space's records are its paths' sends, each at its number
+            # the space's columns hold one entry per send of its paths, and
+            # each record still held matches its number's entries
             sends = sum(ps.sent_count for ps in sender.paths if sim.mode.space_of(ps.path) == space)
-            assert len(sp.records) == sends
-            assert not sp.records or sp.records[-1].pn == sends - 1
+            assert len(sp.send_times) == len(sp.sent_on) == sends
+            assert all(
+                sp.send_times[pn] == rec.send_time and sp.sent_on[pn] == rec.path
+                for pn, rec in sp.outstanding.items()
+            )
         # at most one pending ack-timer and one PTO event per path, and one
         # while its deadline is set
         pending = {timer: {}, pto: {}}
@@ -276,6 +280,10 @@ def watch_invariants(sim: Simulation) -> dict:
         for ps in sender.paths:
             assert ps.pto_deadline is None or ps.path in pending[pto]
         assert sim.delivered_bytes <= config.transfer_size
+        # the delivered prefix and the chunks above it hold each byte once
+        above = sim.delivered_above
+        assert sim.delivered_to + sum(above.values()) == sim.delivered_bytes
+        assert all(offset > sim.delivered_to for offset in above)
         assert loop.now >= watched["clock"]
         watched["clock"] = loop.now
         watched["next_event"] = peek()

@@ -4,7 +4,7 @@ import weakref
 import pytest
 
 from mpqsim.congestion import CcAlgorithm
-from mpqsim.core import ConfigError, SpaceMode
+from mpqsim.core import ConfigError, SentPacketRecord, SpaceMode
 from mpqsim.netsim import LinkModel, TraceSchedule
 from mpqsim.receiver import RecvConfig
 from mpqsim.scenario import ScenarioConfig
@@ -50,6 +50,41 @@ def test_transfer_completes_and_accounts_bytes():
     assert report.packets_sent >= report.packets_received
     # both paths carried traffic
     assert all(len(report.received_pn[p]) > 0 for p in (0, 1))
+
+
+def test_each_delivered_chunk_counts_once():
+    paths = [LinkModel(delay_down_ms=10, delay_up_ms=10, rate_mbps=10)]
+    sim = Simulation(ScenarioConfig(mode=SpaceMode.SPNS, paths=paths, transfer_size=4_500))
+    sim._emit_ack = lambda frame, path, now: None
+    # (offset, size, delivered prefix after it, chunks above the prefix)
+    arrivals = [
+        (2_000, 1_000, 0, {2_000: 1_000}),  # out of order
+        (0, 1_000, 1_000, {2_000: 1_000}),
+        (2_000, 1_000, 1_000, {2_000: 1_000}),  # again, above the prefix
+        (0, 1_000, 1_000, {2_000: 1_000}),  # a retransmission below the prefix
+        (4_000, 500, 1_000, {2_000: 1_000, 4_000: 500}),
+        (1_000, 1_000, 3_000, {4_000: 500}),  # fills the gap: folds 2_000 in
+        (1_000, 1_000, 3_000, {4_000: 500}),  # again, now below the prefix
+        (3_000, 1_000, 4_500, {}),
+    ]
+    delivered = set()
+    for pn, (offset, size, prefix, above) in enumerate(arrivals):
+        sim._on_data(pn, 0, pn, size, offset)
+        delivered.add((offset, size))
+        assert sim.delivered_bytes == sum(size for _, size in delivered)
+        assert (sim.delivered_to, sim.delivered_above) == (prefix, above)
+        assert (sim.completion_us is not None) == (pn == len(arrivals) - 1)
+    assert sim.delivered_bytes == 4_500
+
+
+@pytest.mark.parametrize("mode", list(SpaceMode))
+def test_a_finished_run_keeps_only_its_outstanding_records(mode):
+    sim = Simulation(two_path_config(mode))
+    assert sim.run().complete
+    gc.collect()
+    live = {id(obj) for obj in gc.get_objects() if isinstance(obj, SentPacketRecord)}
+    held = {id(rec) for sp in sim.sender._spaces.values() for rec in sp.outstanding.values()}
+    assert live == held
 
 
 def test_single_path_modes_complete_identically():
