@@ -14,7 +14,6 @@ from .core import (
     InvariantViolation,
     ProtocolError,
     RangeSet,
-    SentPacketRecord,
     SpaceMode,
     ack_frame_wire_size,
     varint_size,
@@ -33,7 +32,7 @@ from .netsim import EventLoop, LinkDirection, LinkModel, TraceSchedule, load_tra
 from .receiver import PathRecvState, ReceiverState, RecvConfig
 from .scenario import MetricsReport, ScenarioConfig
 from .scheduler import SchedulerKind, select_path
-from .sender import PathSendState, SenderState
+from .sender import PathSendState, SenderState, SentPacketRecord
 from .simulation import Simulation, auto_window_packets
 
 __version__ = "0.1.0"

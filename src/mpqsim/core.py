@@ -1,4 +1,6 @@
-"""Core wire-format types shared by sender, receiver, and simulator.
+"""Core wire-format types shared by sender, receiver, and simulator: ACK
+frames, their ranges and encoded size, and the range set a receiver builds
+them from. Per-packet send state lives with the sender (`mpqsim.sender`).
 
 Packet numbers are plain ints in [0, 2^62), path ids are small ints.
 Times are integer microseconds unless noted otherwise.
@@ -28,7 +30,7 @@ class InvariantViolation(ValueError):
 
 
 class ProtocolError(ValueError):
-    """A peer acknowledged something that was never sent."""
+    """A peer acknowledged something that was never sent, or before it was sent."""
 
 
 class ConfigError(ValueError):
@@ -130,12 +132,14 @@ class AckFrame:
     def validate(self, pns: Iterable[int] = ()) -> list[int]:
         """Check the ranges and return the members of `pns` the frame acknowledges.
 
-        Refuses a frame whose ranges are not non-negative, descending,
-        disjoint and non-adjacent, or whose first range does not start at
-        `largest_acked`. `pns` must be ascending; the ranges are walked
-        bottom-up once, alongside it, and numbers above `largest_acked` are
-        never read.
+        Refuses a frame with a negative `ack_delay`, or whose ranges are not
+        non-negative, descending, disjoint and non-adjacent, or whose first
+        range does not start at `largest_acked`. `pns` must be ascending;
+        the ranges are walked bottom-up once, alongside it, and numbers
+        above `largest_acked` are never read.
         """
+        if self.ack_delay < 0:
+            raise InvariantViolation(f"negative ack_delay {self.ack_delay}")
         ranges = self.ranges
         if not ranges:
             raise InvariantViolation("ACK frame must carry at least one range")
@@ -315,15 +319,3 @@ class RangeSet:
         if out and anchor is not None and out[0].largest > anchor:
             out[0] = AckRange(anchor, out[0].smallest)
         return out
-
-
-@dataclass(slots=True)
-class SentPacketRecord:
-    """Sender-side metadata for one transmitted packet."""
-
-    pn: int
-    path: int
-    send_time: int  # microseconds
-    size: int  # payload bytes
-    path_history_index: int  # ordinal position within the path's send order
-    payload_offset: int = 0  # byte offset of the carried data, for retransmission

@@ -156,7 +156,6 @@ class LinkDirection:
         self.loss_rate = loss_rate
         self.queue_capacity = queue_capacity
         self.rng = rng or random.Random(0)
-        self.busy_until = 0
         self._departures: deque[int] = deque()
         self._trace_cursor = 0
         self.attempts = 0
@@ -174,25 +173,24 @@ class LinkDirection:
     def transmit(self, size: int, now: int) -> int | None:
         """Accept a packet at `now`; returns its arrival time, or None if dropped."""
         self.attempts += 1
-        if self.trace is not None:
-            if self._queue_full(now):
-                self.queue_drops += 1
-                return None
+        departures = self._departures
+        if self.trace is None and self.rate_bps is None:
+            departure = now  # pure-delay link: no queue, no serialization
+        elif self._queue_full(now):
+            self.queue_drops += 1
+            return None
+        elif self.trace is not None:
             while self.trace.opportunity_us(self._trace_cursor) < now:
                 self._trace_cursor += 1  # unused past opportunities are wasted
             departure = self.trace.opportunity_us(self._trace_cursor)
             self._trace_cursor += 1
-        elif self.rate_bps is not None:
-            if self._queue_full(now):
-                self.queue_drops += 1
-                return None
-            serialization = int(round(size * 8 * 1e6 / self.rate_bps))
-            departure = max(now, self.busy_until) + serialization
-            self.busy_until = departure
+            departures.append(departure)
         else:
-            departure = now  # pure-delay link: no queue, no serialization
-        if self.rate_bps is not None or self.trace is not None:
-            self._departures.append(departure)
+            # the queue now holds only departures after `now`: the packet
+            # starts serializing when the last of them leaves, or at once
+            start = departures[-1] if departures else now
+            departure = start + int(round(size * 8 * 1e6 / self.rate_bps))
+            departures.append(departure)
         if self.loss_rate > 0.0 and self.rng.random() < self.loss_rate:
             self.loss_drops += 1
             return None

@@ -3,9 +3,11 @@
 Each number space keeps two columns indexed by packet number, each send's
 time and path: one pair shared by every path under SPNS, one per path under
 MPNS. `SenderState.send_packet`, the one way to send, numbers a packet by
-their length. A `SentPacketRecord` lives only while its packet is outstanding
-(unacked or declared lost). Each packet also has an index in its path's send
-history, so loss detection uses per-path packet-count and time thresholds.
+their length. A `SentPacketRecord` lives only in its path's `unacked`,
+until an ACK covers it or it is declared lost; a lost packet's number stays
+in its space's `outstanding`, so an ACK covering it marks the loss spurious.
+Each packet also has an index in its path's send history, so loss detection
+uses per-path packet-count and time thresholds.
 
 RTT samples are attributed per path: an ACK counts toward the path it
 arrived on (or the space it names), and yields a sample only when its
@@ -29,9 +31,10 @@ it when that path has nothing unacked left.
 from __future__ import annotations
 
 from array import array
+from dataclasses import dataclass
 
 from .congestion import CcAlgorithm, CongestionController
-from .core import DEFAULT_MAX_ACK_DELAY, AckFrame, ProtocolError, SentPacketRecord, SpaceMode
+from .core import DEFAULT_MAX_ACK_DELAY, AckFrame, ProtocolError, SpaceMode
 
 K_INITIAL_RTT = 333_000  # microseconds, used for PTO before the first sample
 # RFC 9002 §6.1 loss detection; the time threshold is 9/8 of the RTT
@@ -41,6 +44,16 @@ K_GRANULARITY = 1_000  # microseconds
 # whole newly-acked chunk into a droptail queue at once, and a standing
 # queue raises srtt until the pacing rate settles at the bottleneck rate.
 PACING_GAIN = 1.0
+
+
+@dataclass(slots=True)
+class SentPacketRecord:
+    """One unacked packet; its send time and path are its space's columns."""
+
+    pn: int
+    size: int  # payload bytes
+    path_history_index: int  # ordinal position within the path's send order
+    payload_offset: int = 0  # byte offset of the carried data, for retransmission
 
 
 class PathSendState:
@@ -94,10 +107,9 @@ class _SpaceState:
     __slots__ = ("outstanding", "send_times", "sent_on")
 
     def __init__(self) -> None:
-        # unacked and declared-lost records, ascending pn; a record missing
-        # from its path's `unacked` was declared lost, and an ACK covering
-        # it marks the loss spurious
-        self.outstanding: dict[int, SentPacketRecord] = {}
+        # the numbers an ACK may still newly cover, ascending: each unacked
+        # packet's, and each declared-lost one's, which an ACK marks spurious
+        self.outstanding: dict[int, None] = {}
         # every send's time and path; index = pn
         self.send_times, self.sent_on = array("q"), array("q")
 
@@ -134,17 +146,11 @@ class SenderState:
         """Number the next packet of `path`'s space, register the send, and
         move the path's pacing gate and PTO deadline past it."""
         sp, ps = self._path_spaces[path], self.paths[path]
-        record = SentPacketRecord(
-            pn=len(sp.send_times),
-            path=path,
-            send_time=now,
-            size=size,
-            path_history_index=ps.sent_count,
-            payload_offset=payload_offset,
-        )
+        pn = len(sp.send_times)
+        record = ps.unacked[pn] = SentPacketRecord(pn, size, ps.sent_count, payload_offset)
         sp.send_times.append(now)
         sp.sent_on.append(path)
-        sp.outstanding[record.pn] = ps.unacked[record.pn] = record
+        sp.outstanding[pn] = None
         ps.sent_count += 1
         ps.bytes_in_flight += size
         srtt = ps.smoothed_rtt
@@ -168,23 +174,27 @@ class SenderState:
         largest = frame.largest_acked
         if largest >= len(sp.send_times):
             raise ProtocolError(f"ACK covers never-sent packet {largest} in space {space}")
+        if now <= sp.send_times[largest]:
+            raise ProtocolError(f"ACK at {now} covers packet {largest}, sent at {sp.send_times[largest]}")
 
         credit_state = self.paths[credit_path]
         largest_newly_for_path = largest > credit_state.largest_credited
 
         acked_bytes_by_path: dict[int, int] = {}
-        outstanding, paths = sp.outstanding, self.paths
+        outstanding, sent_on, paths = sp.outstanding, sp.sent_on, self.paths
         for pn in covered:
-            rec = outstanding.pop(pn)
-            ps = paths[rec.path]
-            if ps.unacked.pop(pn, None) is None:
+            del outstanding[pn]
+            path = sent_on[pn]
+            ps = paths[path]
+            rec = ps.unacked.pop(pn, None)
+            if rec is None:
                 self.spurious_count += 1  # declared lost before
                 continue
             ps.bytes_in_flight -= rec.size
             # packet numbers rise with send indexes on a path
             if rec.path_history_index > ps.largest_acked_index:
                 ps.largest_acked_index = rec.path_history_index
-            acked_bytes_by_path[rec.path] = acked_bytes_by_path.get(rec.path, 0) + rec.size
+            acked_bytes_by_path[path] = acked_bytes_by_path.get(path, 0) + rec.size
         for path, acked in acked_bytes_by_path.items():
             self.paths[path].cc.on_ack(acked, now)
 
@@ -213,7 +223,7 @@ class SenderState:
         least `K_PACKET_THRESHOLD` sends after it, or when it was sent before
         the largest acked and has aged past 9/8 of the path's RTT.
         """
-        ps = self.paths[path]
+        ps, send_times = self.paths[path], self._path_spaces[path].send_times
         i = ps.largest_acked_index
         rtt_basis = max(ps.smoothed_rtt or 0, ps.latest_rtt or 0)
         time_cutoff = None
@@ -226,17 +236,17 @@ class SenderState:
                 break  # sent at or after the largest acked packet
             if idx <= i - K_PACKET_THRESHOLD:
                 lost.append((rec, True))
-            elif time_cutoff is not None and rec.send_time <= time_cutoff:
+            elif time_cutoff is not None and send_times[rec.pn] <= time_cutoff:
                 lost.append((rec, False))
         out = []
         for rec, by_count in lost:
-            del ps.unacked[rec.pn]  # the record stays in its space's outstanding
+            del ps.unacked[rec.pn]  # the number stays in its space's outstanding
             ps.bytes_in_flight -= rec.size
             if by_count:
                 self.packet_threshold_losses += 1
             else:
                 self.time_threshold_losses += 1
-            if rec.send_time > ps.cc.recovery_start_time:
+            if send_times[rec.pn] > ps.cc.recovery_start_time:
                 ps.cc.on_loss(now)
             out.append(rec)
         return out

@@ -84,7 +84,6 @@ class Simulation:
         # the chunks above it (offset -> size)
         self.delivered_to = 0
         self.delivered_above: dict[int, int] = {}
-        self.delivered_bytes = 0
         self.completion_us: int | None = None
         self.report: MetricsReport | None = None  # set when the run ends
 
@@ -185,8 +184,8 @@ class Simulation:
             above[offset] = size
             while self.delivered_to in above:
                 self.delivered_to += above.pop(self.delivered_to)
-            self.delivered_bytes += size
-            if self.delivered_bytes >= self.config.transfer_size:
+            # the chunks partition the payload: this prefix is every byte
+            if self.delivered_to == self.config.transfer_size:
                 self.completion_us = now
         if ack_now:
             self._emit_ack(self.receiver.build_ack_frame(path, now), path, now)

@@ -246,6 +246,17 @@ def test_wire_size_rejects_malformed():
         )
 
 
+def test_negative_ack_delay_refused():
+    frame = AckFrame(space=0, largest_acked=5, ack_delay=-40_000, ranges=[AckRange(5, 0)])
+    with pytest.raises(InvariantViolation, match="negative ack_delay -40000"):
+        frame.validate([0, 5])
+    # refused by the check, before the delay's varint is sized
+    with pytest.raises(InvariantViolation):
+        ack_frame_wire_size(frame, SpaceMode.SPNS)
+    frame.ack_delay = 0
+    assert frame.validate([0, 5]) == [0, 5]
+
+
 # -- one-pass frame handling: differential checks ----------------------------
 
 

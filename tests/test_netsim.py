@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 from hypothesis import example, given, settings
@@ -125,6 +126,56 @@ def test_conservation_of_packets():
         link.transmit(1200, now=i * 500)
     assert link.attempts == 400
     assert link.attempts == link.delivered + link.queue_drops + link.loss_drops
+
+
+class BusyUntilLink:
+    """A rate-limited link direction that keeps its serialization clock,
+    `busy_until`, beside its queue of departures: a packet starts at
+    `max(now, busy_until)`."""
+
+    def __init__(self, delay_us, rate_bps, loss_rate, queue_capacity, rng):
+        self.delay_us, self.rate_bps, self.rng = delay_us, rate_bps, rng
+        self.loss_rate, self.queue_capacity = loss_rate, queue_capacity
+        self.busy_until = 0
+        self.departures = deque()
+        self.delivered = self.queue_drops = self.loss_drops = 0
+
+    def transmit(self, size, now):
+        while self.departures and self.departures[0] <= now:
+            self.departures.popleft()
+        if len(self.departures) > self.queue_capacity:
+            self.queue_drops += 1
+            return None
+        self.busy_until = max(now, self.busy_until) + int(round(size * 8 * 1e6 / self.rate_bps))
+        self.departures.append(self.busy_until)
+        if self.loss_rate > 0.0 and self.rng.random() < self.loss_rate:
+            self.loss_drops += 1
+            return None
+        self.delivered += 1
+        return self.busy_until + self.delay_us
+
+
+@settings(max_examples=300)
+@given(
+    rate_bps=st.sampled_from([1e6, 8e6, 40e6, 123_456.7]),
+    queue_capacity=st.integers(0, 4),
+    loss_rate=st.sampled_from([0.0, 0.1, 0.4]),
+    seed=st.integers(0, 1000),
+    sends=st.lists(st.tuples(st.integers(0, 3_000), st.integers(1, 1500)), max_size=60),
+)
+def test_rate_link_matches_a_busy_until_clock(rate_bps, queue_capacity, loss_rate, seed, sends):
+    """Starting each packet after the last queued departure, or at once when
+    the queue is empty, gives the arrivals and drops of a serialization clock."""
+    args = dict(rate_bps=rate_bps, loss_rate=loss_rate, queue_capacity=queue_capacity)
+    link = LinkDirection(delay_us=5_000, rng=random.Random(seed), **args)
+    reference = BusyUntilLink(delay_us=5_000, rng=random.Random(seed), **args)
+    now = 0
+    for gap, size in sends:
+        now += gap  # non-decreasing, with bursts at one instant
+        assert link.transmit(size, now) == reference.transmit(size, now)
+    counters = (link.delivered, link.queue_drops, link.loss_drops)
+    assert counters == (reference.delivered, reference.queue_drops, reference.loss_drops)
+    assert link.attempts == len(sends)
 
 
 def test_pure_delay_link():

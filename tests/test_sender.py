@@ -1,3 +1,6 @@
+from array import array
+from enum import Enum
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,6 +40,22 @@ def acknowledge(sender, arrival_path, frame, now):
     before = unacked_pns(sender)
     lost = sender.on_ack_received(arrival_path, frame, now)
     return before - unacked_pns(sender) - {r.pn for r in lost}, lost
+
+
+def plain_state(value):
+    """A sender's whole state as plain data, to compare before and after a call:
+    objects by their attributes, containers by their items in order."""
+    if isinstance(value, dict):
+        return [(key, plain_state(item)) for key, item in value.items()]
+    if isinstance(value, (list, tuple, array)):
+        return [plain_state(item) for item in value]
+    if isinstance(value, Enum):
+        return value
+    if hasattr(value, "__dict__"):
+        return plain_state(vars(value))
+    if hasattr(value, "__slots__"):
+        return [(name, plain_state(getattr(value, name))) for name in value.__slots__]
+    return value
 
 
 def ack(space=0, largest=None, ranges=None, delay=0):
@@ -174,14 +193,7 @@ def test_ack_for_never_sent_packet_is_protocol_error():
 
 def test_refused_frame_changes_no_sender_state():
     sender = send_fig_history(make_sender())
-
-    def state():
-        return [
-            (list(ps.unacked), ps.bytes_in_flight, ps.largest_acked_index, ps.cc.cwnd)
-            for ps in sender.paths
-        ]
-
-    before = state()
+    before = plain_state(sender)
     # the bottom range covers outstanding packets before the walk meets the
     # overlapping range above it
     with pytest.raises(InvariantViolation):
@@ -189,9 +201,35 @@ def test_refused_frame_changes_no_sender_state():
     # a well-formed frame whose largest was never sent
     with pytest.raises(ProtocolError):
         sender.on_ack_received(0, ack(ranges=[AckRange(20, 18), AckRange(6, 0)]), now=50)
-    assert state() == before
+    assert plain_state(sender) == before
     newly, _ = acknowledge(sender, 0, ack(ranges=[AckRange(7, 6), AckRange(2, 0)]), now=50)
     assert newly == {0, 1, 2, 6, 7}
+
+
+def test_ack_no_later_than_its_largest_send_changes_no_sender_state():
+    sender = make_sender()
+    sender.send_packet(0, 1000, now=5_000)
+    before = plain_state(sender)
+    # a sample of 0 or less: refused before any record is freed or window credited
+    for now in (5_000, 4_000):
+        with pytest.raises(ProtocolError, match="sent at 5000"):
+            sender.on_ack_received(0, ack(largest=0), now=now)
+        assert plain_state(sender) == before
+    sender.on_ack_received(0, ack(largest=0), now=5_001)
+    assert (sender.paths[0].unacked, sender.paths[0].pto_deadline) == ({}, None)
+
+
+def test_negative_ack_delay_changes_no_sender_state():
+    sender = make_sender()
+    sender.send_packet(0, 100, now=0)
+    sender.on_ack_received(0, ack(largest=0), now=50_000)
+    sender.send_packet(0, 100, now=100_000)
+    before = plain_state(sender)
+    # a 50 ms sample with it would have raised srtt from 50 to 55 ms
+    with pytest.raises(InvariantViolation, match="negative ack_delay"):
+        sender.on_ack_received(0, ack(largest=1, delay=-40_000), now=150_000)
+    assert plain_state(sender) == before
+    assert sender.paths[0].smoothed_rtt == 50_000
 
 
 def test_mpns_ack_targets_its_space():
@@ -211,20 +249,11 @@ def test_mpns_ack_targets_its_space():
 
 def test_spns_refuses_a_frame_naming_another_space():
     sender = send_fig_history(make_sender(SpaceMode.SPNS))
-
-    def state():
-        paths = [
-            (list(ps.unacked), ps.bytes_in_flight, ps.largest_acked_index, ps.largest_credited,
-             ps.smoothed_rtt, ps.rtt_samples_ms[:], ps.srtt_ms[:], ps.cc.cwnd)
-            for ps in sender.paths
-        ]
-        return paths, list(sender._spaces[0].outstanding), sender.mixed_samples_ms[:]
-
-    before = state()
+    before = plain_state(sender)
     # the shared space is 0; a frame naming any other acknowledges nothing
     with pytest.raises(ProtocolError, match="unknown space 7"):
         sender.on_ack_received(0, ack(space=7, largest=1), now=100)
-    assert state() == before
+    assert plain_state(sender) == before
 
 
 # -- pacing gate and PTO deadline ------------------------------------------------

@@ -1,15 +1,18 @@
+import functools
 import gc
 import weakref
 
 import pytest
 
 from mpqsim.congestion import CcAlgorithm
-from mpqsim.core import ConfigError, SentPacketRecord, SpaceMode
+from mpqsim.core import ConfigError, SpaceMode
 from mpqsim.netsim import LinkModel, TraceSchedule
 from mpqsim.receiver import RecvConfig
 from mpqsim.scenario import ScenarioConfig
 from mpqsim.scheduler import SchedulerKind
+from mpqsim.sender import SentPacketRecord
 from mpqsim.simulation import Simulation, auto_window_packets
+from test_golden import GOLDEN
 
 
 def two_path_config(mode=SpaceMode.SPNS, transfer=400_000, seed=3, **kw):
@@ -45,7 +48,7 @@ def test_transfer_completes_and_accounts_bytes():
     sim = Simulation(two_path_config())
     report = sim.run()
     assert report.complete
-    assert sim.delivered_bytes == 400_000
+    assert (sim.delivered_to, sim.delivered_above) == (400_000, {})
     assert report.goodput_kBps == pytest.approx(400 / report.completion_time_s)
     assert report.packets_sent >= report.packets_received
     # both paths carried traffic
@@ -71,19 +74,28 @@ def test_each_delivered_chunk_counts_once():
     for pn, (offset, size, prefix, above) in enumerate(arrivals):
         sim._on_data(pn, 0, pn, size, offset)
         delivered.add((offset, size))
-        assert sim.delivered_bytes == sum(size for _, size in delivered)
+        held = sim.delivered_to + sum(sim.delivered_above.values())
+        assert held == sum(size for _, size in delivered)
         assert (sim.delivered_to, sim.delivered_above) == (prefix, above)
         assert (sim.completion_us is not None) == (pn == len(arrivals) - 1)
-    assert sim.delivered_bytes == 4_500
+    assert sim.delivered_to == 4_500
 
 
-@pytest.mark.parametrize("mode", list(SpaceMode))
-def test_a_finished_run_keeps_only_its_outstanding_records(mode):
-    sim = Simulation(two_path_config(mode))
+@pytest.mark.parametrize(
+    "make_config",
+    [pytest.param(functools.partial(two_path_config, mode), id=str(mode)) for mode in SpaceMode]
+    # lossy runs: a packet declared lost leaves no record behind
+    + [
+        pytest.param(GOLDEN[name][0], id=name)
+        for name in ("spns-lossy-suppress-1", "lossy-4p-roundrobin-newreno")
+    ],
+)
+def test_a_finished_run_keeps_only_its_unacked_records(make_config):
+    sim = Simulation(make_config())
     assert sim.run().complete
     gc.collect()
     live = {id(obj) for obj in gc.get_objects() if isinstance(obj, SentPacketRecord)}
-    held = {id(rec) for sp in sim.sender._spaces.values() for rec in sp.outstanding.values()}
+    held = {id(rec) for ps in sim.sender.paths for rec in ps.unacked.values()}
     assert live == held
 
 
