@@ -14,6 +14,7 @@ from .core import (
     InvariantViolation,
     ProtocolError,
     RangeSet,
+    Series,
     SpaceMode,
     ack_frame_wire_size,
     varint_size,
@@ -59,6 +60,7 @@ __all__ = [
     "SchedulerKind",
     "SenderState",
     "SentPacketRecord",
+    "Series",
     "Simulation",
     "SpaceMode",
     "TraceSchedule",

@@ -1,6 +1,7 @@
 """Core wire-format types shared by sender, receiver, and simulator: ACK
 frames, their ranges and encoded size, and the range set a receiver builds
-them from. Per-packet send state lives with the sender (`mpqsim.sender`).
+them from; and `Series`, the typed columns a report series is kept in.
+Per-packet send state lives with the sender (`mpqsim.sender`).
 
 Packet numbers are plain ints in [0, 2^62), path ids are small ints.
 Times are integer microseconds unless noted otherwise.
@@ -13,8 +14,10 @@ import functools
 import math
 import operator
 import types
+from array import array
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from itertools import chain
 from typing import Callable, Iterable, Literal, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 MAX_PACKET_NUMBER = (1 << 62) - 1
@@ -319,3 +322,80 @@ class RangeSet:
         if out and anchor is not None and out[0].largest > anchor:
             out[0] = AckRange(anchor, out[0].smallest)
         return out
+
+
+def _merged(runs: list) -> array | list:
+    """One ascending run as it is; several merged into one, by a stable sort
+    of their concatenation, which Timsort does as a merge of the runs and
+    which keeps each run's own objects."""
+    return runs[0] if len(runs) == 1 else sorted(chain.from_iterable(runs))
+
+
+class Series:
+    """A report series of `(time_ms, value)` pairs, kept as typed columns.
+
+    `values` is an `array` of `typecode`. The times are the float columns in
+    `columns`: one of the series' own, which `append` extends, or those of
+    the series in `times_of`, read instead of stored again: one series'
+    column, shared, or the ascending columns of several, merged in time
+    order. A series that reads other series' times takes `values.append`
+    alone, once they have logged the instant.
+
+    It iterates, indexes, slices, measures and compares (with a series or
+    a list) as the list of its `(time, value)` pairs; a slice is that list.
+    """
+
+    __slots__ = ("columns", "values")
+
+    def __init__(self, typecode: str, times_of: Iterable[Series] = ()) -> None:
+        self.columns = tuple(chain.from_iterable(s.columns for s in times_of)) or (array("d"),)
+        self.values = array(typecode)
+
+    @classmethod
+    def from_pairs(cls, typecode: str, pairs: Iterable) -> Series:
+        series = cls(typecode)
+        for t, value in pairs:
+            series.append(t, value)
+        return series
+
+    def append(self, t: float, value: float) -> None:
+        self.columns[0].append(t)
+        self.values.append(value)
+
+    def times(self) -> array | list:
+        """The series' times: its one column, or its columns merged."""
+        return _merged(self.columns)
+
+    def pairs(self, floats: dict[int, list[float]]) -> list[tuple]:
+        """A fresh list of the `(time, value)` tuples, zipped in C, for export.
+
+        `floats` maps a times column, by id, to its `tolist()`. One dict
+        serves a whole export, so each column's floats are built once and
+        an instant is the same float object in every series that reads it.
+        """
+        runs = []
+        for column in self.columns:
+            if id(column) not in floats:
+                floats[id(column)] = column.tolist()
+            runs.append(floats[id(column)])
+        return list(zip(_merged(runs), self.values.tolist()))
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __iter__(self):
+        return zip(self.times(), self.values)
+
+    def __getitem__(self, index: int | slice):
+        times = self.times()
+        if isinstance(index, slice):
+            return list(zip(times[index], self.values[index]))
+        return times[index], self.values[index]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (Series, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Series({list(self)!r})"

@@ -89,7 +89,7 @@ def export_report(report: MetricsReport, fmt: str, path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["series", "key", "value"])
         # scalar rows first, then each series in declaration order
-        for name, codec in sorted(FIELD_CODECS, key=lambda item: item[1] is not None):
+        for name, codec, _ in sorted(FIELD_CODECS, key=lambda item: item[1] is not None):
             value, series = getattr(report, name), _CSV_SERIES.get(name, name)
             if codec is None:
                 writer.writerow([name, "", value])

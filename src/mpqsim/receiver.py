@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import DEFAULT_MAX_ACK_DELAY, AckFrame, ConfigError, RangeSet, SpaceMode, check_field_types
+from .core import DEFAULT_MAX_ACK_DELAY, AckFrame, ConfigError, RangeSet, Series, SpaceMode, check_field_types
 
 
 @dataclass(slots=True)
@@ -58,9 +58,11 @@ class PathRecvState:
 class ReceiverState:
     """Tracks received packet numbers per space and drives ACK emission.
 
-    Each accepted arrival is logged in report units where it is recorded:
-    `(t_ms, pn)` in its path's `received_pn` series and `(t_ms, holes)`,
-    the hole count of its space, in `hole_count`.
+    Each accepted arrival is logged in report units where it is recorded,
+    in `Series` columns that the report holds as they are: `(t_ms, pn)` in
+    its path's `received_pn` series, and the hole count of its space in
+    `hole_count`, which stores counts only and reads its times as the
+    merge, in time order, of every path's `received_pn` times.
     """
 
     def __init__(self, mode: SpaceMode, num_paths: int, config: RecvConfig | None = None):
@@ -73,8 +75,8 @@ class ReceiverState:
         self.per_path = [PathRecvState(p) for p in range(num_paths)]
         # per space: received packets that no built frame has covered yet
         self.uncovered: dict[int, set[int]] = {s: set() for s in self.spaces}
-        self.received_pn: dict[int, list[tuple[float, int]]] = {p: [] for p in range(num_paths)}
-        self.hole_count: list[tuple[float, int]] = []
+        self.received_pn = {p: Series("q") for p in range(num_paths)}
+        self.hole_count = Series("I", times_of=self.received_pn.values())
 
     def _check_path(self, path: int) -> None:
         if not (0 <= path < len(self.per_path)):
@@ -95,9 +97,8 @@ class ReceiverState:
         # late or gap-creating arrivals; the first packet of a space is in order
         out_of_order = prev_max is not None and pn != prev_max + 1
         rs.insert(pn)
-        t_ms = now / 1000
-        self.received_pn[path].append((t_ms, pn))
-        self.hole_count.append((t_ms, rs.holes()))
+        self.received_pn[path].append(now / 1000, pn)
+        self.hole_count.values.append(rs.holes())
         prs = self.per_path[path]
         if prs.largest_recv_pn is None or pn > prs.largest_recv_pn:
             prs.largest_recv_pn = pn

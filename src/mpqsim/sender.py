@@ -19,8 +19,10 @@ and both anchoring modes only raise the anchor. Samples whose largest was
 sent on a different path than the one that carried the ACK land in a mixed
 bucket instead of any path's smoothed estimate; with per-path anchored
 ACKs this never happens. Each sample is logged where it is taken, in the
-report's units (ms): a credited one in its path's `rtt_samples_ms` and
-`srtt_ms`, a mixed one in `SenderState.mixed_samples_ms`.
+report's units (ms), in `Series` columns that the report holds as they
+are: a credited one in its path's `rtt_samples_ms`, whose times column its
+`srtt_ms` shares, so an instant is stored once; a mixed one in
+`SenderState.mixed_samples_ms`.
 
 Each path's state also holds its pacing gate and its PTO deadline. A send
 moves the gate on at cwnd/srtt and restarts the deadline; an ACK restarts
@@ -34,7 +36,7 @@ from array import array
 from dataclasses import dataclass
 
 from .congestion import CcAlgorithm, CongestionController
-from .core import DEFAULT_MAX_ACK_DELAY, AckFrame, ProtocolError, SpaceMode
+from .core import DEFAULT_MAX_ACK_DELAY, AckFrame, ProtocolError, Series, SpaceMode
 
 K_INITIAL_RTT = 333_000  # microseconds, used for PTO before the first sample
 # RFC 9002 §6.1 loss detection; the time threshold is 9/8 of the RTT
@@ -74,8 +76,8 @@ class PathSendState:
         # largest acknowledged of every ACK attributed to this path so far
         self.largest_credited: int = -1
         # (ack time ms, value ms) at each sample credited to this path
-        self.rtt_samples_ms: list[tuple[float, float]] = []
-        self.srtt_ms: list[tuple[float, float]] = []
+        self.rtt_samples_ms = Series("d")
+        self.srtt_ms = Series("d", times_of=[self.rtt_samples_ms])
         self.pace_next = 0  # pacing gate: the path sends again from this time on
         # PTO deadline (RFC 9002 §6.2.1), None exactly while nothing is unacked
         self.pto_deadline: int | None = None
@@ -140,7 +142,7 @@ class SenderState:
         self.packet_threshold_losses = 0
         self.time_threshold_losses = 0
         self.spurious_count = 0
-        self.mixed_samples_ms: list[tuple[float, float]] = []  # (ack time ms, sample ms)
+        self.mixed_samples_ms = Series("d")  # (ack time ms, sample ms)
 
     def send_packet(self, path: int, size: int, now: int, payload_offset: int = 0) -> SentPacketRecord:
         """Number the next packet of `path`'s space, register the send, and
@@ -200,13 +202,12 @@ class SenderState:
 
         if largest_newly_for_path:
             sample = now - sp.send_times[largest]
-            t_ms = now / 1000
             if sp.sent_on[largest] == credit_path:
                 credit_state.update_rtt(sample, frame.ack_delay)
-                credit_state.rtt_samples_ms.append((t_ms, sample / 1000))
-                credit_state.srtt_ms.append((t_ms, credit_state.smoothed_rtt / 1000))
+                credit_state.rtt_samples_ms.append(now / 1000, sample / 1000)
+                credit_state.srtt_ms.values.append(credit_state.smoothed_rtt / 1000)
             else:
-                self.mixed_samples_ms.append((t_ms, sample / 1000))
+                self.mixed_samples_ms.append(now / 1000, sample / 1000)
             credit_state.largest_credited = largest
 
         lost: list[SentPacketRecord] = []

@@ -7,6 +7,7 @@ from mpqsim.core import (
     AckRange,
     InvariantViolation,
     RangeSet,
+    Series,
     SpaceMode,
     ack_frame_wire_size,
     varint_size,
@@ -462,3 +463,84 @@ def test_cached_frame_size_equals_the_range_by_range_sum(case, data):
         for mode in SpaceMode:
             assert ack_frame_wire_size(frame, mode) == ack_frame_wire_size(by_hand, mode)
             assert ack_frame_wire_size(frame, mode) == _reference_wire_size(frame, mode)
+
+
+# -- report series -------------------------------------------------------------
+
+
+def test_empty_series_is_an_empty_list_of_pairs():
+    series = Series("q")
+    assert len(series) == 0
+    assert list(series) == [] and series[:] == []
+    assert series == [] and [] == series
+    with pytest.raises(IndexError):
+        series[-1]
+
+
+def test_series_appends_read_back_as_typed_pairs():
+    pns, holes, rtts = Series("q"), Series("I"), Series("d")
+    for t, pn in [(1.0, 0), (1.5, 7), (2.25, 3)]:
+        pns.append(t, pn)
+        holes.append(t, pn % 2)
+        rtts.append(t, pn / 4)
+    assert len(pns) == len(holes) == len(rtts) == 3
+    assert list(pns) == [(1.0, 0), (1.5, 7), (2.25, 3)]
+    for (t, pn), (_, count), (_, ms) in zip(pns, holes, rtts):
+        assert (type(t), type(pn), type(count), type(ms)) == (float, int, int, float)
+
+
+def test_series_indexes_and_slices_as_its_pairs():
+    series = Series("q")
+    for t, pn in [(1.0, 0), (1.5, 7), (2.25, 3)]:
+        series.append(t, pn)
+    assert series[0] == (1.0, 0) and series[-1] == (2.25, 3)
+    # a reader that has seen `k` entries takes the rest as a list
+    assert series[1:] == [(1.5, 7), (2.25, 3)] and series[3:] == []
+    assert series[-2:] == list(series)[-2:]
+
+
+def test_series_compares_with_a_list_of_pairs_both_ways():
+    series = Series("d")
+    series.append(0.5, 12.5)
+    assert series == [(0.5, 12.5)] and [(0.5, 12.5)] == series
+    assert series != [(0.5, 12.0)] and [(0.5, 12.0)] != series
+    assert series != [] and series != [(0.5, 12.5), (0.5, 12.5)]
+    assert series == Series.from_pairs("d", [(0.5, 12.5)])
+    assert series != ((0.5, 12.5),)  # only a list or a series compares equal
+
+
+def test_series_reading_another_series_times_stores_values_only():
+    samples = Series("d")
+    smoothed = Series("d", times_of=[samples])
+    for t, sample in [(1.0, 30.0), (2.0, 50.0)]:
+        samples.append(t, sample)
+        smoothed.values.append(sample / 2)
+    assert smoothed.columns == samples.columns  # the very same column
+    assert smoothed == [(1.0, 15.0), (2.0, 25.0)]
+
+
+def test_series_merges_several_series_times_in_time_order():
+    paths = {0: Series("q"), 1: Series("q")}
+    holes = Series("I", times_of=paths.values())
+    for t, path, pn, count in [(1.0, 0, 0, 0), (1.5, 1, 2, 1), (1.5, 0, 3, 1), (2.0, 1, 1, 0)]:
+        paths[path].append(t, pn)
+        holes.values.append(count)
+    assert holes == [(1.0, 0), (1.5, 1), (1.5, 1), (2.0, 0)]
+    assert holes[-1] == (2.0, 0) and holes[2:] == [(1.5, 1), (2.0, 0)]
+
+
+def test_series_export_builds_each_time_column_once():
+    arrivals = {0: Series("q"), 1: Series("q")}
+    holes = Series("I", times_of=arrivals.values())
+    for t, path, pn in [(1.0, 0, 0), (1.5, 1, 2), (2.0, 0, 1)]:
+        arrivals[path].append(t, pn)
+        holes.values.append(pn)
+    floats: dict = {}
+    pairs = {path: series.pairs(floats) for path, series in arrivals.items()}
+    merged = holes.pairs(floats)
+    assert pairs == {0: [(1.0, 0), (2.0, 1)], 1: [(1.5, 2)]}
+    assert merged == [(1.0, 0), (1.5, 2), (2.0, 1)]
+    assert [type(pair) for pair in merged] == [tuple] * 3
+    # each arrival's time is one float object in both exports
+    own = [pairs[0][0][0], pairs[1][0][0], pairs[0][1][0]]
+    assert all(t is arrival for (t, _), arrival in zip(merged, own))

@@ -447,3 +447,16 @@ def test_report_from_dict_restores_types():
     clone = MetricsReport.from_dict(json.loads(json.dumps(report.to_dict())))
     assert clone == report
     assert isinstance(next(iter(clone.ack_range_count_histogram)), int)
+    # each series comes back in columns of the run's typecodes, packet
+    # numbers and hole counts as ints, and exports the same document
+    for name in ("srtt_ms", "rtt_samples_ms", "received_pn"):
+        for path, series in getattr(report, name).items():
+            loaded = getattr(clone, name)[path]
+            assert len(loaded) == len(series) > 0
+            assert loaded == series and series == loaded
+            assert loaded.values.typecode == series.values.typecode
+    assert clone.hole_count.values.typecode == report.hole_count.values.typecode
+    assert clone.mixed_samples_ms.values.typecode == report.mixed_samples_ms.values.typecode
+    assert all(type(pn) is int for series in clone.received_pn.values() for _, pn in series)
+    assert all(type(holes) is int for _, holes in clone.hole_count)
+    assert json.dumps(clone.to_dict()) == json.dumps(report.to_dict())

@@ -195,6 +195,16 @@ def test_a_field_of_the_wrong_type_is_refused_before_the_run(config):
     Simulation(config)
 
 
+def check_encoding(frame: AckFrame, mode: SpaceMode) -> None:
+    """The model's size of `frame` is that of its RFC 9000 encoding, which
+    decodes back to the frame."""
+    data = ack_encode(frame, mode)
+    assert len(data) == ack_frame_wire_size(frame, mode)
+    space = frame.space if mode is SpaceMode.MPNS else None
+    delay = frame.ack_delay >> ACK_DELAY_EXPONENT
+    assert ack_decode(data, mode) == (space, frame.largest_acked, delay, frame.ranges)
+
+
 def watch_invariants(sim: Simulation) -> dict:
     """Check the protocol invariants after every event and on every built frame.
 
@@ -219,13 +229,7 @@ def watch_invariants(sim: Simulation) -> dict:
         assert all(pn in got for hi, lo in frame.ranges for pn in range(lo, hi + 1))
         by_hand = dataclasses.replace(frame, wire_size=None)
         assert ack_frame_wire_size(frame, sim.mode) == ack_frame_wire_size(by_hand, sim.mode)
-        # the model's size is that of the frame's RFC 9000 encoding, which
-        # decodes back to the frame
-        data = ack_encode(frame, sim.mode)
-        assert len(data) == ack_frame_wire_size(frame, sim.mode)
-        space = frame.space if sim.mode is SpaceMode.MPNS else None
-        delay = frame.ack_delay >> ACK_DELAY_EXPONENT
-        assert ack_decode(data, sim.mode) == (space, frame.largest_acked, delay, frame.ranges)
+        check_encoding(frame, sim.mode)
         assert widest is None or len(frame.ranges) <= widest
         return frame
 
@@ -317,6 +321,28 @@ def checked_run(config: ScenarioConfig) -> MetricsReport:
         assert [t for t, _ in report.srtt_ms[path]] == [t for t, _ in samples]
     assert MetricsReport.from_dict(json.loads(json.dumps(report.to_dict()))) == report
     return report
+
+
+def test_a_lossy_reference_run_encodes_its_frames_of_65_ranges_exactly():
+    # the two-path reference at 4 MB, 3% loss on both paths, SPNS without
+    # suppression: lost numbers stay holes, so about a quarter of the frames
+    # carry 65 or more ranges and a 2-byte range count
+    reference = parse_config_file(Path(__file__).parent.parent / "scenarios" / "two_path.ini")
+    lossy = [dataclasses.replace(link, loss_rate=0.03) for link in reference.paths]
+    config = dataclasses.replace(reference, transfer_size=4_000_000, paths=lossy)
+    assert (config.mode, config.seed, config.recv.suppression_enabled) == (SpaceMode.SPNS, 7, False)
+    sim = Simulation(config)
+    build, widths = sim.receiver.build_ack_frame, []
+
+    def checked_build(path: int, now: int) -> AckFrame:
+        frame = build(path, now)
+        check_encoding(frame, sim.mode)
+        widths.append(len(frame.ranges))
+        return frame
+
+    sim.receiver.build_ack_frame = checked_build
+    assert sim.run().complete
+    assert max(widths) >= 65
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)

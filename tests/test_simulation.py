@@ -1,5 +1,6 @@
 import functools
 import gc
+import tracemalloc
 import weakref
 
 import pytest
@@ -97,6 +98,40 @@ def test_a_finished_run_keeps_only_its_unacked_records(make_config):
     live = {id(obj) for obj in gc.get_objects() if isinstance(obj, SentPacketRecord)}
     held = {id(rec) for ps in sim.sender.paths for rec in ps.unacked.values()}
     assert live == held
+
+
+def test_a_report_holds_under_64_bytes_a_received_packet():
+    # the bytes freed with the report: its series are typed columns, and
+    # each instant is stored once
+    tracemalloc.start()
+    try:
+        sim = Simulation(two_path_config(transfer=2_000_000, seed=7))
+        report = sim.run()
+        del sim
+        gc.collect()
+        with_report = tracemalloc.get_traced_memory()[0]
+        assert report.complete and report.packets_received > 1_000
+        packets = report.packets_received
+        del report
+        gc.collect()
+        held = with_report - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held / packets < 64
+
+
+def test_export_builds_each_instant_once():
+    data = Simulation(two_path_config(transfer=2_000_000, seed=7)).run().to_dict()
+    # the hole counts' times are the arrivals' time objects, each once
+    arrivals = [t for series in data["received_pn"].values() for t, _ in series]
+    hole_times = [t for t, _ in data["hole_count"]]
+    assert hole_times == sorted(arrivals)
+    assert sorted(map(id, hole_times)) == sorted(map(id, arrivals))
+    # a path's smoothed RTT is logged at its samples' time objects
+    for path, samples in data["rtt_samples_ms"].items():
+        smoothed = data["srtt_ms"][path]
+        assert len(smoothed) == len(samples) > 0
+        assert all(s is t for (s, _), (t, _) in zip(smoothed, samples))
 
 
 def test_single_path_modes_complete_identically():
