@@ -117,37 +117,39 @@ class AckRange(NamedTuple):
 
 @dataclass(slots=True)
 class AckFrame:
-    """Abstract ACK frame: largest acknowledged, delay, descending ranges.
+    """Abstract ACK frame: delay and descending ranges.
 
     `space` identifies the acknowledged number space: 0 for the shared
-    connection-wide space, the path id for per-path spaces. `wire_size`,
-    when the builder knows it, is the frame's encoded size without the
-    per-path space varint (see `ack_frame_wire_size`); it follows from the
-    other fields, so frames compare without it.
+    connection-wide space, the path id for per-path spaces. The largest
+    acknowledged is the first range's top, as on the wire (RFC 9000 §19.3).
+    `wire_size`, when the builder knows it, is the frame's encoded size
+    without the per-path space varint (see `ack_frame_wire_size`); it
+    follows from the other fields, so frames compare without it.
     """
 
     space: int
-    largest_acked: int
     ack_delay: int  # microseconds
     ranges: list[AckRange]
     wire_size: int | None = field(default=None, compare=False)
 
+    @property
+    def largest_acked(self) -> int:
+        return self.ranges[0].largest
+
     def validate(self, pns: Iterable[int] = ()) -> list[int]:
         """Check the ranges and return the members of `pns` the frame acknowledges.
 
-        Refuses a frame with a negative `ack_delay`, or whose ranges are not
-        non-negative, descending, disjoint and non-adjacent, or whose first
-        range does not start at `largest_acked`. `pns` must be ascending;
-        the ranges are walked bottom-up once, alongside it, and numbers
-        above `largest_acked` are never read.
+        Refuses a frame with a negative `ack_delay`, or with no ranges, or
+        whose ranges are not non-negative, descending, disjoint and
+        non-adjacent. `pns` must be ascending; the ranges are walked
+        bottom-up once, alongside it, and numbers above the largest
+        acknowledged are never read.
         """
         if self.ack_delay < 0:
             raise InvariantViolation(f"negative ack_delay {self.ack_delay}")
         ranges = self.ranges
         if not ranges:
             raise InvariantViolation("ACK frame must carry at least one range")
-        if ranges[0].largest != self.largest_acked:
-            raise InvariantViolation("first range must start at largest_acked")
         covered: list[int] = []
         numbers, end = iter(pns), math.inf  # `end` lies above every range
         pn = next(numbers, end)
@@ -175,15 +177,17 @@ def _range_bytes(above_smallest: int, largest: int, smallest: int) -> int:
     )
 
 
-def _header_size(largest_acked: int, ack_delay: int, ranges: list[AckRange]) -> int:
+def _header_size(ack_delay: int, ranges: list[AckRange]) -> int:
     """Bytes of an ACK frame up to its first range: type, largest
-    acknowledged, encoded delay, range count - 1 and first range length."""
+    acknowledged (the first range's top), encoded delay, range count - 1
+    and first range length."""
+    largest, smallest = ranges[0]
     return (
         1
-        + varint_size(largest_acked)
+        + varint_size(largest)
         + varint_size(ack_delay >> ACK_DELAY_EXPONENT)
         + varint_size(len(ranges) - 1)
-        + varint_size(largest_acked - ranges[0].smallest)
+        + varint_size(largest - smallest)
     )
 
 
@@ -280,10 +284,9 @@ class RangeSet:
         """
         count = len(ranges)
         top = bisect.bisect_left(self._ranges, ranges[0].smallest, key=_smallest)
-        largest = ranges[0].largest
-        size = _header_size(largest, ack_delay, ranges)
+        size = _header_size(ack_delay, ranges)
         size += sum(self._gap_bytes[top - count + 1 : top])
-        return AckFrame(space, largest, ack_delay, ranges, size)
+        return AckFrame(space, ack_delay, ranges, size)
 
     def __contains__(self, pn: int) -> bool:
         i = bisect.bisect_right(self._ranges, pn, key=_smallest) - 1

@@ -24,10 +24,11 @@ are: a credited one in its path's `rtt_samples_ms`, whose times column its
 `srtt_ms` shares, so an instant is stored once; a mixed one in
 `SenderState.mixed_samples_ms`.
 
-Each path's state also holds its pacing gate and its PTO deadline. A send
-moves the gate on at cwnd/srtt and restarts the deadline; an ACK restarts
-the deadline of every path it newly acknowledges a packet of, and clears
-it when that path has nothing unacked left.
+Each path's state also holds its controller, its pacing gate and its PTO
+deadline. A send moves the gate on at cwnd/srtt and restarts the deadline.
+An ACK visits every path it newly acknowledges a packet of once, in path
+order: the controller's credit, then loss detection, then the deadline,
+restarted, or cleared when that path has nothing unacked left.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 
-from .congestion import CcAlgorithm, CongestionController
+from .congestion import CongestionController
 from .core import DEFAULT_MAX_ACK_DELAY, AckFrame, ProtocolError, Series, SpaceMode
 
 K_INITIAL_RTT = 333_000  # microseconds, used for PTO before the first sample
@@ -119,23 +120,22 @@ class _SpaceState:
 class SenderState:
     """Connection-level sender: numbering, ack processing, loss detection.
 
-    `max_ack_delay` is the peer's, which every path's PTO interval adds.
+    Path p is controlled by `controllers[p]`. `max_ack_delay` is the
+    peer's, which every path's PTO interval adds.
     """
 
     def __init__(
         self,
         mode: SpaceMode,
-        num_paths: int,
-        cc_factory=None,
+        controllers: list[CongestionController],
         max_ack_delay: int = DEFAULT_MAX_ACK_DELAY,
     ):
+        num_paths = len(controllers)
         if num_paths < 1:
             raise ValueError("need at least one path")
         self.mode = mode
         self.max_ack_delay = max_ack_delay
-        if cc_factory is None:
-            cc_factory = lambda path: CongestionController(CcAlgorithm.CUBIC)
-        self.paths = [PathSendState(p, cc_factory(p)) for p in range(num_paths)]
+        self.paths = [PathSendState(p, cc) for p, cc in enumerate(controllers)]
         self._spaces = {s: _SpaceState() for s in mode.spaces(num_paths)}
         # the space each path sends in, by path id
         self._path_spaces = [self._spaces[mode.space_of(p)] for p in range(num_paths)]
@@ -179,9 +179,6 @@ class SenderState:
         if now <= sp.send_times[largest]:
             raise ProtocolError(f"ACK at {now} covers packet {largest}, sent at {sp.send_times[largest]}")
 
-        credit_state = self.paths[credit_path]
-        largest_newly_for_path = largest > credit_state.largest_credited
-
         acked_bytes_by_path: dict[int, int] = {}
         outstanding, sent_on, paths = sp.outstanding, sp.sent_on, self.paths
         for pn in covered:
@@ -197,10 +194,9 @@ class SenderState:
             if rec.path_history_index > ps.largest_acked_index:
                 ps.largest_acked_index = rec.path_history_index
             acked_bytes_by_path[path] = acked_bytes_by_path.get(path, 0) + rec.size
-        for path, acked in acked_bytes_by_path.items():
-            self.paths[path].cc.on_ack(acked, now)
 
-        if largest_newly_for_path:
+        credit_state = paths[credit_path]
+        if largest > credit_state.largest_credited:
             sample = now - sp.send_times[largest]
             if sp.sent_on[largest] == credit_path:
                 credit_state.update_rtt(sample, frame.ack_delay)
@@ -211,9 +207,10 @@ class SenderState:
             credit_state.largest_credited = largest
 
         lost: list[SentPacketRecord] = []
-        for path in sorted(acked_bytes_by_path):
-            lost += self.detect_losses(path, now)
+        for path, acked in sorted(acked_bytes_by_path.items()):
             ps = paths[path]
+            ps.cc.on_ack(acked, now)
+            lost += self.detect_losses(path, now)
             ps.pto_deadline = now + ps.pto_interval(self.max_ack_delay) if ps.unacked else None
         return lost
 
@@ -230,24 +227,21 @@ class SenderState:
         time_cutoff = None
         if rtt_basis > 0:
             time_cutoff = now - max(rtt_basis * 9 / 8, K_GRANULARITY)
-        lost: list[tuple[SentPacketRecord, bool]] = []
+        out: list[SentPacketRecord] = []
         for rec in ps.unacked.values():
             idx = rec.path_history_index
             if idx >= i:
                 break  # sent at or after the largest acked packet
             if idx <= i - K_PACKET_THRESHOLD:
-                lost.append((rec, True))
-            elif time_cutoff is not None and send_times[rec.pn] <= time_cutoff:
-                lost.append((rec, False))
-        out = []
-        for rec, by_count in lost:
-            del ps.unacked[rec.pn]  # the number stays in its space's outstanding
-            ps.bytes_in_flight -= rec.size
-            if by_count:
                 self.packet_threshold_losses += 1
-            else:
+            elif time_cutoff is not None and send_times[rec.pn] <= time_cutoff:
                 self.time_threshold_losses += 1
+            else:
+                continue
+            ps.bytes_in_flight -= rec.size
             if send_times[rec.pn] > ps.cc.recovery_start_time:
                 ps.cc.on_loss(now)
             out.append(rec)
+        for rec in out:  # the dict cannot shrink while it is walked
+            del ps.unacked[rec.pn]  # the number stays in its space's outstanding
         return out

@@ -47,7 +47,7 @@ class Simulation:
 
         self.down: list[LinkDirection] = []
         self.up: list[LinkDirection] = []
-        window_bytes: list[int | None] = []
+        controllers: list[CongestionController] = []
         for p, lm in enumerate(config.paths):
             self.down.append(
                 LinkDirection(
@@ -69,12 +69,10 @@ class Simulation:
             window = lm.window_packets
             if window == "auto":
                 window = auto_window_packets(lm, self.mtu)
-            window_bytes.append(window * self.mtu if window is not None else None)
+            max_cwnd = window * self.mtu if window is not None else None
+            controllers.append(CongestionController(config.cc, mss=self.mtu, max_cwnd=max_cwnd))
 
-        def cc_factory(path: int) -> CongestionController:
-            return CongestionController(config.cc, mss=self.mtu, max_cwnd=window_bytes[path])
-
-        self.sender = SenderState(config.mode, n, cc_factory, config.recv.max_ack_delay)
+        self.sender = SenderState(config.mode, controllers, config.recv.max_ack_delay)
         self.receiver = ReceiverState(config.mode, n, config.recv)
         self.loop = EventLoop()
 

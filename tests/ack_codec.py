@@ -20,11 +20,12 @@ def ack_encode(frame, mode: SpaceMode) -> bytes:
     fields = [ACK_FRAME_TYPE]
     if mode is SpaceMode.MPNS:
         fields.append(frame.space)
+    largest, smallest = frame.ranges[0]  # the largest acknowledged tops the first range
     fields += [
-        frame.largest_acked,
+        largest,
         frame.ack_delay >> ACK_DELAY_EXPONENT,
         len(frame.ranges) - 1,
-        frame.largest_acked - frame.ranges[0].smallest,
+        largest - smallest,
     ]
     for above, (largest, smallest) in zip(frame.ranges, frame.ranges[1:]):
         fields += [above.smallest - largest - 2, largest - smallest]

@@ -11,6 +11,15 @@ before and after; compare the two with `cmp`:
     python tests/report_fingerprints.py --src ../parent-checkout > before.json
     cmp before.json after.json
 
+`--fields` prints each report's fields instead, one line per field, named
+`seed/input/mode/field` (and `/path` for a per-path series): scalars and
+histograms as they are, each series as `[length, last value, mean]`. The
+`diff` of the two outputs is then the table of what a behaviour change moved:
+
+    python tests/report_fingerprints.py --fields > after.txt
+    python tests/report_fingerprints.py --fields --src ../parent-checkout > before.txt
+    diff before.txt after.txt
+
 `--src` names the checkout whose `src/mpqsim` runs (by default this one);
 the inputs always come from this checkout's `bench/inputs.py`. Not a test
 module: pytest does not collect it.
@@ -22,8 +31,10 @@ import argparse
 import hashlib
 import importlib.util
 import json
+import statistics
 import sys
 import tempfile
+from collections.abc import Iterator
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,20 +49,47 @@ def _load_inputs():
     return module
 
 
-def fingerprints(seeds: list[int]) -> dict[str, str]:
+def reports(seeds: list[int]) -> Iterator[tuple[str, dict]]:
+    """Each `seed/input/mode` with its report's `to_dict()`."""
     from mpqsim.harness import compare_modes, parse_config_file
 
     inputs = _load_inputs()
-    out: dict[str, str] = {}
     with tempfile.TemporaryDirectory() as tmp:
         for seed in seeds:
             for workload in inputs.WORKLOADS:
                 for ini in inputs.write_inputs(workload, seed, Path(tmp) / f"{seed}-{workload}"):
                     comparison = compare_modes(parse_config_file(ini))
                     for mode in ("spns", "mpns"):
-                        report = getattr(comparison, mode)
-                        canonical = json.dumps(report.to_dict(), sort_keys=True).encode()
-                        out[f"{seed}/{ini.stem}/{mode}"] = hashlib.sha256(canonical).hexdigest()
+                        yield f"{seed}/{ini.stem}/{mode}", getattr(comparison, mode).to_dict()
+
+
+def fingerprints(seeds: list[int]) -> dict[str, str]:
+    out: dict[str, str] = {}
+    for name, report in reports(seeds):
+        canonical = json.dumps(report, sort_keys=True).encode()
+        out[name] = hashlib.sha256(canonical).hexdigest()
+    return out
+
+
+def _summary(series: list) -> list:
+    """A series' `[length, last value, mean]` (`[0, None, None]` when empty)."""
+    values = [value for _, value in series]
+    return [len(values), values[-1], statistics.fmean(values)] if values else [0, None, None]
+
+
+def report_fields(seeds: list[int]) -> dict[str, object]:
+    """Every field of every report, by `seed/input/mode/field`; a per-path
+    series by `.../field/path`."""
+    out: dict[str, object] = {}
+    for name, report in reports(seeds):
+        for field, value in report.items():
+            if isinstance(value, list):
+                out[f"{name}/{field}"] = _summary(value)
+            elif isinstance(value, dict) and any(isinstance(v, list) for v in value.values()):
+                for path, series in value.items():
+                    out[f"{name}/{field}/{path}"] = _summary(series)
+            else:
+                out[f"{name}/{field}"] = value
     return out
 
 
@@ -59,6 +97,7 @@ def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=ROOT, help="checkout whose src/mpqsim runs")
     parser.add_argument("--seeds", default="7,3", help="comma-separated input seeds")
+    parser.add_argument("--fields", action="store_true", help="print every field, one per line, not hashes")
     args = parser.parse_args(argv)
     src = args.src.resolve() / "src"
     sys.path.insert(0, str(src))
@@ -68,7 +107,11 @@ def main(argv: list[str] | None = None) -> None:
     if not Path(mpqsim.__file__).resolve().is_relative_to(src):
         sys.exit(f"mpqsim was imported from {mpqsim.__file__}, not from {src}")
     seeds = [int(s) for s in args.seeds.split(",")]
-    print(json.dumps(fingerprints(seeds), indent=1))
+    if args.fields:
+        lines = [f" {json.dumps(k)}: {json.dumps(v)}" for k, v in report_fields(seeds).items()]
+        print("{\n" + ",\n".join(lines) + "\n}")
+    else:
+        print(json.dumps(fingerprints(seeds), indent=1))
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from mpqsim.congestion import CongestionController
 from mpqsim.core import (
     AckFrame,
     AckRange,
@@ -277,7 +278,7 @@ def test_criterion_5_ablation_mixes_samples():
 
 
 def ack_frame_for(pn):
-    return AckFrame(space=0, largest_acked=pn, ack_delay=0, ranges=[AckRange(pn, pn)])
+    return AckFrame(space=0, ack_delay=0, ranges=[AckRange(pn, pn)])
 
 
 def test_criterion_6_loss_detection_oracle():
@@ -285,7 +286,7 @@ def test_criterion_6_loss_detection_oracle():
     threshold = K_PACKET_THRESHOLD
     for _ in range(1000):
         count = rng.randint(2, 200)
-        sender = SenderState(SpaceMode.SPNS, 2)
+        sender = SenderState(SpaceMode.SPNS, [CongestionController(), CongestionController()])
         path_of = {}
         index_on_path = {}
         for i in range(count):
@@ -320,7 +321,7 @@ def test_criterion_6_no_false_loss_under_pure_reorder():
     # per-path anchored full-coverage frames, no loss anywhere
     rng = random.Random(99)
     for _ in range(200):
-        sender = SenderState(SpaceMode.SPNS, 2)
+        sender = SenderState(SpaceMode.SPNS, [CongestionController(), CongestionController()])
         delays = {0: 10, 1: rng.randint(40, 120)}
         sends = []
         t = 0
@@ -345,7 +346,7 @@ def test_criterion_6_no_false_loss_under_pure_reorder():
                     for r in received.descending()
                     if r.smallest <= largest
                 ]
-                frame = AckFrame(space=0, largest_acked=largest, ack_delay=0, ranges=ranges)
+                frame = AckFrame(space=0, ack_delay=0, ranges=ranges)
                 frames.append((arrival + delays[path], path, frame))
         for arrival, path, frame in sorted(frames, key=lambda item: item[0]):
             sender.on_ack_received(path, frame, now=arrival)

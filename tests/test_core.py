@@ -156,29 +156,25 @@ def test_rangeset_insert_idempotent(values):
 
 
 def test_wire_size_single_range():
-    frame = AckFrame(space=0, largest_acked=7, ack_delay=0, ranges=[AckRange(7, 0)])
+    frame = AckFrame(space=0, ack_delay=0, ranges=[AckRange(7, 0)])
     assert ack_frame_wire_size(frame, SpaceMode.SPNS) == 5
 
 
 def test_wire_size_two_ranges():
-    frame = AckFrame(
-        space=0, largest_acked=13, ack_delay=0, ranges=[AckRange(13, 13), AckRange(10, 0)]
-    )
+    frame = AckFrame(space=0, ack_delay=0, ranges=[AckRange(13, 13), AckRange(10, 0)])
     # type + largest + delay + count + first length + gap + length
     assert ack_frame_wire_size(frame, SpaceMode.SPNS) == 7
 
 
 def test_wire_size_mpns_adds_space_varint():
-    frame = AckFrame(
-        space=1, largest_acked=13, ack_delay=0, ranges=[AckRange(13, 13), AckRange(10, 0)]
-    )
+    frame = AckFrame(space=1, ack_delay=0, ranges=[AckRange(13, 13), AckRange(10, 0)])
     assert ack_frame_wire_size(frame, SpaceMode.MPNS) == 8
 
 
 def test_wire_size_ack_delay_encoding():
     # 8 us units: 504 us encodes as 63 (1 byte), 512 us as 64 (2 bytes)
-    small = AckFrame(space=0, largest_acked=0, ack_delay=504, ranges=[AckRange(0, 0)])
-    large = AckFrame(space=0, largest_acked=0, ack_delay=512, ranges=[AckRange(0, 0)])
+    small = AckFrame(space=0, ack_delay=504, ranges=[AckRange(0, 0)])
+    large = AckFrame(space=0, ack_delay=512, ranges=[AckRange(0, 0)])
     assert ack_frame_wire_size(large, SpaceMode.SPNS) == ack_frame_wire_size(small, SpaceMode.SPNS) + 1
 
 
@@ -191,7 +187,7 @@ def test_wire_size_grows_with_each_extra_range():
         for _ in range(k - 1):
             ranges.append(AckRange(pn, pn))
             pn -= 2
-        frame = AckFrame(space=0, largest_acked=100, ack_delay=0, ranges=ranges)
+        frame = AckFrame(space=0, ack_delay=0, ranges=ranges)
         sizes.append(ack_frame_wire_size(frame, SpaceMode.SPNS))
     for smaller, bigger in zip(sizes, sizes[1:]):
         assert bigger >= smaller + 2
@@ -206,7 +202,7 @@ def test_wire_size_counts_a_two_byte_range_count_and_gap():
     rs.add_range(238, 240)
     frame = rs.ack_frame(space=1, ack_delay=0, ranges=rs.descending())
     assert len(frame.ranges) == 71
-    by_hand = AckFrame(frame.space, frame.largest_acked, frame.ack_delay, frame.ranges)
+    by_hand = AckFrame(frame.space, frame.ack_delay, frame.ranges)
     for mode in SpaceMode:
         assert ack_frame_wire_size(frame, mode) == len(ack_encode(frame, mode))
         assert ack_frame_wire_size(by_hand, mode) == len(ack_encode(frame, mode))
@@ -214,41 +210,21 @@ def test_wire_size_counts_a_two_byte_range_count_and_gap():
 
 def test_wire_size_rejects_malformed():
     with pytest.raises(InvariantViolation):
-        ack_frame_wire_size(
-            AckFrame(space=0, largest_acked=5, ack_delay=0, ranges=[]), SpaceMode.SPNS
-        )
-    with pytest.raises(InvariantViolation):
-        # first range does not start at largest_acked
-        ack_frame_wire_size(
-            AckFrame(space=0, largest_acked=9, ack_delay=0, ranges=[AckRange(7, 0)]),
-            SpaceMode.SPNS,
-        )
+        ack_frame_wire_size(AckFrame(space=0, ack_delay=0, ranges=[]), SpaceMode.SPNS)
     with pytest.raises(InvariantViolation):
         # adjacent ranges must have been merged
         ack_frame_wire_size(
-            AckFrame(
-                space=0,
-                largest_acked=9,
-                ack_delay=0,
-                ranges=[AckRange(9, 5), AckRange(4, 0)],
-            ),
-            SpaceMode.SPNS,
+            AckFrame(space=0, ack_delay=0, ranges=[AckRange(9, 5), AckRange(4, 0)]), SpaceMode.SPNS
         )
     with pytest.raises(InvariantViolation):
         # ascending order
         ack_frame_wire_size(
-            AckFrame(
-                space=0,
-                largest_acked=3,
-                ack_delay=0,
-                ranges=[AckRange(3, 3), AckRange(9, 7)],
-            ),
-            SpaceMode.SPNS,
+            AckFrame(space=0, ack_delay=0, ranges=[AckRange(3, 3), AckRange(9, 7)]), SpaceMode.SPNS
         )
 
 
 def test_negative_ack_delay_refused():
-    frame = AckFrame(space=0, largest_acked=5, ack_delay=-40_000, ranges=[AckRange(5, 0)])
+    frame = AckFrame(space=0, ack_delay=-40_000, ranges=[AckRange(5, 0)])
     with pytest.raises(InvariantViolation, match="negative ack_delay -40000"):
         frame.validate([0, 5])
     # refused by the check, before the delay's varint is sized
@@ -295,9 +271,9 @@ def test_descending_matches_brute_force(data):
         assert all(isinstance(r, AckRange) for r in got)
 
 
-def _reference_valid(largest_acked: int, ranges: list[tuple[int, int]]) -> bool:
-    """Descending, non-adjacent, non-inverted ranges topped by largest_acked."""
-    if not ranges or ranges[0][0] != largest_acked:
+def _reference_valid(ranges: list[tuple[int, int]]) -> bool:
+    """At least one range; descending, non-adjacent, non-inverted, non-negative ranges."""
+    if not ranges:
         return False
     if any(smallest < 0 or smallest > largest for largest, smallest in ranges):
         return False
@@ -335,20 +311,16 @@ def _range_lists(draw):
                 ranges[i] = (ranges[i - 1][1] - 1, smallest)  # closes the hole above
             elif edit == "negative":
                 ranges[-1] = (ranges[-1][0], -1)
-    largest_acked = ranges[0][0] if ranges else 0
-    largest_acked += draw(st.sampled_from([0, 0, 0, 1, -1]))
     pns = sorted(set(draw(st.lists(st.integers(-2, 45), max_size=30))))
-    return largest_acked, ranges, pns
+    return ranges, pns
 
 
 @settings(max_examples=400)
 @given(_range_lists())
 def test_validate_refuses_exactly_the_invalid_range_lists(case):
-    largest_acked, ranges, _ = case
-    frame = AckFrame(
-        space=0, largest_acked=largest_acked, ack_delay=0, ranges=[AckRange(*r) for r in ranges]
-    )
-    if _reference_valid(largest_acked, ranges):
+    ranges, _ = case
+    frame = AckFrame(space=0, ack_delay=0, ranges=[AckRange(*r) for r in ranges])
+    if _reference_valid(ranges):
         frame.validate()
     else:
         with pytest.raises(InvariantViolation):
@@ -357,16 +329,14 @@ def test_validate_refuses_exactly_the_invalid_range_lists(case):
 
 @settings(max_examples=400)
 @given(_range_lists())
-@example((9, [(9, 7), (4, 2)], [0, 2, 3, 5, 7, 10]))
-@example((5, [(5, -1)], [0, 3]))  # negative bottom range
-@example((9, [(9, 5), (4, 0)], [4, 5]))  # adjacent ranges
-@example((9, [(9, 9), (3, 5)], []))  # inverted range
+@example(([(9, 7), (4, 2)], [0, 2, 3, 5, 7, 10]))
+@example(([(5, -1)], [0, 3]))  # negative bottom range
+@example(([(9, 5), (4, 0)], [4, 5]))  # adjacent ranges
+@example(([(9, 9), (3, 5)], []))  # inverted range
 def test_validate_returns_exactly_the_acknowledged_numbers(case):
-    largest_acked, ranges, pns = case
-    frame = AckFrame(
-        space=0, largest_acked=largest_acked, ack_delay=0, ranges=[AckRange(*r) for r in ranges]
-    )
-    if _reference_valid(largest_acked, ranges):
+    ranges, pns = case
+    frame = AckFrame(space=0, ack_delay=0, ranges=[AckRange(*r) for r in ranges])
+    if _reference_valid(ranges):
         expected = [pn for pn in pns if any(lo <= pn <= hi for hi, lo in ranges)]
         assert frame.validate(pns) == expected
         assert frame.validate(dict.fromkeys(pns)) == expected
@@ -413,7 +383,7 @@ def test_wire_size_equals_varint_sum_on_valid_frames(base, gaps_and_lengths, ack
             smallest = ranges[-1].largest + gap + 2
         ranges.append(AckRange(smallest + length, smallest))
     ranges.reverse()
-    frame = AckFrame(space=space, largest_acked=ranges[0].largest, ack_delay=ack_delay, ranges=ranges)
+    frame = AckFrame(space=space, ack_delay=ack_delay, ranges=ranges)
     frame.validate()
     assert ack_frame_wire_size(frame, mode) == _reference_wire_size(frame, mode)
 
@@ -458,7 +428,7 @@ def test_cached_frame_size_equals_the_range_by_range_sum(case, data):
         limit = data.draw(st.none() | st.integers(1, 6))
         frame = rs.ack_frame(1, delay, rs.descending(anchor, limit))
         assert frame.wire_size is not None
-        by_hand = AckFrame(frame.space, frame.largest_acked, frame.ack_delay, frame.ranges)
+        by_hand = AckFrame(frame.space, frame.ack_delay, frame.ranges)
         assert frame == by_hand
         for mode in SpaceMode:
             assert ack_frame_wire_size(frame, mode) == ack_frame_wire_size(by_hand, mode)

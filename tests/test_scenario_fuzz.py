@@ -323,6 +323,22 @@ def checked_run(config: ScenarioConfig) -> MetricsReport:
     return report
 
 
+def encoded_frames(config: ScenarioConfig) -> list[AckFrame]:
+    """Run `config` to completion; every frame it builds, each checked by `check_encoding`."""
+    sim = Simulation(config)
+    build, frames = sim.receiver.build_ack_frame, []
+
+    def checked_build(path: int, now: int) -> AckFrame:
+        frame = build(path, now)
+        check_encoding(frame, sim.mode)
+        frames.append(frame)
+        return frame
+
+    sim.receiver.build_ack_frame = checked_build
+    assert sim.run().complete
+    return frames
+
+
 def test_a_lossy_reference_run_encodes_its_frames_of_65_ranges_exactly():
     # the two-path reference at 4 MB, 3% loss on both paths, SPNS without
     # suppression: lost numbers stay holes, so about a quarter of the frames
@@ -331,18 +347,17 @@ def test_a_lossy_reference_run_encodes_its_frames_of_65_ranges_exactly():
     lossy = [dataclasses.replace(link, loss_rate=0.03) for link in reference.paths]
     config = dataclasses.replace(reference, transfer_size=4_000_000, paths=lossy)
     assert (config.mode, config.seed, config.recv.suppression_enabled) == (SpaceMode.SPNS, 7, False)
-    sim = Simulation(config)
-    build, widths = sim.receiver.build_ack_frame, []
-
-    def checked_build(path: int, now: int) -> AckFrame:
-        frame = build(path, now)
-        check_encoding(frame, sim.mode)
-        widths.append(len(frame.ranges))
-        return frame
-
-    sim.receiver.build_ack_frame = checked_build
-    assert sim.run().complete
-    assert max(widths) >= 65
+    assert max(len(frame.ranges) for frame in encoded_frames(config)) >= 65
+    # a fast path held to a 2-packet window beside a slow one with a wide
+    # window, SPNS: the fast path's frames skip runs of 64 or more of the
+    # slow path's numbers still in flight, gaps that need a 2-byte varint
+    fast = LinkModel(5, 5, rate_mbps=100, window_packets=2)
+    slow = LinkModel(100, 100, rate_mbps=400)
+    frames = encoded_frames(ScenarioConfig(SpaceMode.SPNS, [fast, slow], 8_000_000, seed=7))
+    gaps = [
+        above.smallest - below.largest - 2 for f in frames for above, below in zip(f.ranges, f.ranges[1:])
+    ]
+    assert max(gaps) >= 64
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)

@@ -16,7 +16,7 @@ FIG_PATH_OF_PN = {
 
 
 def make_sender(mode=SpaceMode.SPNS, paths=2):
-    return SenderState(mode, paths)
+    return SenderState(mode, [CongestionController() for _ in range(paths)])
 
 
 def send_fig_history(sender, size=100):
@@ -59,9 +59,8 @@ def plain_state(value):
 
 
 def ack(space=0, largest=None, ranges=None, delay=0):
-    ranges = ranges or [AckRange(largest, 0)]
-    return AckFrame(space=space, largest_acked=ranges[0].largest if largest is None else largest,
-                    ack_delay=delay, ranges=ranges)
+    """The frame of `ranges`, or else of every number up to `largest`."""
+    return AckFrame(space=space, ack_delay=delay, ranges=ranges or [AckRange(largest, 0)])
 
 
 # -- numbering -----------------------------------------------------------------
@@ -110,7 +109,7 @@ def test_bytes_in_flight_counts_eliciting_unacked():
 
 def test_ack_marks_covered_and_samples_arrival_path():
     sender = send_fig_history(make_sender())
-    newly, _ = acknowledge(sender, 0, ack(largest=7, ranges=[AckRange(7, 0)]), now=1000)
+    newly, _ = acknowledge(sender, 0, ack(ranges=[AckRange(7, 0)]), now=1000)
     assert newly == set(range(8))
     # logged in ms at the ACK's time: the send time of pn 7 was 7
     assert sender.paths[0].rtt_samples_ms == [(1.0, (1000 - 7) / 1000)]
@@ -137,9 +136,9 @@ def test_same_path_ack_below_largest_credited_gives_no_sample():
     sender = make_sender()
     for t in range(3):
         sender.send_packet(0, 100, now=t)  # pns 0, 1, 2 on path 0
-    sender.on_ack_received(0, ack(largest=2, ranges=[AckRange(2, 2)]), now=100)
+    sender.on_ack_received(0, ack(ranges=[AckRange(2, 2)]), now=100)
     assert sender.paths[0].rtt_samples_ms == [(0.1, 0.098)]
-    newly, _ = acknowledge(sender, 0, ack(largest=1, ranges=[AckRange(1, 0)]), now=150)
+    newly, _ = acknowledge(sender, 0, ack(ranges=[AckRange(1, 0)]), now=150)
     assert newly == {0, 1}
     assert sender.paths[0].rtt_samples_ms == [(0.1, 0.098)]
     assert sender.mixed_samples_ms == []
@@ -152,10 +151,10 @@ def test_slow_path_still_samples_after_cross_path_coverage():
     sender = make_sender()
     sender.send_packet(1, 100, now=0)  # pn 0 on path 1
     sender.send_packet(0, 100, now=10)  # pn 1 on path 0
-    sender.on_ack_received(0, ack(largest=1, ranges=[AckRange(1, 0)]), now=40)
+    sender.on_ack_received(0, ack(ranges=[AckRange(1, 0)]), now=40)
     assert sender.paths[0].rtt_samples_ms == [(0.04, 0.03)]
     assert sender.paths[1].rtt_samples_ms == []
-    newly, _ = acknowledge(sender, 1, ack(largest=0, ranges=[AckRange(0, 0)]), now=120)
+    newly, _ = acknowledge(sender, 1, ack(ranges=[AckRange(0, 0)]), now=120)
     assert sender.paths[1].rtt_samples_ms == [(0.12, 0.12)]
     assert sender.paths[0].rtt_samples_ms == [(0.04, 0.03)]
     assert newly == set()  # nothing newly acked connection-wide
@@ -165,7 +164,7 @@ def test_mismatched_largest_goes_to_mixed_bucket():
     sender = make_sender()
     sender.send_packet(0, 100, now=0)  # pn 0 on path 0
     sender.send_packet(0, 100, now=1)
-    sender.on_ack_received(1, ack(largest=1, ranges=[AckRange(1, 0)]), now=90)
+    sender.on_ack_received(1, ack(ranges=[AckRange(1, 0)]), now=90)
     assert sender.mixed_samples_ms == [(0.09, 0.089)]
     assert [ps.rtt_samples_ms for ps in sender.paths] == [[], []]
     assert [ps.srtt_ms for ps in sender.paths] == [[], []]
@@ -177,9 +176,9 @@ def test_stale_cross_path_ack_is_of_no_use():
     sender = make_sender()
     sender.send_packet(0, 100, now=0)
     sender.send_packet(0, 100, now=1)
-    sender.on_ack_received(1, ack(largest=1, ranges=[AckRange(1, 0)]), now=90)
+    sender.on_ack_received(1, ack(ranges=[AckRange(1, 0)]), now=90)
     # a second slow-path ACK with the same largest: acked already, no sample
-    sender.on_ack_received(1, ack(largest=1, ranges=[AckRange(1, 0)]), now=150)
+    sender.on_ack_received(1, ack(ranges=[AckRange(1, 0)]), now=150)
     assert [ps.rtt_samples_ms for ps in sender.paths] == [[], []]
     assert sender.mixed_samples_ms == [(0.09, 0.089)]  # no second mixed sample
 
@@ -274,7 +273,8 @@ def test_pacing_gate_opens_at_cwnd_over_srtt():
 
 
 def test_pto_deadline_is_set_exactly_while_packets_are_unacked():
-    sender = SenderState(SpaceMode.SPNS, 2, max_ack_delay=10_000)
+    controllers = [CongestionController(), CongestionController()]
+    sender = SenderState(SpaceMode.SPNS, controllers, max_ack_delay=10_000)
     ps = sender.paths[0]
     assert ps.pto_deadline is None
     sender.send_packet(0, 100, now=0)
@@ -285,7 +285,7 @@ def test_pto_deadline_is_set_exactly_while_packets_are_unacked():
     assert ps.pto_deadline == 50_000 + ps.pto_interval(10_000) == 50_000 + 50_000 + 100_000 + 10_000
     # an ACK that credits path 0 but acknowledges only path 1 leaves it alone
     sender.send_packet(1, 100, now=60_000)
-    sender.on_ack_received(0, ack(largest=2, ranges=[AckRange(2, 2), AckRange(0, 0)]), now=70_000)
+    sender.on_ack_received(0, ack(ranges=[AckRange(2, 2), AckRange(0, 0)]), now=70_000)
     assert ps.pto_deadline == 50_000 + 160_000
     sender.on_ack_received(0, ack(largest=1), now=80_000)
     assert ps.unacked == {} and ps.pto_deadline is None
@@ -349,7 +349,7 @@ def test_non_positive_sample_rejected():
 
 def test_packet_threshold_uses_path_history():
     sender = send_fig_history(make_sender())
-    lost = sender.on_ack_received(0, ack(largest=11, ranges=[AckRange(11, 11)]), now=1000)
+    lost = sender.on_ack_received(0, ack(ranges=[AckRange(11, 11)]), now=1000)
     # path 0 history [1,2,6,7,11,12]: 11 sits at index 4, so 1 and 2
     # (indices 0 and 1) are at least kPacketThreshold=3 sends behind
     assert {r.pn for r in lost} == {1, 2}
@@ -364,7 +364,7 @@ def test_connection_wide_threshold_would_misfire_but_path_rule_does_not():
     naive_lost = {pn for pn in range(16) if pn <= acked_pn - k and pn != acked_pn}
     # the naive rule would flag path-1 packets 0,3,4,5,8 as lost
     assert {pn for pn in naive_lost if FIG_PATH_OF_PN[pn] == 1} != set()
-    sender.on_ack_received(0, ack(largest=11, ranges=[AckRange(11, 11)]), now=1000)
+    sender.on_ack_received(0, ack(ranges=[AckRange(11, 11)]), now=1000)
     assert all(pn in sender.paths[1].unacked for pn in (0, 3, 4, 5, 8, 9, 10))
 
 
@@ -372,14 +372,14 @@ def test_largest_equal_to_first_send_loses_nothing():
     sender = make_sender()
     sender.send_packet(0, 100, now=0)
     sender.send_packet(0, 100, now=1)
-    assert sender.on_ack_received(0, ack(largest=0, ranges=[AckRange(0, 0)]), now=100) == []
+    assert sender.on_ack_received(0, ack(ranges=[AckRange(0, 0)]), now=100) == []
 
 
 def test_time_threshold_declares_aged_packets():
     sender = make_sender()
     sender.send_packet(0, 100, now=0)  # pn 0, will age out
     sender.send_packet(0, 100, now=200_000)  # pn 1
-    lost = sender.on_ack_received(0, ack(largest=1, ranges=[AckRange(1, 1)]), now=300_000)
+    lost = sender.on_ack_received(0, ack(ranges=[AckRange(1, 1)]), now=300_000)
     # srtt = 100ms; cutoff = 300ms - 112.5ms; pn 0 sent at 0 is long gone
     assert [r.pn for r in lost] == [0]
     assert sender.time_threshold_losses == 1
@@ -390,17 +390,17 @@ def test_spurious_ack_counted_once_and_flight_not_double_decremented():
     sender = make_sender()
     for i in range(5):
         sender.send_packet(0, 100, now=i)
-    sender.on_ack_received(0, ack(largest=4, ranges=[AckRange(4, 4)]), now=1000)
+    sender.on_ack_received(0, ack(ranges=[AckRange(4, 4)]), now=1000)
     assert sender.packet_threshold_losses == 2  # pns 0 and 1
     assert sender.paths[0].bytes_in_flight == 200  # pns 2, 3 still out
     outstanding = sender._spaces[0].outstanding
     assert list(outstanding) == [0, 1, 2, 3]  # the lost pns 0 and 1 stay here
-    newly, _ = acknowledge(sender, 0, ack(largest=4, ranges=[AckRange(4, 0)]), now=2000)
+    newly, _ = acknowledge(sender, 0, ack(ranges=[AckRange(4, 0)]), now=2000)
     assert outstanding == {}  # the spurious pns 0 and 1 left with 2 and 3
     assert newly == {2, 3}
     assert sender.paths[0].bytes_in_flight == 0
     assert sender.spurious_count == 2
-    sender.on_ack_received(0, ack(largest=4, ranges=[AckRange(4, 0)]), now=3000)
+    sender.on_ack_received(0, ack(ranges=[AckRange(4, 0)]), now=3000)
     assert sender.spurious_count == 2
 
 
@@ -412,10 +412,10 @@ def test_congestion_notified_once_per_loss_event():
             cc_events.append(now)
             super().on_loss(now)
 
-    sender = SenderState(SpaceMode.SPNS, 1, cc_factory=lambda p: SpyCc(CcAlgorithm.CUBIC))
+    sender = SenderState(SpaceMode.SPNS, [SpyCc(CcAlgorithm.CUBIC)])
     for i in range(6):
         sender.send_packet(0, 100, now=i)
-    sender.on_ack_received(0, ack(largest=5, ranges=[AckRange(5, 5)]), now=1000)
+    sender.on_ack_received(0, ack(ranges=[AckRange(5, 5)]), now=1000)
     assert sender.packet_threshold_losses == 3  # pns 0,1,2 in one event
     assert len(cc_events) == 1
 
@@ -427,11 +427,11 @@ def test_conservation_of_bytes_in_flight():
             expected = sum(r.size for r in ps.unacked.values())
             assert ps.bytes_in_flight == expected
     check()
-    sender.on_ack_received(0, ack(largest=11, ranges=[AckRange(11, 11)]), now=1000)
+    sender.on_ack_received(0, ack(ranges=[AckRange(11, 11)]), now=1000)
     check()
-    sender.on_ack_received(1, ack(largest=10, ranges=[AckRange(10, 8)]), now=2000)
+    sender.on_ack_received(1, ack(ranges=[AckRange(10, 8)]), now=2000)
     check()
-    sender.on_ack_received(0, ack(largest=12, ranges=[AckRange(12, 0)]), now=3000)
+    sender.on_ack_received(0, ack(ranges=[AckRange(12, 0)]), now=3000)
     check()
 
 
