@@ -62,33 +62,34 @@ def load_trace(path: str | Path) -> TraceSchedule:
     refused with its line number. A file of well-formed lines is decoded in
     one ``map(int)`` pass; ``int`` strips whitespace (all that ``str.strip``
     does but U+001C to U+001F), so a line it accepts has the value the line
-    loop gives. Any other file is read again line by line, which skips the
-    blank lines and names the bad one, so both give the same list or error.
+    loop gives. Any other file's text is walked line by line, which skips
+    the blank lines and names the bad one, so both give the same list or
+    error. The file is decoded once, whole, so an undecodable byte is named
+    at its offset in the file.
     """
+    with open(path) as fh:
+        text = fh.read()
     try:
-        with open(path) as fh:
-            lines = fh.read().rstrip("\n").split("\n")
-        return TraceSchedule(list(map(int, lines)))
-    except ValueError:  # a blank or bad line, undecodable bytes, a refused list
+        return TraceSchedule(list(map(int, text.rstrip("\n").split("\n"))))
+    except ValueError:  # a blank or bad line, a refused list
         pass
-    return TraceSchedule(_read_trace_lines(path))
+    return TraceSchedule(_read_trace_lines(path, text))
 
 
-def _read_trace_lines(path: str | Path) -> list[int]:
+def _read_trace_lines(path: str | Path, text: str) -> list[int]:
     """Line by line: skip blank lines, name the first bad one."""
     times: list[int] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                value = int(text)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: not an integer timestamp: {text!r}")
-            if value < 0:
-                raise ValueError(f"{path}:{lineno}: negative timestamp")
-            times.append(value)
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            value = int(line)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: not an integer timestamp: {line!r}")
+        if value < 0:
+            raise ValueError(f"{path}:{lineno}: negative timestamp")
+        times.append(value)
     return times
 
 

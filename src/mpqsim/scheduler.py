@@ -26,12 +26,14 @@ def select_path(
 ) -> tuple[int | None, int, int | None]:
     """Decide one send in a single pass over `paths`, indexed by path id.
 
-    A path may send when its pacing gate `pace_next` is at or before
-    `now` and its congestion window has room for `packet_size`. minRTT
-    picks the one with the smallest smoothed RTT; a path with no sample
-    is probed once (before anything was sent on it) and after that waits
-    behind every measured path until its sample lands; ties go to the
-    lower id. Round robin takes the first such path from the cursor on.
+    A path is ready when its pacing gate `pace_next` is at or before `now`
+    and its congestion window has room for `packet_size`. Every ready path
+    gets a rank and the least rank wins, ties to the lower id. minRTT ranks
+    a path by its smoothed RTT; a path with no sample is probed once
+    (before anything was sent on it) and after that waits behind every
+    measured path until its sample lands. Round robin ranks a path by its
+    distance past the cursor, `(path - rr_cursor - 1) % len(paths)`, so it
+    takes the next ready id above the cursor, wrapping.
 
     Returns (path id or None, round-robin cursor, wake-up time or None).
     The cursor moves only when round robin picks a path. The wake-up is
@@ -41,36 +43,24 @@ def select_path(
     if not paths:
         raise ValueError("no paths configured")
     round_robin = kind is SchedulerKind.ROUND_ROBIN
+    n = len(paths)
     pick = wake = None
     best = math.inf
-    sendable = 0  # paths past their pacing gate
-    ready = 0  # bit i set: path i may send
     for ps in paths:
-        room = ps.bytes_in_flight + packet_size <= ps.cc.cwnd
+        if ps.bytes_in_flight + packet_size > ps.cc.cwnd:
+            continue
         gate = ps.pace_next
         if now < gate:
-            if room and (wake is None or gate < wake):
+            if wake is None or gate < wake:
                 wake = gate
             continue
-        sendable += 1
-        if not room:
-            continue
         if round_robin:
-            ready |= 1 << ps.path
-            continue
-        srtt = ps.smoothed_rtt
-        rank = srtt if srtt is not None else (math.inf if ps.sent_count else -1.0)
+            rank = (ps.path - rr_cursor - 1) % n
+        else:
+            srtt = ps.smoothed_rtt
+            rank = srtt if srtt is not None else (math.inf if ps.sent_count else -1.0)
         if pick is None or rank < best:
             pick, best = ps.path, rank
-    if round_robin and ready:
-        # Counts modulo the paths past their gate but matches path ids, so
-        # an id at or above that count is never picked (ROADMAP item 3a).
-        ready &= (1 << sendable) - 1
-        start = (rr_cursor + 1) % sendable
-        ahead = ready >> start << start
-        chosen = ahead or ready
-        if chosen:
-            pick = rr_cursor = (chosen & -chosen).bit_length() - 1
-    if pick is not None:
-        wake = None
-    return pick, rr_cursor, wake
+    if pick is None:
+        return None, rr_cursor, wake
+    return pick, pick if round_robin else rr_cursor, None

@@ -13,16 +13,23 @@ before and after; compare the two with `cmp`:
 
 `--fields` prints each report's fields instead, one line per field, named
 `seed/input/mode/field` (and `/path` for a per-path series): scalars and
-histograms as they are, each series as `[length, last value, mean]`. The
-`diff` of the two outputs is then the table of what a behaviour change moved:
+histograms as they are, each series as `[length, last value, mean]`.
+`--goldens` prints the JSON and CSV sha256 of each report that
+`tests/test_golden.py` pins, computed by the checkout's code.
 
-    python tests/report_fingerprints.py --fields > after.txt
-    python tests/report_fingerprints.py --fields --src ../parent-checkout > before.txt
-    diff before.txt after.txt
+`--diff BASE_DIR` is the table of what a behaviour change moved:
+
+    python tests/report_fingerprints.py --diff ../parent-checkout
+
+It runs `--fields` and `--goldens` for `BASE_DIR` and for this checkout
+(or `--src`), each in its own interpreter, and prints one row per moved
+`seed/input/mode/field`: old, new and relative change, a series summary
+element by element. Then it prints each golden whose sha256 moved, old ->
+new. It exits 0 when nothing moved, 1 when something did, and 2 on error.
 
 `--src` names the checkout whose `src/mpqsim` runs (by default this one);
-the inputs always come from this checkout's `bench/inputs.py`. Not a test
-module: pytest does not collect it.
+the inputs and the golden configs always come from this checkout. Not a
+test module: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ import hashlib
 import importlib.util
 import json
 import statistics
+import subprocess
 import sys
 import tempfile
 from collections.abc import Iterator
@@ -93,12 +101,86 @@ def report_fields(seeds: list[int]) -> dict[str, object]:
     return out
 
 
+def golden_fingerprints() -> dict[str, list[str]]:
+    """Each golden's `[JSON sha256, CSV sha256]`, from this checkout's configs."""
+    from mpqsim.harness import export_report
+    from mpqsim.simulation import Simulation
+
+    spec = importlib.util.spec_from_file_location("golden_configs", ROOT / "tests" / "test_golden.py")
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    out: dict[str, list[str]] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = Path(tmp) / "report.csv"
+        for name, (make_config, _, _) in golden.GOLDEN.items():
+            report = Simulation(make_config()).run()
+            export_report(report, "csv", csv)
+            canonical = json.dumps(report.to_dict(), sort_keys=True).encode()
+            out[name] = [hashlib.sha256(canonical).hexdigest(), hashlib.sha256(csv.read_bytes()).hexdigest()]
+    return out
+
+
+SUMMARY = ("length", "last", "mean")
+
+
+def moved_rows(old: dict[str, object], new: dict[str, object]) -> list[tuple[str, object, object]]:
+    """Each `(name, old, new)` that differs between two `--fields` maps; a
+    series summary compared element by element, a missing key as None."""
+    rows: list[tuple[str, object, object]] = []
+    for key in {**old, **new}:
+        a, b = old.get(key), new.get(key)
+        if isinstance(a, list) and isinstance(b, list):
+            rows += [(f"{key}[{label}]", x, y) for label, x, y in zip(SUMMARY, a, b) if x != y]
+        elif json.dumps(a) != json.dumps(b):
+            rows.append((key, a, b))
+    return rows
+
+
+def relative_change(old: object, new: object) -> str:
+    """`(new - old) / |old|` as a signed percentage, or "n/a" when it has none."""
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new))
+    return f"{(new - old) / abs(old):+.1%}" if numbers and old else "n/a"
+
+
+def _snapshot(src: Path, seeds: str, flag: str) -> dict:
+    """`--fields` or `--goldens` of the checkout at `src`, in its own interpreter."""
+    cmd = [sys.executable, __file__, "--src", str(src), "--seeds", seeds, flag]
+    run = subprocess.run(cmd, capture_output=True, text=True)
+    if run.returncode:
+        sys.stderr.write(run.stderr)
+        sys.exit(2)
+    return json.loads(run.stdout)
+
+
+def diff(base: Path, change: Path, seeds: str) -> int:
+    """Print what moved from `base` to `change`; 1 if anything did, else 0."""
+    old, new = (_snapshot(src, seeds, "--fields") for src in (base, change))
+    rows = moved_rows(old, new)
+    width = max((len(name) for name, _, _ in rows), default=0)
+    for name, a, b in rows:
+        print(f"{name:<{width}}  {json.dumps(a)} -> {json.dumps(b)}  {relative_change(a, b)}")
+    old_g, new_g = (_snapshot(src, seeds, "--goldens") for src in (base, change))
+    goldens = 0
+    for name in {**old_g, **new_g}:
+        for kind, a, b in zip(("json", "csv"), old_g.get(name, [None] * 2), new_g.get(name, [None] * 2)):
+            if a != b:
+                goldens += 1
+                print(f"golden {name} {kind}: {a} -> {b}")
+    print(f"{len(rows)} field rows and {goldens} golden sha256s moved")
+    return 1 if rows or goldens else 0
+
+
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=ROOT, help="checkout whose src/mpqsim runs")
     parser.add_argument("--seeds", default="7,3", help="comma-separated input seeds")
-    parser.add_argument("--fields", action="store_true", help="print every field, one per line, not hashes")
+    output = parser.add_mutually_exclusive_group()
+    output.add_argument("--fields", action="store_true", help="print every field, one per line, not hashes")
+    output.add_argument("--goldens", action="store_true", help="print the golden reports' sha256s")
+    output.add_argument("--diff", type=Path, metavar="BASE_DIR", help="print what moved since BASE_DIR")
     args = parser.parse_args(argv)
+    if args.diff:
+        sys.exit(diff(args.diff.resolve(), args.src.resolve(), args.seeds))
     src = args.src.resolve() / "src"
     sys.path.insert(0, str(src))
     import mpqsim
@@ -110,6 +192,8 @@ def main(argv: list[str] | None = None) -> None:
     if args.fields:
         lines = [f" {json.dumps(k)}: {json.dumps(v)}" for k, v in report_fields(seeds).items()]
         print("{\n" + ",\n".join(lines) + "\n}")
+    elif args.goldens:
+        print(json.dumps(golden_fingerprints(), indent=1))
     else:
         print(json.dumps(fingerprints(seeds), indent=1))
 

@@ -95,8 +95,8 @@ GOLDEN = {
     ),
     "lossy-4p-roundrobin-newreno": (
         _lossy_four_path,
-        "b06535380cb3405b89ddfb5e9b8cbd847cb3473243a99cfe741e001a85704f87",
-        "9dd0afb3785042b773c7a721da25971b026a290aab364a8357ada6978ef57ddc",
+        "9e76d4a548c7f80f4beaacf0ee94ba68760e3fe5b6ab1324e7336b3f143bf1f8",
+        "48c854cacdbaa3f815e1adbeb7704b09e47bf2153b708c84dde39f5768b77bc8",
     ),
     "spns-lossy-suppress-1": (
         _lossy_suppress_1,

@@ -233,20 +233,23 @@ def test_trace_schedule_refusals_keep_their_order():
 
 
 def reference_load_trace(path):
-    """The loader as a plain line loop: strip, skip blanks, name the bad line."""
+    """The loader as a plain line loop over the decoded file: strip, skip
+    blanks, name the bad line. The whole file is decoded first, so a bad
+    byte is named at its offset in the file."""
     times = []
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                value = int(text)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: not an integer timestamp: {text!r}")
-            if value < 0:
-                raise ValueError(f"{path}:{lineno}: negative timestamp")
-            times.append(value)
+        text = fh.read()
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            value = int(line)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: not an integer timestamp: {line!r}")
+        if value < 0:
+            raise ValueError(f"{path}:{lineno}: negative timestamp")
+        times.append(value)
     return TraceSchedule(times)
 
 
@@ -329,6 +332,8 @@ def trace_dir(tmp_path_factory):
 @example(b"-0\n1\n")  # negative zero is zero
 @example(b"1\nxyz\n3\n")  # garbage
 @example(b"1\n2\xff\n3\n")  # bad UTF-8
+@example(b"1\n" * 5000 + b"\xff\n")  # a bad byte past the first 8 KB: named at 10000
+@example(b"1\n2\xe2\x82")  # a truncated sequence at the end: named at 3-4
 @example(b"")  # empty
 @example(b"\n\n\n")  # blank lines only
 @example(b" \n\t\r\n\x0c\n")  # whitespace-only lines

@@ -84,6 +84,25 @@ def test_round_robin_skips_ineligible():
     assert round_robin_picks(paths, 4) == [0, 2, 0, 2]
 
 
+def test_round_robin_takes_the_next_ready_id_while_a_path_is_pace_blocked():
+    paths = [make_path(p) for p in range(4)]
+    paths[0].pace_next = 10
+    cursor, picks = -1, []
+    for _ in range(4):
+        path, cursor, wake = select_path(SchedulerKind.ROUND_ROBIN, paths, MSS, 0, cursor)
+        assert wake is None
+        picks.append(path)
+    assert picks == [1, 2, 3, 1]
+
+
+def test_round_robin_picks_the_only_open_path_above_three_blocked_ones():
+    paths = [make_path(p) for p in range(4)]
+    for ps in paths[:3]:
+        ps.pace_next = 10
+    for cursor in (-1, 0, 1, 2, 3):
+        assert select_path(SchedulerKind.ROUND_ROBIN, paths, MSS, 0, cursor) == (3, 3, None)
+
+
 def test_selection_never_violates_cwnd():
     rng = random.Random(7)
     for _ in range(300):
@@ -139,7 +158,8 @@ def _reference_min_rtt_key(ps):
     return (1, ps.smoothed_rtt, ps.path)
 
 
-def _reference_select_path(kind, paths, packet_size, rr_cursor=-1):
+def _reference_select_path(kind, paths, packet_size, rr_cursor, n):
+    """Pick among `paths`, a subset of the `n` configured paths."""
     if not paths:
         raise ValueError("no paths configured")
     eligible = [ps for ps in paths if _reference_eligible(ps, packet_size)]
@@ -148,7 +168,6 @@ def _reference_select_path(kind, paths, packet_size, rr_cursor=-1):
     if kind is SchedulerKind.MIN_RTT:
         return min(eligible, key=_reference_min_rtt_key).path, rr_cursor
     eligible_ids = {ps.path for ps in eligible}
-    n = len(paths)
     for step in range(1, n + 1):
         candidate = (rr_cursor + step) % n
         if candidate in eligible_ids:
@@ -161,7 +180,7 @@ def reference_decision(kind, paths, size, pace_next, now, rr_cursor):
     sendable = [ps for ps in paths if now >= pace_next[ps.path]]
     path = None
     if sendable:
-        path, rr_cursor = _reference_select_path(kind, sendable, size, rr_cursor)
+        path, rr_cursor = _reference_select_path(kind, sendable, size, rr_cursor, len(paths))
     wake = None
     if path is None:
         for ps in paths:
@@ -195,8 +214,8 @@ def decisions(draw):
 
 @settings(derandomize=True, deadline=None, max_examples=500)
 @given(decisions())
-# round robin with path 0 pace-blocked: counting modulo the three open
-# paths never reaches path 3 (ROADMAP item 3a)
+# round robin with path 0 pace-blocked and the cursor at 2: round robin
+# takes the next ready id above its cursor, wrapping, so path 3
 @example(
     (
         SchedulerKind.ROUND_ROBIN,
@@ -212,3 +231,18 @@ def test_single_pass_matches_the_list_based_decision(decision):
         ps.pace_next = gate
     expected = reference_decision(kind, paths, size, gates, NOW, cursor)
     assert select_path(kind, paths, size, NOW, cursor) == expected
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(decisions())
+# round robin with paths 0-2 pace-blocked: path 3 is open and has room
+@example((SchedulerKind.ROUND_ROBIN, [make_path(p) for p in range(4)], MSS, [NOW + 10] * 3 + [0], -1))
+def test_a_path_is_picked_whenever_one_is_past_its_gate_with_room(decision):
+    kind, paths, size, gates, cursor = decision
+    for ps, gate in zip(paths, gates):
+        ps.pace_next = gate
+    ready = [ps.path for ps in paths if NOW >= ps.pace_next and ps.bytes_in_flight + size <= ps.cc.cwnd]
+    path, _, wake = select_path(kind, paths, size, NOW, cursor)
+    assert (path is not None) == bool(ready)
+    assert path is None or path in ready
+    assert path is None or wake is None
