@@ -200,12 +200,15 @@ class LinkDirection:
 
 
 class EventLoop:
-    """Min-heap of pending calls ordered by (time, insertion sequence)."""
+    """Min-heap of pending calls ordered by (time, insertion sequence), and
+    the one live event of each keyed timer."""
 
     def __init__(self) -> None:
         self._heap: list[tuple[int, int, Callable, tuple]] = []
         self._seq = 0
         self.now = 0
+        # timer key -> (time, token) of its live event
+        self.timers: dict[object, tuple[int, int]] = {}
 
     def schedule(self, time: int, handler: Callable, *args) -> None:
         """Queue `handler(time, *args)` to run at `time`."""
@@ -213,6 +216,21 @@ class EventLoop:
             raise RuntimeError(f"event scheduled in the past: {time} < {self.now}")
         heapq.heappush(self._heap, (time, self._seq, handler, args))
         self._seq += 1
+
+    def set_timer(self, key: object, deadline: int, handler: Callable, *args) -> None:
+        """Have `key`'s one live event run `handler(deadline, *args)`, unless one
+        is due no later. An earlier deadline supersedes the live event, which
+        still pops but returns at once: events are told apart by the token
+        they carry, not by their time, since two can share a time."""
+        if key not in self.timers or deadline < self.timers[key][0]:
+            token = self._seq
+            self.schedule(deadline, self._fire, key, token, handler, args)
+            self.timers[key] = (deadline, token)
+
+    def _fire(self, now: int, key: object, token: int, handler: Callable, args: tuple) -> None:
+        if self.timers.get(key) == (now, token):  # else superseded
+            del self.timers[key]
+            handler(now, *args)
 
     def peek_time(self) -> int | None:
         return self._heap[0][0] if self._heap else None
@@ -226,5 +244,6 @@ class EventLoop:
         return time, handler, args
 
     def clear(self) -> None:
-        """Drop every pending event; the clock keeps its value."""
+        """Drop every pending event and live timer; the clock keeps its value."""
         self._heap.clear()
+        self.timers.clear()

@@ -41,7 +41,6 @@ class Simulation:
         config.validate()
         self.config = config
         self.mode = config.mode
-        n = len(config.paths)
         # every data packet, and so every path's window, is sized in this MTU
         self.mtu = min(lm.mtu for lm in config.paths)
 
@@ -73,7 +72,7 @@ class Simulation:
             controllers.append(CongestionController(config.cc, mss=self.mtu, max_cwnd=max_cwnd))
 
         self.sender = SenderState(config.mode, controllers, config.recv.max_ack_delay)
-        self.receiver = ReceiverState(config.mode, n, config.recv)
+        self.receiver = ReceiverState(config.mode, len(config.paths), config.recv)
         self.loop = EventLoop()
 
         self.retx_queue: deque[tuple[int, int]] = deque()  # (offset, size)
@@ -89,10 +88,6 @@ class Simulation:
         self.ack_frames = 0
         self.range_hist: dict[int, int] = {}
 
-        # per path: whether a PTO / ack-timer event is pending
-        self._pto_pending = [False] * n
-        self._ack_timer_pending = [False] * n
-        self._wake_at: int | None = None
         self._rr_cursor = -1  # round-robin position, advanced by select_path
 
     # -- sending ---------------------------------------------------------
@@ -102,8 +97,10 @@ class Simulation:
         arrival = self.down[path].transmit(size, now)
         if arrival is not None:
             self.loop.schedule(arrival, self._on_data, path, rec.pn, size, offset)
-        deadline = self.sender.paths[path].pto_deadline
-        self._keep_pending(self._pto_pending, self._on_pto, path, deadline)
+        # Only when none is live: a deadline moved earlier, as the first RTT
+        # sample moves it, keeps the later live event (ROADMAP item 3c′)
+        if ("pto", path) not in self.loop.timers:
+            self.loop.set_timer(("pto", path), self.sender.paths[path].pto_deadline, self._on_pto, path)
 
     def _try_send(self, now: int) -> None:
         config, paths = self.config, self.sender.paths
@@ -120,9 +117,8 @@ class Simulation:
             )
             if path is None:
                 # wake up when the earliest pace-blocked path with room frees up
-                if wake is not None and (self._wake_at is None or wake < self._wake_at):
-                    self._wake_at = wake
-                    self.loop.schedule(wake, self._on_wake)
+                if wake is not None:
+                    self.loop.set_timer("wake", wake, self._try_send)
                 return
             if self.retx_queue:
                 self.retx_queue.popleft()
@@ -132,29 +128,18 @@ class Simulation:
 
     # -- timers ------------------------------------------------------------
 
-    def _keep_pending(
-        self, pending: list[bool], handler, path: int, deadline: int | None, now: int | None = None
-    ) -> bool:
-        """Keep one `handler` event pending for `path` while `deadline` is set.
-
-        Schedules the event at `deadline` unless one is already pending.
-        The handler passes the `now` it fired at: True means the deadline
-        has come and the handler acts on it; an event that came due early
-        is re-armed to the deadline.
-        """
-        if now is not None:  # the pending event fired
-            pending[path] = False
-            if deadline is not None and now >= deadline:
-                return True
-        if deadline is not None and not pending[path]:
-            pending[path] = True
-            self.loop.schedule(deadline, handler, path)
-        return False
+    def _timer_due(self, now: int, kind: str, path: int, deadline: int | None, handler) -> bool:
+        """Whether the `(kind, path)` timer that fired at `now` acts: its deadline
+        is set and has come. One that fired before the deadline re-arms at it."""
+        if deadline is not None and now < deadline:
+            self.loop.set_timer((kind, path), deadline, handler, path)
+            return False
+        return deadline is not None
 
     def _on_pto(self, now: int, path: int) -> None:
         ps = self.sender.paths[path]
         # the deadline is set exactly while the path has unacked packets
-        if self._keep_pending(self._pto_pending, self._on_pto, path, ps.pto_deadline, now):
+        if self._timer_due(now, "pto", path, ps.pto_deadline, self._on_pto):
             # probe: resend the oldest unacked payload on this path, ignoring cwnd
             oldest = next(iter(ps.unacked.values()))
             self._send_on_path(path, oldest.size, oldest.payload_offset, now)
@@ -189,28 +174,23 @@ class Simulation:
             self._emit_ack(self.receiver.build_ack_frame(path, now), path, now)
         else:  # the deadline is None only after a duplicate
             deadline = self.receiver.per_path[path].ack_timer_deadline
-            self._keep_pending(self._ack_timer_pending, self._on_ack_timer, path, deadline)
+            if deadline is not None:
+                self.loop.set_timer(("ack", path), deadline, self._on_ack_timer, path)
 
     def _on_ack_timer(self, now: int, path: int) -> None:
-        # a deadline is armed exactly while the path has unacknowledged
-        # arrivals; an ACK sent since then cleared it
+        # the deadline is set exactly while the path owes an ACK
         deadline = self.receiver.per_path[path].ack_timer_deadline
-        if self._keep_pending(self._ack_timer_pending, self._on_ack_timer, path, deadline, now):
+        if self._timer_due(now, "ack", path, deadline, self._on_ack_timer):
             self._emit_ack(self.receiver.build_ack_frame(path, now), path, now)
 
     def _on_ack(self, now: int, path: int, frame) -> None:
         for rec in self.sender.on_ack_received(path, frame, now):
             self.retx_queue.append((rec.payload_offset, rec.size))
         # the sender restarted the PTO deadline of each path it acked; each
-        # had one set, and so a pending event, before
+        # had one set, and so a live event, before
         self._try_send(now)
 
     # -- main loop ---------------------------------------------------------
-
-    def _on_wake(self, now: int) -> None:
-        if self._wake_at is not None and now >= self._wake_at:
-            self._wake_at = None
-        self._try_send(now)
 
     def run(self) -> MetricsReport:
         """Run to the end and return the report; a finished run returns it again."""
@@ -218,7 +198,7 @@ class Simulation:
             return self.report
         cap_us = int(self.config.duration_cap_s * 1e6)
         loop = self.loop
-        loop.schedule(0, self._on_wake)
+        loop.set_timer("wake", 0, self._try_send)
         try:
             while True:
                 # one peek before the first event and one after each, the last

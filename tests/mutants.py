@@ -1,0 +1,228 @@
+"""Named mutants of the simulator, each with the tests that must kill it.
+
+Each entry of `MUTANTS` names one small wrong change to a file of the
+package: the exact old text, the new text, and the test node ids that
+must fail under it. For every mutant the runner copies this checkout's
+`src/`, `tests/`, `scenarios/`, `README.md` and `pyproject.toml` into a
+fresh temporary directory, requires the old text to occur exactly once in
+the copy's file, applies the change and runs only the named tests there.
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named ones
+    python tests/mutants.py --list
+
+Before the mutants, the named tests run once on an unchanged copy, where
+each must pass (an expected failure counts as a pass), and the copy must
+import its own `mpqsim`. The run exits 1 when a named test fails there,
+when a mutant's old text is missing or not unique, or when a mutant
+survives: some named test still passes under it. A refactor that moves
+the old text updates the entry. Not a test module: pytest does not
+collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "scenarios", "README.md", "pyproject.toml")
+TIMEOUT_S = 600  # per pytest run; a mutant that makes a run hang fails the check
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the checkout
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = [
+    # the keyed timers of `EventLoop`
+    Mutant(
+        "timer-stale-by-time",
+        "src/mpqsim/netsim.py",
+        "if self.timers.get(key) == (now, token):",
+        "if self.timers.get(key, (now,))[0] == now:",
+        (
+            "tests/test_netsim.py::test_an_earlier_deadline_supersedes_the_live_event",
+            "tests/test_netsim.py::test_a_superseded_event_due_with_the_live_one_runs_nothing",
+        ),
+    ),
+    Mutant(
+        "timer-schedules-every-set",
+        "src/mpqsim/netsim.py",
+        "if key not in self.timers or deadline < self.timers[key][0]:",
+        "if True:",
+        ("tests/test_netsim.py::test_a_later_or_equal_deadline_schedules_nothing",),
+    ),
+    Mutant(
+        "timer-clear-keeps-table",
+        "src/mpqsim/netsim.py",
+        "        self._heap.clear()\n        self.timers.clear()\n",
+        "        self._heap.clear()\n",
+        ("tests/test_netsim.py::test_clear_leaves_no_live_timer",),
+    ),
+    # the timers of `Simulation`
+    Mutant(
+        "timer-no-early-rearm",
+        "src/mpqsim/simulation.py",
+        "            self.loop.set_timer((kind, path), deadline, handler, path)\n            return False\n",
+        "            return False\n",
+        (
+            "tests/test_simulation.py::test_ack_leaves_at_the_later_deadline_after_a_superseded_timer",
+            "tests/test_scenario_fuzz.py::test_random_scenarios_end_cleanly_and_repeat_exactly",
+        ),
+    ),
+    Mutant(
+        "pto-guard-dropped",
+        "src/mpqsim/simulation.py",
+        '        if ("pto", path) not in self.loop.timers:\n',
+        "        if True:\n",
+        ("tests/test_simulation.py::test_the_pto_event_is_due_no_later_than_its_deadline_after_the_first_rtt_sample",),
+    ),
+    # named in CHANGES.md by earlier changes
+    Mutant(
+        "range-count-one-byte",
+        "src/mpqsim/core.py",
+        "        + varint_size(len(ranges) - 1)\n",
+        "        + 1\n",
+        (
+            "tests/test_core.py::test_wire_size_counts_a_two_byte_range_count_and_gap",
+            "tests/test_scenario_fuzz.py::test_a_lossy_reference_run_encodes_its_frames_of_65_ranges_exactly",
+        ),
+    ),
+    Mutant(
+        "gap-one-byte-below-128",
+        "src/mpqsim/core.py",
+        "return (1 if gap < 64 else",
+        "return (1 if gap < 128 else",
+        (
+            "tests/test_core.py::test_wire_size_counts_a_two_byte_range_count_and_gap",
+            "tests/test_core.py::test_wire_size_equals_varint_sum_on_valid_frames",
+            "tests/test_core.py::test_cached_frame_size_equals_the_range_by_range_sum",
+            "tests/test_scenario_fuzz.py::test_a_lossy_reference_run_encodes_its_frames_of_65_ranges_exactly",
+        ),
+    ),
+    Mutant(
+        "wake-at-the-latest-gate",
+        "src/mpqsim/scheduler.py",
+        "            if wake is None or gate < wake:\n",
+        "            if wake is None or gate > wake:\n",
+        ("tests/test_scheduler.py::test_single_pass_matches_the_list_based_decision",),
+    ),
+    Mutant(
+        "room-needs-a-spare-byte",
+        "src/mpqsim/scheduler.py",
+        "        if ps.bytes_in_flight + packet_size > ps.cc.cwnd:\n",
+        "        if ps.bytes_in_flight + packet_size >= ps.cc.cwnd:\n",
+        (
+            "tests/test_scheduler.py::test_single_pass_matches_the_list_based_decision",
+            "tests/test_scheduler.py::test_a_path_is_picked_whenever_one_is_past_its_gate_with_room",
+        ),
+    ),
+    Mutant(
+        "pto-deadline-before-loss-detection",
+        "src/mpqsim/sender.py",
+        "            lost += self.detect_losses(path, now)\n"
+        "            ps.pto_deadline = now + ps.pto_interval(self.max_ack_delay) if ps.unacked else None\n",
+        "            ps.pto_deadline = now + ps.pto_interval(self.max_ack_delay) if ps.unacked else None\n"
+        "            lost += self.detect_losses(path, now)\n",
+        ("tests/test_scenario_fuzz.py::test_random_scenarios_end_cleanly_and_repeat_exactly",),
+    ),
+]
+
+
+def copy_checkout(into: Path) -> None:
+    for name in COPIED:
+        source = ROOT / name
+        if source.is_dir():
+            shutil.copytree(source, into / name, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        else:
+            shutil.copy2(source, into / name)
+
+
+def run_tests(where: Path, tests: tuple[str, ...]) -> tuple[int, set[str]]:
+    """Run `tests` in the copy at `where`; returns pytest's exit status (-1
+    on a timeout) and the node ids it reported failed or errored."""
+    env = {**os.environ, "PYTHONPATH": str(where / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-rfE", *tests]
+    try:
+        run = subprocess.run(cmd, cwd=where, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return -1, set()
+    failed = set(re.findall(r"^(?:FAILED|ERROR) (\S+)", run.stdout, re.M))
+    return run.returncode, failed
+
+
+def check_control(mutants: list[Mutant]) -> bool:
+    """The named tests pass on an unchanged copy, which imports its own package."""
+    tests = tuple(dict.fromkeys(t for m in mutants for t in m.tests))
+    with tempfile.TemporaryDirectory() as tmp:
+        where = Path(tmp)
+        copy_checkout(where)
+        env = {**os.environ, "PYTHONPATH": str(where / "src")}
+        probe = [sys.executable, "-c", "import mpqsim; print(mpqsim.__file__)"]
+        imported = subprocess.run(probe, cwd=where, env=env, capture_output=True, text=True).stdout.strip()
+        if not Path(imported).resolve().is_relative_to(where.resolve()):
+            print(f"control: the copy imported mpqsim from {imported!r}, not from {where}")
+            return False
+        status, failed = run_tests(where, tests)
+    if status or failed:
+        print(f"control: exit {status}, failed on the unchanged copy: {sorted(failed)}")
+        return False
+    print(f"control: {len(tests)} named tests pass on the unchanged copy")
+    return True
+
+
+def check_mutant(mutant: Mutant) -> bool:
+    """Whether `mutant` applies once and every named test fails under it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        where = Path(tmp)
+        copy_checkout(where)
+        target = where / mutant.file
+        text = target.read_text()
+        count = text.count(mutant.old)
+        if count != 1:
+            print(f"{mutant.name}: old text occurs {count} times in {mutant.file}, not once")
+            return False
+        target.write_text(text.replace(mutant.old, mutant.new))
+        status, failed = run_tests(where, mutant.tests)
+    survivors = [t for t in mutant.tests if t not in failed]
+    if not mutant.tests or survivors:
+        outcome = "TIMED OUT" if status == -1 else f"SURVIVED (exit {status}); still passing: {survivors}"
+        print(f"{mutant.name}: {outcome}")
+        return False
+    print(f"{mutant.name}: killed, all {len(mutant.tests)} named tests failed")
+    return True
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("names", nargs="*", help="run only these mutants")
+    parser.add_argument("--list", action="store_true", help="print each mutant's name and tests")
+    args = parser.parse_args(argv)
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [n for n in args.names if n not in by_name]
+    if unknown:
+        parser.error(f"no mutant named {', '.join(unknown)}")
+    chosen = [by_name[n] for n in args.names] if args.names else MUTANTS
+    if args.list:
+        for m in chosen:
+            print(m.name, *m.tests, sep="\n  ")
+        return
+    ok = check_control(chosen)
+    ok = all([check_mutant(m) for m in chosen]) and ok
+    sys.exit(0 if ok else 1)
+
+
+if __name__ == "__main__":
+    main()

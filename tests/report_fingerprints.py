@@ -16,6 +16,11 @@ before and after; compare the two with `cmp`:
 histograms as they are, each series as `[length, last value, mean]`.
 `--goldens` prints the JSON and CSV sha256 of each report that
 `tests/test_golden.py` pins, computed by the checkout's code.
+`--scenarios N` prints the sha256 of each report of the first N
+derandomized draws of the fuzzer's `scenario_configs` (from
+`tests/test_scenario_fuzz.py`, with data delays of at least 1 µs), named
+`scenario/i`: random paths, traces, loss and PTO probes that the bench
+inputs barely reach. A draw whose run raises is hashed by its error.
 
 `--diff BASE_DIR` is the table of what a behaviour change moved:
 
@@ -25,7 +30,8 @@ It runs `--fields` and `--goldens` for `BASE_DIR` and for this checkout
 (or `--src`), each in its own interpreter, and prints one row per moved
 `seed/input/mode/field`: old, new and relative change, a series summary
 element by element. Then it prints each golden whose sha256 moved, old ->
-new. It exits 0 when nothing moved, 1 when something did, and 2 on error.
+new, and, with `--scenarios N`, each moved scenario draw. It exits 0 when
+nothing moved, 1 when something did, and 2 on error.
 
 `--src` names the checkout whose `src/mpqsim` runs (by default this one);
 the inputs and the golden configs always come from this checkout. Not a
@@ -76,6 +82,39 @@ def fingerprints(seeds: list[int]) -> dict[str, str]:
     for name, report in reports(seeds):
         canonical = json.dumps(report, sort_keys=True).encode()
         out[name] = hashlib.sha256(canonical).hexdigest()
+    return out
+
+
+def scenario_fingerprints(count: int) -> dict[str, str]:
+    """The sha256 of each report of the first `count` derandomized
+    `scenario_configs` draws, by `scenario/i`."""
+    from hypothesis import HealthCheck, Phase, given, settings
+
+    from mpqsim.simulation import Simulation
+
+    sys.path.insert(0, str(ROOT / "tests"))  # the fuzzer's own imports
+    spec = importlib.util.spec_from_file_location("scenario_fuzz", ROOT / "tests" / "test_scenario_fuzz.py")
+    fuzz = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fuzz)
+    out: dict[str, str] = {}
+
+    @settings(
+        derandomize=True,
+        database=None,
+        deadline=None,
+        max_examples=count,
+        phases=[Phase.generate],
+        suppress_health_check=list(HealthCheck),
+    )
+    @given(fuzz.scenario_configs(min_delay_down_ms=0.001))
+    def run(config):
+        try:
+            text = json.dumps(Simulation(config).run().to_dict(), sort_keys=True)
+        except Exception as exc:  # a run that raises is fingerprinted by its error
+            text = f"{type(exc).__name__}: {exc}"
+        out[f"scenario/{len(out)}"] = hashlib.sha256(text.encode()).hexdigest()
+
+    run()
     return out
 
 
@@ -142,9 +181,9 @@ def relative_change(old: object, new: object) -> str:
     return f"{(new - old) / abs(old):+.1%}" if numbers and old else "n/a"
 
 
-def _snapshot(src: Path, seeds: str, flag: str) -> dict:
-    """`--fields` or `--goldens` of the checkout at `src`, in its own interpreter."""
-    cmd = [sys.executable, __file__, "--src", str(src), "--seeds", seeds, flag]
+def _snapshot(src: Path, *flags: str) -> dict:
+    """The output of the checkout at `src` under `flags`, in its own interpreter."""
+    cmd = [sys.executable, __file__, "--src", str(src), *flags]
     run = subprocess.run(cmd, capture_output=True, text=True)
     if run.returncode:
         sys.stderr.write(run.stderr)
@@ -152,14 +191,14 @@ def _snapshot(src: Path, seeds: str, flag: str) -> dict:
     return json.loads(run.stdout)
 
 
-def diff(base: Path, change: Path, seeds: str) -> int:
+def diff(base: Path, change: Path, seeds: str, scenarios: int) -> int:
     """Print what moved from `base` to `change`; 1 if anything did, else 0."""
-    old, new = (_snapshot(src, seeds, "--fields") for src in (base, change))
+    old, new = (_snapshot(src, "--seeds", seeds, "--fields") for src in (base, change))
     rows = moved_rows(old, new)
     width = max((len(name) for name, _, _ in rows), default=0)
     for name, a, b in rows:
         print(f"{name:<{width}}  {json.dumps(a)} -> {json.dumps(b)}  {relative_change(a, b)}")
-    old_g, new_g = (_snapshot(src, seeds, "--goldens") for src in (base, change))
+    old_g, new_g = (_snapshot(src, "--seeds", seeds, "--goldens") for src in (base, change))
     goldens = 0
     for name in {**old_g, **new_g}:
         for kind, a, b in zip(("json", "csv"), old_g.get(name, [None] * 2), new_g.get(name, [None] * 2)):
@@ -167,7 +206,15 @@ def diff(base: Path, change: Path, seeds: str) -> int:
                 goldens += 1
                 print(f"golden {name} {kind}: {a} -> {b}")
     print(f"{len(rows)} field rows and {goldens} golden sha256s moved")
-    return 1 if rows or goldens else 0
+    drawn = 0
+    if scenarios:
+        old_s, new_s = (_snapshot(src, "--scenarios", str(scenarios)) for src in (base, change))
+        for name in {**old_s, **new_s}:
+            if old_s.get(name) != new_s.get(name):
+                drawn += 1
+                print(f"{name}: {old_s.get(name)} -> {new_s.get(name)}")
+        print(f"{drawn} of {len(new_s)} scenario sha256s moved")
+    return 1 if rows or goldens or drawn else 0
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -178,9 +225,14 @@ def main(argv: list[str] | None = None) -> None:
     output.add_argument("--fields", action="store_true", help="print every field, one per line, not hashes")
     output.add_argument("--goldens", action="store_true", help="print the golden reports' sha256s")
     output.add_argument("--diff", type=Path, metavar="BASE_DIR", help="print what moved since BASE_DIR")
+    parser.add_argument(
+        "--scenarios", type=int, default=0, metavar="N", help="hash N fuzzer scenario draws (also in --diff)"
+    )
     args = parser.parse_args(argv)
+    if args.scenarios and (args.fields or args.goldens):
+        parser.error("--scenarios goes alone or with --diff")
     if args.diff:
-        sys.exit(diff(args.diff.resolve(), args.src.resolve(), args.seeds))
+        sys.exit(diff(args.diff.resolve(), args.src.resolve(), args.seeds, args.scenarios))
     src = args.src.resolve() / "src"
     sys.path.insert(0, str(src))
     import mpqsim
@@ -194,6 +246,8 @@ def main(argv: list[str] | None = None) -> None:
         print("{\n" + ",\n".join(lines) + "\n}")
     elif args.goldens:
         print(json.dumps(golden_fingerprints(), indent=1))
+    elif args.scenarios:
+        print(json.dumps(scenario_fingerprints(args.scenarios), indent=1))
     else:
         print(json.dumps(fingerprints(seeds), indent=1))
 

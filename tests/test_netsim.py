@@ -1,5 +1,5 @@
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import example, given, settings
@@ -56,6 +56,105 @@ def test_scheduling_in_the_past_is_fatal():
     loop.pop()
     with pytest.raises(RuntimeError):
         loop.schedule(5, print)
+
+
+# -- keyed timers ---------------------------------------------------------------
+
+
+def assert_one_heap_entry_per_live_timer(loop: EventLoop) -> None:
+    """Each `(key, token)` in the loop's live-timer table is carried by
+    exactly one event on the heap, due at the table's time."""
+    fire = loop._fire
+    due = Counter((args[:2], time) for time, _, handler, args in loop._heap if handler == fire)
+    for key, (time, token) in loop.timers.items():
+        assert due[(key, token), time] == 1
+
+
+def run_all(loop: EventLoop) -> None:
+    """Pop and run every event, checking the live-timer table after each."""
+    while (event := loop.pop()) is not None:
+        time, handler, args = event
+        handler(time, *args)
+        assert_one_heap_entry_per_live_timer(loop)
+
+
+def recorder(calls: list):
+    """A handler that records `(time, *args)` of each call in `calls`."""
+    return lambda now, *args: calls.append((now, *args))
+
+
+def test_an_earlier_deadline_supersedes_the_live_event():
+    loop, calls = EventLoop(), []
+    loop.set_timer("t", 20, recorder(calls), "late")
+    loop.set_timer("t", 10, recorder(calls), "early")
+    assert loop.timers["t"][0] == 10 and len(loop._heap) == 2
+    run_all(loop)
+    # the superseded event at 20 still pops, and runs nothing
+    assert calls == [(10, "early")]
+    assert loop.now == 20 and loop.timers == {}
+
+
+def test_a_later_or_equal_deadline_schedules_nothing():
+    loop, calls = EventLoop(), []
+    loop.set_timer("t", 10, recorder(calls), "first")
+    live = loop.timers["t"]
+    loop.set_timer("t", 10, recorder(calls), "equal")
+    loop.set_timer("t", 15, recorder(calls), "later")
+    assert loop.timers["t"] == live and len(loop._heap) == 1
+    run_all(loop)
+    assert calls == [(10, "first")]
+
+
+def test_timers_of_other_keys_are_independent():
+    loop, calls = EventLoop(), []
+    loop.set_timer(("ack", 0), 10, recorder(calls), 0)
+    loop.set_timer(("ack", 1), 5, recorder(calls), 1)
+    run_all(loop)
+    assert calls == [(5, 1), (10, 0)]
+
+
+def test_a_superseded_event_due_with_the_live_one_runs_nothing():
+    loop, calls = EventLoop(), []
+    loop.set_timer("t", 20, recorder(calls), "superseded")
+    loop.set_timer("t", 10, recorder(calls), "early")
+    loop.schedule(15, lambda now: loop.set_timer("t", 20, recorder(calls), "live"))
+    # the event at 15 sets a new live event at 20, beside the superseded one
+    # that pops first; only the token tells them apart
+    run_all(loop)
+    assert calls == [(10, "early"), (20, "live")]
+
+
+def test_a_handler_may_set_its_own_timer_again():
+    loop, calls = EventLoop(), []
+
+    def tick(now):
+        calls.append(now)
+        if now < 30:
+            loop.set_timer("t", now + 10, tick)
+
+    loop.set_timer("t", 10, tick)
+    run_all(loop)
+    assert calls == [10, 20, 30]
+
+
+def test_clear_leaves_no_live_timer():
+    loop, calls = EventLoop(), []
+    loop.set_timer("t", 10, recorder(calls))
+    loop.clear()
+    assert loop.timers == {} and loop.pop() is None
+    # the key is free again: a later deadline is live, not held off
+    loop.set_timer("t", 20, recorder(calls))
+    run_all(loop)
+    assert calls == [(20,)]
+
+
+def test_a_timer_in_the_past_is_refused_and_leaves_the_table_alone():
+    loop = EventLoop()
+    loop.schedule(10, print)
+    loop.pop()
+    with pytest.raises(RuntimeError, match="event scheduled in the past"):
+        loop.set_timer("t", 5, print)
+    assert loop.timers == {} and loop._heap == []
 
 
 # -- rate-mode link ------------------------------------------------------------

@@ -23,6 +23,7 @@ from mpqsim.receiver import RecvConfig
 from mpqsim.scenario import MetricsReport, ScenarioConfig
 from mpqsim.scheduler import SchedulerKind
 from mpqsim.simulation import Simulation
+from test_netsim import assert_one_heap_entry_per_live_timer
 
 
 @st.composite
@@ -235,7 +236,6 @@ def watch_invariants(sim: Simulation) -> dict:
 
     receiver.build_ack_frame = checked_build
     watched = {"peeks": 0, "pops": 0, "next_event": None, "clock": loop.now}
-    timer, pto = sim._on_ack_timer, sim._on_pto
     gates = [ps.pace_next for ps in sender.paths]
     peek, pop = loop.peek_time, loop.pop
 
@@ -264,21 +264,18 @@ def watch_invariants(sim: Simulation) -> dict:
             # the pacing gate never moves back
             assert ps.pace_next >= gates[ps.path]
             gates[ps.path] = ps.pace_next
-        # at most one pending ack-timer and one PTO event per path, and one
-        # while its deadline is set
-        pending = {timer: {}, pto: {}}
-        for time, _, handler, args in loop._heap:
-            if handler in pending:
-                assert args[0] not in pending[handler]
-                pending[handler][args[0]] = time
-        # an ack-timer event is due no later than its deadline. A PTO event
-        # may be due later: a deadline moved earlier, as the first RTT sample
-        # does, keeps the event armed for the one before
+        # each live timer has exactly one event on the heap, due at its time
+        live = loop.timers
+        assert_one_heap_entry_per_live_timer(loop)
+        # an ack-timer event is due no later than its deadline, and a PTO
+        # event is live while its deadline is set. A PTO event may be due
+        # later: a deadline moved earlier, as the first RTT sample does,
+        # keeps the event armed for the one before (ROADMAP item 3c′)
         for prs in receiver.per_path:
             deadline = prs.ack_timer_deadline
-            assert deadline is None or pending[timer].get(prs.path, math.inf) <= deadline
+            assert deadline is None or live.get(("ack", prs.path), (math.inf,))[0] <= deadline
         for ps in sender.paths:
-            assert ps.pto_deadline is None or ps.path in pending[pto]
+            assert ps.pto_deadline is None or ("pto", ps.path) in live
         # the delivered prefix and the chunks above it hold each byte once
         above = sim.delivered_above
         assert sim.delivered_to + sum(above.values()) <= config.transfer_size
