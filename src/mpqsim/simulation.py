@@ -97,10 +97,7 @@ class Simulation:
         arrival = self.down[path].transmit(size, now)
         if arrival is not None:
             self.loop.schedule(arrival, self._on_data, path, rec.pn, size, offset)
-        # Only when none is live: a deadline moved earlier, as the first RTT
-        # sample moves it, keeps the later live event (ROADMAP item 3c′)
-        if ("pto", path) not in self.loop.timers:
-            self.loop.set_timer(("pto", path), self.sender.paths[path].pto_deadline, self._on_pto, path)
+        self.loop.set_timer(("pto", path), self.sender.paths[path].pto_deadline, self._on_pto, path)
 
     def _try_send(self, now: int) -> None:
         config, paths = self.config, self.sender.paths
@@ -186,8 +183,10 @@ class Simulation:
     def _on_ack(self, now: int, path: int, frame) -> None:
         for rec in self.sender.on_ack_received(path, frame, now):
             self.retx_queue.append((rec.payload_offset, rec.size))
-        # the sender restarted the PTO deadline of each path it acked; each
-        # had one set, and so a live event, before
+        # a restarted PTO deadline may be earlier than its path's live event
+        for ps in self.sender.paths:
+            if ps.pto_deadline is not None:
+                self.loop.set_timer(("pto", ps.path), ps.pto_deadline, self._on_pto, ps.path)
         self._try_send(now)
 
     # -- main loop ---------------------------------------------------------

@@ -5,7 +5,9 @@ package: the exact old text, the new text, and the test node ids that
 must fail under it. For every mutant the runner copies this checkout's
 `src/`, `tests/`, `scenarios/`, `README.md` and `pyproject.toml` into a
 fresh temporary directory, requires the old text to occur exactly once in
-the copy's file, applies the change and runs only the named tests there.
+the copy's file, applies the change and runs only the named tests there,
+under the "mutants" Hypothesis profile of `tests/conftest.py`, which
+reports a failing draw without shrinking it.
 
     python tests/mutants.py            # every mutant
     python tests/mutants.py NAME ...   # the named ones
@@ -83,11 +85,27 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        "pto-guard-dropped",
+        "pto-guard-restored",
         "src/mpqsim/simulation.py",
-        '        if ("pto", path) not in self.loop.timers:\n',
-        "        if True:\n",
-        ("tests/test_simulation.py::test_the_pto_event_is_due_no_later_than_its_deadline_after_the_first_rtt_sample",),
+        '        self.loop.set_timer(("pto", path), self.sender.paths[path].pto_deadline, self._on_pto, path)\n',
+        '        if ("pto", path) not in self.loop.timers:\n'
+        '            self.loop.set_timer(("pto", path), self.sender.paths[path].pto_deadline, self._on_pto, path)\n',
+        (
+            "tests/test_simulation.py::test_a_lost_last_packet_is_probed_at_the_deadline_its_send_set",
+            "tests/test_scenario_fuzz.py::test_random_scenarios_end_cleanly_and_repeat_exactly",
+        ),
+    ),
+    Mutant(
+        "ack-offers-no-pto",
+        "src/mpqsim/simulation.py",
+        "        for ps in self.sender.paths:\n"
+        "            if ps.pto_deadline is not None:\n"
+        '                self.loop.set_timer(("pto", ps.path), ps.pto_deadline, self._on_pto, ps.path)\n',
+        "",
+        (
+            "tests/test_simulation.py::test_an_ack_that_moves_the_pto_deadline_earlier_moves_its_event",
+            "tests/test_scenario_fuzz.py::test_random_scenarios_end_cleanly_and_repeat_exactly",
+        ),
     ),
     # named in CHANGES.md by earlier changes
     Mutant(
@@ -130,6 +148,80 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "gap-one-byte-below-32",
+        "src/mpqsim/core.py",
+        "return (1 if gap < 64 else",
+        "return (1 if gap < 32 else",
+        (
+            "tests/test_core.py::test_wire_size_equals_varint_sum_on_valid_frames",
+            "tests/test_scenario_fuzz.py::test_random_scenarios_end_cleanly_and_repeat_exactly",
+        ),
+    ),
+    Mutant(
+        "validate-walk-stops-below-largest",
+        "src/mpqsim/core.py",
+        "            while pn <= largest:\n",
+        "            while pn < largest:\n",
+        ("tests/test_core.py::test_validate_returns_exactly_the_acknowledged_numbers",),
+    ),
+    Mutant(
+        "validate-lets-adjacent-ranges-through",
+        "src/mpqsim/core.py",
+        "            if not below + 1 < smallest <= largest:\n",
+        "            if not below < smallest <= largest:\n",
+        (
+            "tests/test_core.py::test_validate_refuses_exactly_the_invalid_range_lists",
+            "tests/test_core.py::test_validate_returns_exactly_the_acknowledged_numbers",
+        ),
+    ),
+    Mutant(
+        "validate-floor-lets-a-negative-range-through",
+        "src/mpqsim/core.py",
+        "        below = -2  #",
+        "        below = -3  #",
+        (
+            "tests/test_core.py::test_validate_refuses_exactly_the_invalid_range_lists",
+            "tests/test_core.py::test_validate_returns_exactly_the_acknowledged_numbers",
+        ),
+    ),
+    Mutant(
+        "unprobed-ranks-swapped",
+        "src/mpqsim/scheduler.py",
+        "(math.inf if ps.sent_count else -1.0)",
+        "(-1.0 if ps.sent_count else math.inf)",
+        (
+            "tests/test_scheduler.py::test_unprobed_fresh_path_ranks_first_once",
+            "tests/test_scheduler.py::test_single_pass_matches_the_list_based_decision",
+        ),
+    ),
+    Mutant(
+        "rank-ties-to-the-higher-id",
+        "src/mpqsim/scheduler.py",
+        "        if pick is None or rank < best:\n",
+        "        if pick is None or rank <= best:\n",
+        (
+            "tests/test_scheduler.py::test_minrtt_ties_break_to_lower_path_id",
+            "tests/test_scheduler.py::test_single_pass_matches_the_list_based_decision",
+        ),
+    ),
+    Mutant(
+        "round-robin-cursor-not-advanced",
+        "src/mpqsim/scheduler.py",
+        "    return pick, pick if round_robin else rr_cursor, None\n",
+        "    return pick, rr_cursor, None\n",
+        (
+            "tests/test_scheduler.py::test_round_robin_alternates",
+            "tests/test_scheduler.py::test_single_pass_matches_the_list_based_decision",
+        ),
+    ),
+    Mutant(
+        "wake-kept-after-a-pick",
+        "src/mpqsim/scheduler.py",
+        "    return pick, pick if round_robin else rr_cursor, None\n",
+        "    return pick, pick if round_robin else rr_cursor, wake\n",
+        ("tests/test_scheduler.py::test_single_pass_matches_the_list_based_decision",),
+    ),
+    Mutant(
         "pto-deadline-before-loss-detection",
         "src/mpqsim/sender.py",
         "            lost += self.detect_losses(path, now)\n"
@@ -154,7 +246,7 @@ def run_tests(where: Path, tests: tuple[str, ...]) -> tuple[int, set[str]]:
     """Run `tests` in the copy at `where`; returns pytest's exit status (-1
     on a timeout) and the node ids it reported failed or errored."""
     env = {**os.environ, "PYTHONPATH": str(where / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-rfE", *tests]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-rfE", "--hypothesis-profile=mutants", *tests]
     try:
         run = subprocess.run(cmd, cwd=where, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:

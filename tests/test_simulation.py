@@ -302,10 +302,6 @@ def test_ack_leaves_at_the_later_deadline_after_a_superseded_timer():
     assert fired == [25_000, 27_000]
 
 
-# ROADMAP item 3c′: the PTO timer is set only while none is live, so a
-# deadline moved earlier keeps the later event; the fix deletes that guard
-# in `Simulation._send_on_path` and this marker together
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3c′")
 def test_the_pto_event_is_due_no_later_than_its_deadline_after_the_first_rtt_sample():
     paths = [LinkModel(delay_down_ms=10, delay_up_ms=10, rate_mbps=10)]
     sim = Simulation(ScenarioConfig(mode=SpaceMode.SPNS, paths=paths, transfer_size=100_000))
@@ -318,6 +314,44 @@ def test_the_pto_event_is_due_no_later_than_its_deadline_after_the_first_rtt_sam
     # a few RTTs, and the ACK's handler sent again
     assert ps.pto_deadline < 200_000
     assert loop.timers[("pto", 0)][0] <= ps.pto_deadline
+
+
+def test_an_ack_that_moves_the_pto_deadline_earlier_moves_its_event():
+    # the whole transfer leaves in the initial window, so the ACK that
+    # brings the first RTT sample is followed by no send
+    paths = [LinkModel(delay_down_ms=10, delay_up_ms=10, rate_mbps=10)]
+    sim = Simulation(ScenarioConfig(mode=SpaceMode.SPNS, paths=paths, transfer_size=10 * 1350))
+    ps, loop = sim.sender.paths[0], sim.loop
+    loop.set_timer("wake", 0, sim._try_send)
+    while not ps.rtt_samples_ms:
+        time, handler, args = loop.pop()
+        handler(time, *args)
+    assert sim.next_offset == sim.config.transfer_size
+    assert ps.pto_deadline == 113_640
+    assert loop.timers[("pto", 0)][0] <= ps.pto_deadline
+
+
+def test_a_lost_last_packet_is_probed_at_the_deadline_its_send_set():
+    # a one-packet ceiling leaves the two-packet floor window: the ACK that
+    # brings the first RTT sample acks both packets, so the path has no
+    # deadline until the last packet, which the link drops, sets one
+    paths = [LinkModel(delay_down_ms=10, delay_up_ms=10, rate_mbps=10, window_packets=1)]
+    sim = Simulation(ScenarioConfig(mode=SpaceMode.SPNS, paths=paths, transfer_size=3 * 1350))
+    ps, link, sends = sim.sender.paths[0], sim.down[0], []
+    transmit = link.transmit
+
+    def dropping_the_last_data_packet(size, now):
+        sends.append((now, ps.pto_deadline))
+        return None if len(sends) == 3 else transmit(size, now)
+
+    link.transmit = dropping_the_last_data_packet
+    report = sim.run()
+    assert report.complete and report.packets_sent == len(sends) == 4
+    assert len(ps.rtt_samples_ms) == 1
+    # the probe goes out at that deadline, a few RTTs out, not about 1 s
+    # out where the first send's deadline was
+    (dropped_at, deadline), (probed_at, _) = sends[2:]
+    assert dropped_at < probed_at == deadline < 200_000
 
 
 def test_deterministic_repeat_runs():
