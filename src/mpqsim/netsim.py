@@ -219,9 +219,9 @@ class EventLoop:
 
     def set_timer(self, key: object, deadline: int, handler: Callable, *args) -> None:
         """Have `key`'s one live event run `handler(deadline, *args)`, unless one
-        is due no later. An earlier deadline supersedes the live event, which
-        still pops but returns at once: events are told apart by the token
-        they carry, not by their time, since two can share a time."""
+        is due no later. An earlier deadline supersedes it; the old event pops
+        but, told apart by its token (two can share a time), returns at once. A
+        handler acts and returns None, or returns the later deadline to re-arm at."""
         if key not in self.timers or deadline < self.timers[key][0]:
             token = self._seq
             self.schedule(deadline, self._fire, key, token, handler, args)
@@ -230,7 +230,10 @@ class EventLoop:
     def _fire(self, now: int, key: object, token: int, handler: Callable, args: tuple) -> None:
         if self.timers.get(key) == (now, token):  # else superseded
             del self.timers[key]
-            handler(now, *args)
+            if (later := handler(now, *args)) is not None:
+                if later <= now:  # re-armed at `now`, it would fire forever
+                    raise RuntimeError(f"timer {key!r} re-armed at {later}, not after {now}")
+                self.set_timer(key, later, handler, *args)
 
     def peek_time(self) -> int | None:
         return self._heap[0][0] if self._heap else None

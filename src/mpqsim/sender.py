@@ -163,8 +163,10 @@ class SenderState:
         ps.pto_deadline = now + ps.pto_interval(self.max_ack_delay)
         return record
 
-    def on_ack_received(self, arrival_path: int, frame: AckFrame, now: int) -> list[SentPacketRecord]:
-        """Apply one ACK frame and return the records then declared lost."""
+    def on_ack_received(
+        self, arrival_path: int, frame: AckFrame, now: int
+    ) -> tuple[list[SentPacketRecord], list[PathSendState]]:
+        """Apply one ACK frame; return the records then declared lost and the paths it visited."""
         space = frame.space
         sp = self._spaces.get(space)
         if sp is None:
@@ -207,12 +209,12 @@ class SenderState:
             credit_state.largest_credited = largest
 
         lost: list[SentPacketRecord] = []
-        for path, acked in sorted(acked_bytes_by_path.items()):
-            ps = paths[path]
-            ps.cc.on_ack(acked, now)
-            lost += self.detect_losses(path, now)
+        acked_paths = [paths[path] for path in sorted(acked_bytes_by_path)]
+        for ps in acked_paths:
+            ps.cc.on_ack(acked_bytes_by_path[ps.path], now)
+            lost += self.detect_losses(ps.path, now)
             ps.pto_deadline = now + ps.pto_interval(self.max_ack_delay) if ps.unacked else None
-        return lost
+        return lost, acked_paths
 
     def detect_losses(self, path: int, now: int) -> list[SentPacketRecord]:
         """Declare per-path losses by packet count and time thresholds.

@@ -125,21 +125,14 @@ class Simulation:
 
     # -- timers ------------------------------------------------------------
 
-    def _timer_due(self, now: int, kind: str, path: int, deadline: int | None, handler) -> bool:
-        """Whether the `(kind, path)` timer that fired at `now` acts: its deadline
-        is set and has come. One that fired before the deadline re-arms at it."""
-        if deadline is not None and now < deadline:
-            self.loop.set_timer((kind, path), deadline, handler, path)
-            return False
-        return deadline is not None
-
-    def _on_pto(self, now: int, path: int) -> None:
+    def _on_pto(self, now: int, path: int) -> int | None:
         ps = self.sender.paths[path]
         # the deadline is set exactly while the path has unacked packets
-        if self._timer_due(now, "pto", path, ps.pto_deadline, self._on_pto):
-            # probe: resend the oldest unacked payload on this path, ignoring cwnd
-            oldest = next(iter(ps.unacked.values()))
-            self._send_on_path(path, oldest.size, oldest.payload_offset, now)
+        if ps.pto_deadline is None or now < ps.pto_deadline:
+            return ps.pto_deadline
+        # probe: resend the oldest unacked payload on this path, ignoring cwnd
+        oldest = next(iter(ps.unacked.values()))
+        self._send_on_path(path, oldest.size, oldest.payload_offset, now)
 
     # -- receiving --------------------------------------------------------
 
@@ -174,17 +167,18 @@ class Simulation:
             if deadline is not None:
                 self.loop.set_timer(("ack", path), deadline, self._on_ack_timer, path)
 
-    def _on_ack_timer(self, now: int, path: int) -> None:
+    def _on_ack_timer(self, now: int, path: int) -> int | None:
         # the deadline is set exactly while the path owes an ACK
         deadline = self.receiver.per_path[path].ack_timer_deadline
-        if self._timer_due(now, "ack", path, deadline, self._on_ack_timer):
-            self._emit_ack(self.receiver.build_ack_frame(path, now), path, now)
+        if deadline is None or now < deadline:
+            return deadline
+        self._emit_ack(self.receiver.build_ack_frame(path, now), path, now)
 
     def _on_ack(self, now: int, path: int, frame) -> None:
-        for rec in self.sender.on_ack_received(path, frame, now):
-            self.retx_queue.append((rec.payload_offset, rec.size))
+        lost, acked_paths = self.sender.on_ack_received(path, frame, now)
+        self.retx_queue.extend((rec.payload_offset, rec.size) for rec in lost)
         # a restarted PTO deadline may be earlier than its path's live event
-        for ps in self.sender.paths:
+        for ps in acked_paths:
             if ps.pto_deadline is not None:
                 self.loop.set_timer(("pto", ps.path), ps.pto_deadline, self._on_pto, ps.path)
         self._try_send(now)
@@ -225,7 +219,7 @@ class Simulation:
         """
         now = self.loop.now
         for prs in self.receiver.per_path:
-            if prs.ack_eliciting_since_ack > 0:
+            if prs.ack_timer_deadline is not None:
                 frame = self.receiver.build_ack_frame(prs.path, now)
                 self._record_ack_metrics(frame)
 

@@ -73,17 +73,25 @@ MUTANTS = [
         "        self._heap.clear()\n",
         ("tests/test_netsim.py::test_clear_leaves_no_live_timer",),
     ),
-    # the timers of `Simulation`
     Mutant(
         "timer-no-early-rearm",
-        "src/mpqsim/simulation.py",
-        "            self.loop.set_timer((kind, path), deadline, handler, path)\n            return False\n",
-        "            return False\n",
+        "src/mpqsim/netsim.py",
+        "                self.set_timer(key, later, handler, *args)\n",
+        "",
         (
+            "tests/test_netsim.py::test_a_handler_that_returns_a_later_deadline_is_re_armed_at_it",
             "tests/test_simulation.py::test_ack_leaves_at_the_later_deadline_after_a_superseded_timer",
             "tests/test_scenario_fuzz.py::test_random_scenarios_end_cleanly_and_repeat_exactly",
         ),
     ),
+    Mutant(
+        "timer-re-arm-at-now-allowed",
+        "src/mpqsim/netsim.py",
+        "if later <= now:",
+        "if later < now:",
+        ("tests/test_netsim.py::test_a_handler_that_returns_a_deadline_no_later_than_now_is_refused[10]",),
+    ),
+    # the timers of `Simulation`
     Mutant(
         "pto-guard-restored",
         "src/mpqsim/simulation.py",
@@ -98,12 +106,22 @@ MUTANTS = [
     Mutant(
         "ack-offers-no-pto",
         "src/mpqsim/simulation.py",
-        "        for ps in self.sender.paths:\n"
+        "        for ps in acked_paths:\n"
         "            if ps.pto_deadline is not None:\n"
         '                self.loop.set_timer(("pto", ps.path), ps.pto_deadline, self._on_pto, ps.path)\n',
         "",
         (
             "tests/test_simulation.py::test_an_ack_that_moves_the_pto_deadline_earlier_moves_its_event",
+            "tests/test_scenario_fuzz.py::test_random_scenarios_end_cleanly_and_repeat_exactly",
+        ),
+    ),
+    Mutant(
+        "pto-offered-for-arrival-path-only",
+        "src/mpqsim/simulation.py",
+        "        for ps in acked_paths:\n",
+        "        for ps in [self.sender.paths[path]]:\n",
+        (
+            "tests/test_simulation.py::test_an_spns_ack_on_one_path_moves_the_pto_event_of_the_path_it_acks",
             "tests/test_scenario_fuzz.py::test_random_scenarios_end_cleanly_and_repeat_exactly",
         ),
     ),
@@ -222,12 +240,82 @@ MUTANTS = [
         ("tests/test_scheduler.py::test_single_pass_matches_the_list_based_decision",),
     ),
     Mutant(
+        "float-admits-bool",
+        "src/mpqsim/core.py",
+        "return lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)",
+        "return lambda v: isinstance(v, (int, float))",
+        (
+            "tests/test_simulation.py::test_wrong_field_type_refused_before_the_run[path-rate_mbps-True]",
+            "tests/test_scenario_fuzz.py::test_a_field_of_the_wrong_type_is_refused_before_the_run",
+        ),
+    ),
+    Mutant(
+        "int-admits-bool",
+        "src/mpqsim/core.py",
+        "return lambda v: type(v) is hint",
+        "return lambda v: isinstance(v, hint)",
+        ("tests/test_scenario_fuzz.py::test_a_field_of_the_wrong_type_is_refused_before_the_run",),
+    ),
+    Mutant(
+        "list-items-unchecked",
+        "src/mpqsim/core.py",
+        "return lambda v: type(v) is list and all(map(item, v))",
+        "return lambda v: type(v) is list",
+        ("tests/test_scenario_fuzz.py::test_a_field_of_the_wrong_type_is_refused_before_the_run",),
+    ),
+    Mutant(
+        "literal-admits-any-value-of-its-type",
+        "src/mpqsim/core.py",
+        "options = [lambda v, a=a: type(v) is type(a) and v == a for a in args]",
+        "options = [lambda v, a=a: type(v) is type(a) for a in args]",
+        ("tests/test_scenario_fuzz.py::test_a_field_of_the_wrong_type_is_refused_before_the_run",),
+    ),
+    Mutant(
+        "union-checks-first-arm",
+        "src/mpqsim/core.py",
+        "options = [_admits(a) for a in args]",
+        "options = [_admits(args[0])]",
+        (
+            "tests/test_netsim.py::test_link_model_validation",
+            "tests/test_harness.py::test_parse_config_file",
+            "tests/test_scenario_fuzz.py::test_a_field_of_the_wrong_type_is_refused_before_the_run",
+        ),
+    ),
+    Mutant(
+        "pairs-rebuilds-floats-per-series",
+        "src/mpqsim/core.py",
+        "            if id(column) not in floats:\n",
+        "            if True:\n",
+        (
+            "tests/test_core.py::test_series_export_builds_each_time_column_once",
+            "tests/test_simulation.py::test_export_builds_each_instant_once",
+        ),
+    ),
+    Mutant(
+        "mpns-credit-to-arrival-path",
+        "src/mpqsim/sender.py",
+        "credit_path = arrival_path if self.mode is SpaceMode.SPNS else space",
+        "credit_path = arrival_path",
+        ("tests/test_sender.py::test_mpns_ack_targets_its_space",),
+    ),
+    Mutant(
+        "ablation-delay-from-emitting-path",
+        "src/mpqsim/receiver.py",
+        "largest, ack_delay = anchor.largest_recv_pn, now - anchor.largest_recv_time",
+        "largest, ack_delay = anchor.largest_recv_pn, now - prs.largest_recv_time",
+        (
+            "tests/test_receiver.py::test_suppressed_frames_match_the_two_pass_trim",
+            "tests/test_golden.py::test_golden_report[spns-ablation]",
+            "tests/test_acceptance.py::test_acceptance_run_keeps_its_fingerprint[spns_ablation]",
+        ),
+    ),
+    Mutant(
         "pto-deadline-before-loss-detection",
         "src/mpqsim/sender.py",
-        "            lost += self.detect_losses(path, now)\n"
+        "            lost += self.detect_losses(ps.path, now)\n"
         "            ps.pto_deadline = now + ps.pto_interval(self.max_ack_delay) if ps.unacked else None\n",
         "            ps.pto_deadline = now + ps.pto_interval(self.max_ack_delay) if ps.unacked else None\n"
-        "            lost += self.detect_losses(path, now)\n",
+        "            lost += self.detect_losses(ps.path, now)\n",
         ("tests/test_scenario_fuzz.py::test_random_scenarios_end_cleanly_and_repeat_exactly",),
     ),
 ]

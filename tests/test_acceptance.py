@@ -299,7 +299,9 @@ def test_criterion_6_loss_detection_oracle():
         acked = set()
         expected = set()
         for pn in ack_order:
-            lost = sender.on_ack_received(path_of[pn], ack_frame_for(pn), now=count + 50)
+            lost, acked_paths = sender.on_ack_received(path_of[pn], ack_frame_for(pn), now=count + 50)
+            # the frame reports pn's path unless pn was declared lost before
+            assert acked_paths == ([] if pn in declared else [sender.paths[path_of[pn]]])
             declared |= {r.pn for r in lost}
             # independent replay: acking pn condemns every not-yet-acked
             # packet at least `threshold` sends earlier on the same path

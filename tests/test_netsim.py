@@ -137,6 +137,41 @@ def test_a_handler_may_set_its_own_timer_again():
     assert calls == [10, 20, 30]
 
 
+def test_a_handler_that_returns_a_later_deadline_is_re_armed_at_it():
+    loop, calls = EventLoop(), []
+
+    def waits_for_25(now, *args):
+        calls.append((now, *args))
+        return 25 if now < 25 else None
+
+    loop.set_timer("t", 10, waits_for_25, "x")
+    time, handler, args = loop.pop()
+    handler(time, *args)
+    # one live event, at the returned deadline, with the same handler and args
+    assert loop.timers["t"][0] == 25 and len(loop._heap) == 1
+    assert_one_heap_entry_per_live_timer(loop)
+    run_all(loop)
+    assert calls == [(10, "x"), (25, "x")] and loop.timers == {}
+
+
+def test_a_handler_that_returns_none_is_not_re_armed():
+    loop, calls = EventLoop(), []
+    loop.set_timer("t", 10, recorder(calls))
+    run_all(loop)
+    assert calls == [(10,)] and loop.timers == {} and loop._heap == []
+
+
+@pytest.mark.parametrize("returned", [10, 5])
+def test_a_handler_that_returns_a_deadline_no_later_than_now_is_refused(returned):
+    # a re-arm at `now` would fire again at the same instant, forever
+    loop = EventLoop()
+    loop.set_timer("t", 10, lambda now: returned)
+    time, handler, args = loop.pop()
+    with pytest.raises(RuntimeError, match=f"timer 't' re-armed at {returned}, not after 10"):
+        handler(time, *args)
+    assert loop.timers == {} and loop._heap == []
+
+
 def test_clear_leaves_no_live_timer():
     loop, calls = EventLoop(), []
     loop.set_timer("t", 10, recorder(calls))

@@ -270,6 +270,9 @@ def watch_invariants(sim: Simulation) -> dict:
         # a set ack-timer or PTO deadline has a live event due no later
         for prs in receiver.per_path:
             deadline = prs.ack_timer_deadline
+            # the path owes an ACK exactly while its deadline is set, the
+            # condition the end-of-run flush reads
+            assert (prs.ack_eliciting_since_ack > 0) == (deadline is not None)
             assert deadline is None or live.get(("ack", prs.path), (math.inf,))[0] <= deadline
         for ps in sender.paths:
             deadline = ps.pto_deadline

@@ -35,11 +35,14 @@ def acknowledge(sender, arrival_path, frame, now):
     """Process `frame`; return the pns it newly acked and the records it declared lost.
 
     Newly acked = unacked before - unacked after - declared lost (SPNS only,
-    where a pn names one packet).
+    where a pn names one packet). The paths the sender reports are checked
+    to be exactly those of the newly acked pns, in path order.
     """
-    before = unacked_pns(sender)
-    lost = sender.on_ack_received(arrival_path, frame, now)
-    return before - unacked_pns(sender) - {r.pn for r in lost}, lost
+    path_of = {pn: ps.path for ps in sender.paths for pn in ps.unacked}
+    lost, acked_paths = sender.on_ack_received(arrival_path, frame, now)
+    newly = path_of.keys() - unacked_pns(sender) - {r.pn for r in lost}
+    assert acked_paths == [sender.paths[p] for p in sorted({path_of[pn] for pn in newly})]
+    return newly, lost
 
 
 def plain_state(value):
@@ -128,6 +131,27 @@ def test_ack_with_already_credited_largest_gives_no_sample():
     newly, _ = acknowledge(sender, 0, ack(largest=1), now=200)
     assert sender.paths[0].rtt_samples_ms == [(0.1, 0.099)]
     assert newly == set()
+
+
+def test_ack_reports_only_the_paths_it_newly_acknowledged():
+    sender = send_fig_history(make_sender())
+    deadlines = [ps.pto_deadline for ps in sender.paths]
+    # pns 1 and 2 were sent on path 0; the frame arrives on path 1
+    lost, acked_paths = sender.on_ack_received(1, ack(ranges=[AckRange(2, 1)]), now=1000)
+    assert lost == [] and acked_paths == [sender.paths[0]]
+    assert sender.paths[0].pto_deadline > deadlines[0]
+    assert sender.paths[1].pto_deadline == deadlines[1]
+
+
+def test_ack_of_only_spurious_numbers_reports_no_path():
+    sender = make_sender()
+    for i in range(5):
+        sender.send_packet(0, 100, now=i)
+    lost, _ = sender.on_ack_received(0, ack(ranges=[AckRange(4, 4)]), now=1000)
+    assert [r.pn for r in lost] == [0, 1]
+    deadline = sender.paths[0].pto_deadline
+    assert sender.on_ack_received(0, ack(ranges=[AckRange(1, 0)]), now=2000) == ([], [])
+    assert sender.spurious_count == 2 and sender.paths[0].pto_deadline == deadline
 
 
 def test_same_path_ack_below_largest_credited_gives_no_sample():
@@ -349,7 +373,7 @@ def test_non_positive_sample_rejected():
 
 def test_packet_threshold_uses_path_history():
     sender = send_fig_history(make_sender())
-    lost = sender.on_ack_received(0, ack(ranges=[AckRange(11, 11)]), now=1000)
+    lost, _ = sender.on_ack_received(0, ack(ranges=[AckRange(11, 11)]), now=1000)
     # path 0 history [1,2,6,7,11,12]: 11 sits at index 4, so 1 and 2
     # (indices 0 and 1) are at least kPacketThreshold=3 sends behind
     assert {r.pn for r in lost} == {1, 2}
@@ -372,14 +396,14 @@ def test_largest_equal_to_first_send_loses_nothing():
     sender = make_sender()
     sender.send_packet(0, 100, now=0)
     sender.send_packet(0, 100, now=1)
-    assert sender.on_ack_received(0, ack(ranges=[AckRange(0, 0)]), now=100) == []
+    assert sender.on_ack_received(0, ack(ranges=[AckRange(0, 0)]), now=100) == ([], [sender.paths[0]])
 
 
 def test_time_threshold_declares_aged_packets():
     sender = make_sender()
     sender.send_packet(0, 100, now=0)  # pn 0, will age out
     sender.send_packet(0, 100, now=200_000)  # pn 1
-    lost = sender.on_ack_received(0, ack(ranges=[AckRange(1, 1)]), now=300_000)
+    lost, _ = sender.on_ack_received(0, ack(ranges=[AckRange(1, 1)]), now=300_000)
     # srtt = 100ms; cutoff = 300ms - 112.5ms; pn 0 sent at 0 is long gone
     assert [r.pn for r in lost] == [0]
     assert sender.time_threshold_losses == 1

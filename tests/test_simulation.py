@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from mpqsim.congestion import CcAlgorithm
-from mpqsim.core import ConfigError, SpaceMode
+from mpqsim.core import AckFrame, AckRange, ConfigError, SpaceMode
 from mpqsim.netsim import LinkModel, TraceSchedule
 from mpqsim.receiver import RecvConfig
 from mpqsim.scenario import ScenarioConfig
@@ -286,7 +286,7 @@ def test_ack_leaves_at_the_later_deadline_after_a_superseded_timer():
 
     def counted_timer(now, path):
         fired.append(now)
-        timer(now, path)
+        return timer(now, path)
 
     sim._on_ack_timer = counted_timer
     # pn 0 arms a timer for 25 ms; pn 1 reaches the threshold and is
@@ -329,6 +329,27 @@ def test_an_ack_that_moves_the_pto_deadline_earlier_moves_its_event():
     assert sim.next_offset == sim.config.transfer_size
     assert ps.pto_deadline == 113_640
     assert loop.timers[("pto", 0)][0] <= ps.pto_deadline
+
+
+def test_an_spns_ack_on_one_path_moves_the_pto_event_of_the_path_it_acks():
+    # four packets leave at 0, the whole transfer: minRTT probes each path
+    # once, then ties to path 0, so pns 0, 2 and 3 go on path 0, pn 1 on path 1
+    paths = [LinkModel(delay_down_ms=10, delay_up_ms=10, rate_mbps=10) for _ in range(2)]
+    sim = Simulation(ScenarioConfig(mode=SpaceMode.SPNS, paths=paths, transfer_size=4 * 1350))
+    ps, loop = sim.sender.paths[0], sim.loop
+    sim._try_send(0)
+    assert [list(p.unacked) for p in sim.sender.paths] == [[0, 2, 3], [1]]
+    assert loop.timers[("pto", 0)][0] == 1_024_000
+    # path 1's frame acks pn 0 first, so path 0's own frame for it brings
+    # path 0 its RTT sample (30 ms) but restarts no deadline
+    sim._on_ack(20_000, 1, AckFrame(space=0, ack_delay=0, ranges=[AckRange(1, 0)]))
+    sim._on_ack(30_000, 0, AckFrame(space=0, ack_delay=0, ranges=[AckRange(0, 0)]))
+    assert ps.smoothed_rtt == 30_000 and ps.pto_deadline == 1_044_000
+    # a frame on path 1 newly acks path 0's pn 2 and restarts its deadline
+    # at 40 ms plus a 115 ms interval, far before its live event
+    sim._on_ack(40_000, 1, AckFrame(space=0, ack_delay=0, ranges=[AckRange(2, 0)]))
+    assert ps.pto_deadline == 155_000
+    assert loop.timers[("pto", 0)][0] == ps.pto_deadline
 
 
 def test_a_lost_last_packet_is_probed_at_the_deadline_its_send_set():
