@@ -59,6 +59,10 @@ def _print_summary(report) -> None:
     )
 
 
+def _goodput(report) -> str:
+    return f"{report.goodput_kBps:.1f}" if report.complete else "incomplete"
+
+
 def _pct(delta: float | None) -> str:
     return "incomplete" if delta is None else f"{delta:+.2f}%"
 
@@ -96,16 +100,8 @@ def _cmd_compare(args) -> int:
     comparison = compare_modes(config)
     rows = [
         ("", "Speed (kB/s)", "ACK frame size (Byte)"),
-        (
-            "MPNS",
-            f"{comparison.mpns.goodput_kBps:.1f}" if comparison.mpns.complete else "incomplete",
-            f"{comparison.mpns.avg_ack_frame_size:.2f}",
-        ),
-        (
-            "SPNS",
-            f"{comparison.spns.goodput_kBps:.1f}" if comparison.spns.complete else "incomplete",
-            f"{comparison.spns.avg_ack_frame_size:.2f}",
-        ),
+        ("MPNS", _goodput(comparison.mpns), f"{comparison.mpns.avg_ack_frame_size:.2f}"),
+        ("SPNS", _goodput(comparison.spns), f"{comparison.spns.avg_ack_frame_size:.2f}"),
         ("Rate", _pct(comparison.speed_delta_pct), _pct(comparison.ack_size_delta_pct)),
     ]
     for row in rows:
@@ -117,8 +113,7 @@ def _cmd_compare(args) -> int:
         print(f"{'default_limit':>13} {'goodput kB/s':>14} {'avg ACK B':>10}")
         payload["sweep"] = []
         for limit, report in sweep:
-            goodput = f"{report.goodput_kBps:.1f}" if report.complete else "incomplete"
-            print(f"{limit:>13} {goodput:>14} {report.avg_ack_frame_size:>10.2f}")
+            print(f"{limit:>13} {_goodput(report):>14} {report.avg_ack_frame_size:>10.2f}")
             payload["sweep"].append({"default_limit": limit, "report": report.to_dict()})
     if args.out:
         with open(args.out, "w") as fh:

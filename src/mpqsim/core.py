@@ -200,16 +200,15 @@ def ack_frame_wire_size(frame: AckFrame, mode: SpaceMode) -> int:
     and length. Per-path spaces carry one extra varint naming the space.
 
     A frame built from a `RangeSet` carries the size without that last
-    varint. A frame built by hand is validated, and its ranges are put in
-    a fresh `RangeSet` and read back through the same byte cache.
+    varint. A frame built by hand is validated, then summed range by range
+    with `_range_bytes`, the rule that fills the set's byte cache.
     """
     size = frame.wire_size
     if size is None:
         frame.validate()
-        rs = RangeSet()
-        for largest, smallest in reversed(frame.ranges):  # ascending: each one appends
-            rs.add_range(smallest, largest)
-        size = rs.ack_frame(frame.space, frame.ack_delay, frame.ranges).wire_size
+        ranges = frame.ranges
+        size = _header_size(frame.ack_delay, ranges)
+        size += sum(_range_bytes(above.smallest, *below) for above, below in zip(ranges, ranges[1:]))
     if mode is SpaceMode.MPNS:
         size += varint_size(frame.space)
     return size
@@ -276,12 +275,11 @@ class RangeSet:
         if i > 0:
             gap_bytes[i - 1] = _range_bytes(lo, *ranges[i - 1])
 
-    def ack_frame(self, space: int, ack_delay: int, ranges: list[AckRange]) -> AckFrame:
-        """The ACK frame carrying `ranges`, sized from the byte cache.
-
-        `ranges` must be the first ranges of a `descending` list of this
-        set, in its order; only the first may be clipped at the anchor.
-        """
+    def ack_frame(
+        self, space: int, ack_delay: int, anchor: int | None = None, limit: int | None = None
+    ) -> AckFrame:
+        """The ACK frame of `descending(anchor, limit)`, sized from the byte cache."""
+        ranges = self.descending(anchor, limit)
         count = len(ranges)
         top = bisect.bisect_left(self._ranges, ranges[0].smallest, key=_smallest)
         size = _header_size(ack_delay, ranges)

@@ -149,14 +149,14 @@ class ReceiverState:
             if prs.lowest_pending is not None:
                 width = max(width, rs.span(largest, prs.lowest_pending))
             width = min(width, self.config.maximum_limit)
-        ranges = rs.descending(largest, width)
+        frame = rs.ack_frame(space, ack_delay, largest, width)
         # The frame covers exactly the received packets in [lowest, largest].
         # A pending packet Maximum_Limit left below it stays pending so a
         # later frame retries it; otherwise nothing is pending any more.
-        lowest = ranges[-1].smallest
+        lowest = frame.ranges[-1].smallest
         if prs.lowest_pending is not None and prs.lowest_pending >= lowest:
             prs.lowest_pending = None
         self.uncovered[space] = {pn for pn in self.uncovered[space] if not lowest <= pn <= largest}
         prs.ack_eliciting_since_ack = 0
         prs.ack_timer_deadline = None
-        return rs.ack_frame(space, ack_delay, ranges)
+        return frame

@@ -125,6 +125,51 @@ MUTANTS = [
             "tests/test_scenario_fuzz.py::test_random_scenarios_end_cleanly_and_repeat_exactly",
         ),
     ),
+    # the ACK frame builder and the sizes behind the headline metric
+    Mutant(
+        "frame-size-counts-the-range-below",
+        "src/mpqsim/core.py",
+        "sum(self._gap_bytes[top - count + 1 : top])",
+        "sum(self._gap_bytes[top - count : top])",
+        (
+            "tests/test_core.py::test_wire_size_counts_a_two_byte_range_count_and_gap",
+            "tests/test_core.py::test_cached_frame_size_equals_the_range_by_range_sum",
+            "tests/test_golden.py::test_golden_report[spns]",
+        ),
+    ),
+    Mutant(
+        "frame-ignores-the-limit",
+        "src/mpqsim/core.py",
+        "self.descending(anchor, limit)",
+        "self.descending(anchor)",
+        (
+            "tests/test_core.py::test_cached_frame_size_equals_the_range_by_range_sum",
+            "tests/test_receiver.py::test_suppressed_frames_match_the_two_pass_trim",
+            "tests/test_golden.py::test_golden_report[spns-suppress-2]",
+        ),
+    ),
+    Mutant(
+        "hand-built-size-skips-the-bottom-range",
+        "src/mpqsim/core.py",
+        "zip(ranges, ranges[1:])",
+        "zip(ranges, ranges[1:-1])",
+        (
+            "tests/test_core.py::test_wire_size_equals_varint_sum_on_valid_frames",
+            "tests/test_core.py::test_cached_frame_size_equals_the_range_by_range_sum",
+            "tests/test_scenario_fuzz.py::test_random_scenarios_end_cleanly_and_repeat_exactly",
+        ),
+    ),
+    Mutant(
+        "space-varint-under-spns",
+        "src/mpqsim/core.py",
+        "if mode is SpaceMode.MPNS:",
+        "if mode is SpaceMode.SPNS:",
+        (
+            "tests/test_core.py::test_wire_size_mpns_adds_space_varint",
+            "tests/test_core.py::test_wire_size_equals_varint_sum_on_valid_frames",
+            "tests/test_golden.py::test_golden_report[mpns]",
+        ),
+    ),
     # named in CHANGES.md by earlier changes
     Mutant(
         "range-count-one-byte",

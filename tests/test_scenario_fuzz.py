@@ -8,11 +8,15 @@ import dataclasses
 import json
 import math
 import tempfile
+from collections import Counter
 from pathlib import Path
+from typing import Callable
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, seed, settings
 from hypothesis import strategies as st
+from hypothesis.internal.compat import int_from_bytes
+from hypothesis.internal.reflection import function_digest
 
 from ack_codec import ack_decode, ack_encode
 from mpqsim.congestion import CcAlgorithm
@@ -290,12 +294,63 @@ def watch_invariants(sim: Simulation) -> dict:
     return watched
 
 
+# the regimes a run can reach; the fuzzer's draws must reach the first six
+REGIMES = (
+    "queue drop",
+    "random drop",
+    "a PTO probe",
+    "two or more PTO probes",
+    "time-threshold loss",
+    "spurious retransmission",
+    "a frame of 65+ ranges",
+    "a packet received, never acknowledged",
+)
+REACHED = REGIMES[:6]
+
+
+def watch_regimes(sim: Simulation) -> Callable[[], list[str]]:
+    """Count the packets the run's PTO expiries send; the returned call
+    names the `REGIMES` the finished run reached."""
+    probes = 0
+    on_pto = sim._on_pto
+
+    def counted_pto(now: int, path: int) -> int | None:
+        nonlocal probes
+        ps = sim.sender.paths[path]
+        sent = ps.sent_count
+        later = on_pto(now, path)
+        probes += ps.sent_count - sent
+        return later
+
+    sim._on_pto = counted_pto
+
+    def reached() -> list[str]:
+        links, report = sim.down + sim.up, sim.report
+        hits = (
+            any(link.queue_drops for link in links),
+            any(link.loss_drops for link in links),
+            probes >= 1,
+            probes >= 2,
+            report.time_threshold_losses > 0,
+            report.spurious_retx > 0,
+            max(report.ack_range_count_histogram, default=0) >= 65,
+            report.received_never_acked > 0,
+        )
+        return [name for name, hit in zip(REGIMES, hits) if hit]
+
+    return reached
+
+
 def checked_run(config: ScenarioConfig) -> MetricsReport:
     """Run to the end, checking the per-event invariants, then check what
-    must hold of every finished run."""
+    must hold of every finished run. Labels each regime it reached with
+    `hypothesis.event`."""
     sim = Simulation(config)
     watched = watch_invariants(sim)
+    regimes = watch_regimes(sim)
     report = sim.run()
+    for name in regimes():
+        event(name)
     # the invariants were checked after every event
     assert watched["peeks"] == watched["pops"] + 1
     # complete, or stopped with events still due past the cap
@@ -358,12 +413,37 @@ def test_a_lossy_reference_run_encodes_its_frames_of_65_ranges_exactly():
     assert max(gaps) >= 64
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
+FUZZER = settings(derandomize=True, deadline=None, max_examples=150)
+
+
+@FUZZER
 @given(scenario_configs(min_delay_down_ms=0.001))
 def test_random_scenarios_end_cleanly_and_repeat_exactly(config):
     first = checked_run(config)
     second = Simulation(config).run()
     assert json.dumps(second.to_dict()) == json.dumps(first.to_dict())
+
+
+# the seed `derandomize` gives the fuzzer, so that the test below sees its draws
+FUZZER_SEED = int_from_bytes(
+    function_digest(test_random_scenarios_end_cleanly_and_repeat_exactly.hypothesis.inner_test)
+)
+
+
+def test_the_fuzzers_draws_reach_each_regime():
+    reached = Counter()
+
+    @seed(FUZZER_SEED)
+    @FUZZER
+    @given(scenario_configs(min_delay_down_ms=0.001))
+    def run_unchecked(config):
+        sim = Simulation(config)
+        regimes = watch_regimes(sim)
+        sim.run()
+        reached.update(regimes())
+
+    run_unchecked()
+    assert all(reached[name] for name in REACHED), reached
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
