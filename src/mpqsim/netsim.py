@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,7 +33,8 @@ class TraceSchedule:
 
     Each timestamp (integer milliseconds) lets the link release one
     MTU-sized packet. Replay wraps around with period equal to the final
-    timestamp.
+    timestamp. The timestamps are held in one ``array("q")`` column, 8
+    bytes each, so a timestamp must fit a signed 64-bit int.
     """
 
     def __init__(self, times_ms: list[int]):
@@ -45,7 +47,10 @@ class TraceSchedule:
             raise ValueError("trace timestamps must be non-negative")
         if times != sorted(times):
             raise ValueError("trace timestamps must be non-decreasing")
-        self.times_ms = times
+        try:
+            self.times_ms = array("q", times)
+        except OverflowError:
+            raise ValueError("trace timestamps must be below 2**63 ms") from None
         self.period_ms = times[-1] if times[-1] > 0 else 1
 
     def opportunity_us(self, n: int) -> int:

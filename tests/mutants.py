@@ -91,6 +91,42 @@ MUTANTS = [
         "if later < now:",
         ("tests/test_netsim.py::test_a_handler_that_returns_a_deadline_no_later_than_now_is_refused[10]",),
     ),
+    # the trace path: `TraceSchedule` and a trace-driven link
+    Mutant(
+        "trace-accepts-decreasing",
+        "src/mpqsim/netsim.py",
+        '        if times != sorted(times):\n            raise ValueError("trace timestamps must be non-decreasing")\n',
+        "",
+        ("tests/test_netsim.py::test_trace_schedule_refusals_keep_their_order",),
+    ),
+    Mutant(
+        "trace-period-one-short",
+        "src/mpqsim/netsim.py",
+        "cycle * self.period_ms",
+        "cycle * (self.period_ms - 1)",
+        ("tests/test_netsim.py::test_trace_wraps_with_final_timestamp_period",),
+    ),
+    Mutant(
+        "trace-cursor-kept-after-departure",
+        "src/mpqsim/netsim.py",
+        "            departure = self.trace.opportunity_us(self._trace_cursor)\n            self._trace_cursor += 1\n",
+        "            departure = self.trace.opportunity_us(self._trace_cursor)\n",
+        (
+            "tests/test_netsim.py::test_trace_opportunities_deliver_one_packet_each",
+            "tests/test_simulation.py::test_trace_driven_path",
+            "tests/test_golden.py::test_golden_report[lossy-4p-roundrobin-newreno]",
+        ),
+    ),
+    Mutant(
+        "trace-skips-the-opportunity-at-now",
+        "src/mpqsim/netsim.py",
+        "opportunity_us(self._trace_cursor) < now",
+        "opportunity_us(self._trace_cursor) <= now",
+        (
+            "tests/test_netsim.py::test_an_opportunity_at_the_arrival_instant_is_taken",
+            "tests/test_golden.py::test_golden_report[lossy-4p-roundrobin-newreno]",
+        ),
+    ),
     # the timers of `Simulation`
     Mutant(
         "pto-guard-restored",

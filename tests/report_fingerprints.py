@@ -16,11 +16,13 @@ before and after; compare the two with `cmp`:
 histograms as they are, each series as `[length, last value, mean]`.
 `--goldens` prints the JSON and CSV sha256 of each report that
 `tests/test_golden.py` pins, computed by the checkout's code.
-`--scenarios N` prints the sha256 of each report of the first N
-derandomized draws of the fuzzer's `scenario_configs` (from
-`tests/test_scenario_fuzz.py`, with data delays of at least 1 µs), named
-`scenario/i`: random paths, traces, loss and PTO probes that the bench
-inputs barely reach. A draw whose run raises is hashed by its error.
+`--scenarios N` prints, for each of the first N derandomized draws of
+the fuzzer's `scenario_configs` (from `tests/test_scenario_fuzz.py`, with
+data delays of at least 1 µs), named `scenario/i`, the sha256 of its report
+and of its config: random paths, traces, loss and PTO probes that the bench
+inputs barely reach. A draw whose run raises is hashed by its error. The
+config is hashed as the fuzzer's `comparable(config)`, whose traces are
+lists, so a trace held as a list and one held as an array hash alike.
 
 `--diff BASE_DIR` is the table of what a behaviour change moved:
 
@@ -30,8 +32,10 @@ It runs `--fields` and `--goldens` for `BASE_DIR` and for this checkout
 (or `--src`), each in its own interpreter, and prints one row per moved
 `seed/input/mode/field`: old, new and relative change, a series summary
 element by element. Then it prints each golden whose sha256 moved, old ->
-new, and, with `--scenarios N`, each moved scenario draw. It exits 0 when
-nothing moved, 1 when something did, and 2 on error.
+new, and, with `--scenarios N`, each moved scenario draw, marked "drawn
+apart" when its config moved too, and how many drawn configs differ: a
+draw that moved with its config tells nothing about the code. It exits 0
+when nothing moved, 1 when something did, and 2 on error.
 
 `--src` names the checkout whose `src/mpqsim` runs (by default this one);
 the inputs and the golden configs always come from this checkout. Not a
@@ -85,9 +89,9 @@ def fingerprints(seeds: list[int]) -> dict[str, str]:
     return out
 
 
-def scenario_fingerprints(count: int) -> dict[str, str]:
-    """The sha256 of each report of the first `count` derandomized
-    `scenario_configs` draws, by `scenario/i`."""
+def scenario_fingerprints(count: int) -> dict[str, list[str]]:
+    """The `[report sha256, config sha256]` of each of the first `count`
+    derandomized `scenario_configs` draws, by `scenario/i`."""
     from hypothesis import HealthCheck, Phase, given, settings
 
     from mpqsim.simulation import Simulation
@@ -96,7 +100,7 @@ def scenario_fingerprints(count: int) -> dict[str, str]:
     spec = importlib.util.spec_from_file_location("scenario_fuzz", ROOT / "tests" / "test_scenario_fuzz.py")
     fuzz = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(fuzz)
-    out: dict[str, str] = {}
+    out: dict[str, list[str]] = {}
 
     @settings(
         derandomize=True,
@@ -108,11 +112,12 @@ def scenario_fingerprints(count: int) -> dict[str, str]:
     )
     @given(fuzz.scenario_configs(min_delay_down_ms=0.001))
     def run(config):
+        drawn = hashlib.sha256(repr(fuzz.comparable(config)).encode()).hexdigest()
         try:
             text = json.dumps(Simulation(config).run().to_dict(), sort_keys=True)
         except Exception as exc:  # a run that raises is fingerprinted by its error
             text = f"{type(exc).__name__}: {exc}"
-        out[f"scenario/{len(out)}"] = hashlib.sha256(text.encode()).hexdigest()
+        out[f"scenario/{len(out)}"] = [hashlib.sha256(text.encode()).hexdigest(), drawn]
 
     run()
     return out
@@ -181,6 +186,18 @@ def relative_change(old: object, new: object) -> str:
     return f"{(new - old) / abs(old):+.1%}" if numbers and old else "n/a"
 
 
+def moved_draws(old: dict[str, list[str]], new: dict[str, list[str]]) -> tuple[int, list[str]]:
+    """How many draws' configs differ between two `--scenarios` maps, and
+    one line per draw whose report moved, "drawn apart" if its config did."""
+    apart, lines = 0, []
+    for name in {**old, **new}:
+        (a, a_config), (b, b_config) = old.get(name, [None, None]), new.get(name, [None, None])
+        apart += a_config != b_config
+        if a != b:
+            lines.append(f"{name}: {a} -> {b}" + (" (drawn apart)" if a_config != b_config else ""))
+    return apart, lines
+
+
 def _snapshot(src: Path, *flags: str) -> dict:
     """The output of the checkout at `src` under `flags`, in its own interpreter."""
     cmd = [sys.executable, __file__, "--src", str(src), *flags]
@@ -206,15 +223,15 @@ def diff(base: Path, change: Path, seeds: str, scenarios: int) -> int:
                 goldens += 1
                 print(f"golden {name} {kind}: {a} -> {b}")
     print(f"{len(rows)} field rows and {goldens} golden sha256s moved")
-    drawn = 0
+    moved: list[str] = []
     if scenarios:
         old_s, new_s = (_snapshot(src, "--scenarios", str(scenarios)) for src in (base, change))
-        for name in {**old_s, **new_s}:
-            if old_s.get(name) != new_s.get(name):
-                drawn += 1
-                print(f"{name}: {old_s.get(name)} -> {new_s.get(name)}")
-        print(f"{drawn} of {len(new_s)} scenario sha256s moved")
-    return 1 if rows or goldens or drawn else 0
+        apart, moved = moved_draws(old_s, new_s)
+        for line in moved:
+            print(line)
+        print(f"{apart} of {len(new_s)} drawn configs differ")
+        print(f"{len(moved)} of {len(new_s)} scenario sha256s moved")
+    return 1 if rows or goldens or moved else 0
 
 
 def main(argv: list[str] | None = None) -> None:

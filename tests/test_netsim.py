@@ -1,10 +1,14 @@
 import random
+import sys
+from array import array
 from collections import Counter, deque
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mpqsim.harness import ConfigError, parse_config_file
 from mpqsim.netsim import (
     EventLoop,
     LinkDirection,
@@ -325,13 +329,13 @@ def test_trace_loads_timestamps(tmp_path):
     f = tmp_path / "t.trace"
     f.write_text("0\n1\n2\n")
     trace = load_trace(f)
-    assert trace.times_ms == [0, 1, 2]
+    assert trace.times_ms.tolist() == [0, 1, 2]
 
 
 def test_trace_blank_lines_ignored(tmp_path):
     f = tmp_path / "t.trace"
     f.write_text("1\n\n3\n\n")
-    assert load_trace(f).times_ms == [1, 3]
+    assert load_trace(f).times_ms.tolist() == [1, 3]
 
 
 def test_trace_rejects_garbage_with_line_number(tmp_path):
@@ -361,6 +365,29 @@ def test_trace_schedule_refusals_keep_their_order():
         TraceSchedule([5, -3])  # also decreasing: the sign is checked first
     with pytest.raises(ValueError, match="non-decreasing"):
         TraceSchedule([5, 3])
+
+
+def test_a_trace_is_held_as_one_int64_column(tmp_path):
+    times = list(range(1000, 3000))
+    f = tmp_path / "t.trace"
+    f.write_text("".join(f"{t}\n" for t in times))
+    for trace in (load_trace(f), TraceSchedule(times)):
+        assert type(trace.times_ms) is array and trace.times_ms.itemsize == 8
+        assert sys.getsizeof(trace.times_ms) <= 8 * len(trace.times_ms) + 128
+        assert trace.times_ms.tolist() == times
+
+
+def test_a_timestamp_past_int64_is_refused(tmp_path):
+    too_late = 1 << 63
+    with pytest.raises(ValueError, match="^trace timestamps must be below 2\\*\\*63 ms$"):
+        TraceSchedule([0, too_late])
+    TraceSchedule([0, too_late - 1])
+    (tmp_path / "late.trace").write_text(f"0\n{too_late}\n")
+    reference = (Path(__file__).parent.parent / "scenarios" / "two_path.ini").read_text()
+    path = tmp_path / "late.ini"
+    path.write_text(reference.replace("rate_mbps = 40\n", "trace = late.trace\n", 1))
+    with pytest.raises(ConfigError, match=r"^\[path\.0\] trace: trace timestamps must be below 2\*\*63 ms$"):
+        parse_config_file(path)
 
 
 # -- trace loader against the line-by-line reference ------------------------------
@@ -487,6 +514,8 @@ def test_trace_wraps_with_final_timestamp_period():
     trace = TraceSchedule([0, 5])
     link = LinkDirection(delay_us=0, trace=trace)
     assert link.transmit(1350, now=7_000) == 10_000  # 5 + period 5
+    trace = TraceSchedule([0, 2, 5])
+    assert [trace.opportunity_us(n) for n in range(7)] == [0, 2_000, 5_000, 5_000, 7_000, 10_000, 10_000]
 
 
 def test_trace_opportunities_deliver_one_packet_each():
@@ -494,6 +523,12 @@ def test_trace_opportunities_deliver_one_packet_each():
     link = LinkDirection(delay_us=2_000, trace=trace)
     arrivals = [link.transmit(1350, now=0) for _ in range(3)]
     assert arrivals == [3_000, 4_000, 5_000]
+
+
+def test_an_opportunity_at_the_arrival_instant_is_taken():
+    link = LinkDirection(delay_us=0, trace=TraceSchedule([1, 2, 3]))
+    assert link.transmit(1350, now=2_000) == 2_000
+    assert link.transmit(1350, now=2_000) == 3_000
 
 
 def test_trace_queue_overflow():

@@ -1,4 +1,4 @@
-from report_fingerprints import moved_rows, relative_change
+from report_fingerprints import moved_draws, moved_rows, relative_change
 
 
 def test_diff_rows_name_each_moved_scalar_and_series_element_only():
@@ -23,3 +23,24 @@ def test_diff_rows_name_each_moved_scalar_and_series_element_only():
     assert moved_rows(old, dict(old)) == []
     assert relative_change(100, 120) == "+20.0%"
     assert relative_change(0, 2) == relative_change(None, 2) == relative_change(True, False) == "n/a"
+
+
+def test_diff_counts_drawn_configs_apart_and_marks_their_moved_reports():
+    old = {
+        "scenario/0": ["r0", "c0"],
+        "scenario/1": ["r1", "c1"],
+        "scenario/2": ["r2", "c2"],
+        "scenario/3": ["r3", "c3"],
+    }
+    new = {
+        "scenario/0": ["r0", "c0"],
+        "scenario/1": ["r1*", "c1"],
+        "scenario/2": ["r2*", "c2*"],
+        "scenario/3": ["r3", "c3*"],
+    }
+    assert moved_draws(old, new) == (
+        2,
+        ["scenario/1: r1 -> r1*", "scenario/2: r2 -> r2* (drawn apart)"],
+    )
+    assert moved_draws(old, dict(old)) == (0, [])
+    assert moved_draws({}, {"scenario/0": ["r0", "c0"]}) == (1, ["scenario/0: None -> r0 (drawn apart)"])

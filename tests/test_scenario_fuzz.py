@@ -127,9 +127,9 @@ def write_scenario_file(config: ScenarioConfig, directory: Path) -> Path:
 
 
 def comparable(config: ScenarioConfig) -> tuple:
-    """The config with each trace replaced by its timestamps."""
+    """The config with each trace replaced by the list of its timestamps."""
     links = [dataclasses.replace(lm, trace=None) for lm in config.paths]
-    traces = [lm.trace.times_ms if lm.trace else None for lm in config.paths]
+    traces = [list(lm.trace.times_ms) if lm.trace else None for lm in config.paths]
     return dataclasses.replace(config, paths=links), traces
 
 
