@@ -150,8 +150,8 @@ def _key_tables(base_dir: Path) -> dict[str, dict[str, tuple[str, Callable]]]:
             "mode": ("mode", lambda raw: SpaceMode(raw.lower())),
             "scheduler": ("scheduler", lambda raw: SchedulerKind(raw.lower())),
             "cc": ("cc", lambda raw: CcAlgorithm(raw.lower())),
-            "transfer_bytes": ("transfer_size", int),
             "transfer_mb": ("transfer_size", lambda raw: round(float(raw) * 1_000_000)),
+            "mtu": ("mtu", int),
             "seed": ("seed", int),
             "duration_cap_s": ("duration_cap_s", float),
         },
@@ -171,7 +171,6 @@ def _key_tables(base_dir: Path) -> dict[str, dict[str, tuple[str, Callable]]]:
             "loss_rate": ("loss_rate", float),
             "reverse_loss_rate": ("reverse_loss_rate", float),
             "queue_packets": ("queue_capacity", int),
-            "mtu": ("mtu", int),
             "window_packets": ("window_packets", _window),
         },
     }
@@ -212,8 +211,6 @@ def _read_section(parser: configparser.ConfigParser, section: str, table: dict) 
     values = {}
     for key in keys:
         name, parse = table[key]
-        if name in values:
-            raise ConfigError(f"[{section}] {key}: {name} is already set by another key")
         try:
             values[name] = parse(keys[key])
         except (ValueError, OverflowError, OSError, configparser.Error) as exc:
@@ -232,7 +229,7 @@ def _build_config(parser: configparser.ConfigParser, base_dir: Path) -> Scenario
         raise ConfigError("missing [scenario] section")
     scenario = _read_section(parser, "scenario", tables["scenario"])
     if "transfer_size" not in scenario:
-        raise ConfigError("[scenario] needs transfer_bytes or transfer_mb")
+        raise ConfigError("[scenario] needs transfer_mb")
     recv = RecvConfig(**_read_section(parser, "receiver", tables["receiver"]))
     paths = []
     for section in _path_sections(parser):

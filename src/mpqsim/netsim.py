@@ -20,8 +20,6 @@ from typing import Callable, Literal
 
 from .core import check_field_types
 
-DEFAULT_MTU = 1350  # payload bytes per packet
-
 
 def ms_to_us(ms: float) -> int:
     """Milliseconds to whole microseconds, rounded to the nearest."""
@@ -110,7 +108,6 @@ class LinkModel:
     loss_rate: float = 0.0
     reverse_loss_rate: float = 0.0
     queue_capacity: int = 64
-    mtu: int = DEFAULT_MTU
     # Per-path cwnd ceiling in packets. "auto" sizes it to the BDP plus a
     # small queue allowance on rate-limited paths (no cap on trace or
     # pure-delay paths); None means no cap.
@@ -131,15 +128,8 @@ class LinkModel:
         for name in ("loss_rate", "reverse_loss_rate"):
             if not (0.0 <= getattr(self, name) < 1.0):
                 raise ValueError(f"{name} must be in [0, 1)")
-        if self.mtu <= 0:
-            raise ValueError("mtu must be positive")
         if self.queue_capacity < 0:
             raise ValueError("queue_capacity must be non-negative")
-        # `LinkDirection.transmit` rounds this to whole µs; a subnormal rate
-        # makes it infinite, while a merely tiny one runs to the cap
-        rate = self.rate_mbps
-        if rate is not None and not math.isfinite(self.mtu * 8 * 1e6 / (rate * 1e6)):
-            raise ValueError("rate_mbps is too small: one MTU's serialization time overflows")
         if type(self.window_packets) is int and self.window_packets < 1:
             raise ValueError(f"window_packets must be 'auto', None or at least 1, not {self.window_packets}")
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Annotated, Callable, get_args, get_origin, get_type_hints
 
@@ -11,6 +12,8 @@ from .netsim import LinkModel
 from .receiver import RecvConfig
 from .scheduler import SchedulerKind
 
+DEFAULT_MTU = 1350  # payload bytes per packet
+
 
 @dataclass
 class ScenarioConfig:
@@ -19,6 +22,9 @@ class ScenarioConfig:
     mode: SpaceMode
     paths: list[LinkModel]
     transfer_size: int  # bytes
+    # one data packet size on every path, so a lost chunk can be resent on
+    # any path; each path's MSS and window count packets of this size
+    mtu: int = DEFAULT_MTU
     scheduler: SchedulerKind = SchedulerKind.MIN_RTT
     cc: CcAlgorithm = CcAlgorithm.CUBIC
     recv: RecvConfig = field(default_factory=RecvConfig)
@@ -33,9 +39,16 @@ class ScenarioConfig:
             raise ConfigError("need at least one path")
         if not (0.0 < self.duration_cap_s < float("inf")):
             raise ConfigError("duration_cap_s must be positive and finite")
+        if self.mtu <= 0:
+            raise ConfigError("mtu must be positive")
         for p, lm in enumerate(self.paths):
             try:
                 lm.validate()
+                # `LinkDirection.transmit` rounds this to whole µs; a subnormal
+                # rate makes it infinite, while a merely tiny one runs to the cap
+                rate = lm.rate_mbps
+                if rate is not None and not math.isfinite(self.mtu * 8 * 1e6 / (rate * 1e6)):
+                    raise ValueError("rate_mbps is too small: one MTU's serialization time overflows")
             except ValueError as exc:
                 raise ConfigError(f"path {p}: {exc}") from exc
         self.recv.validate()

@@ -23,7 +23,7 @@ def select_path(
     packet_size: int,
     now: int,
     rr_cursor: int = -1,
-) -> tuple[int | None, int, int | None]:
+) -> tuple[int | None, int | None]:
     """Decide one send in a single pass over `paths`, indexed by path id.
 
     A path is ready when its pacing gate `pace_next` is at or before `now`
@@ -33,11 +33,11 @@ def select_path(
     (before anything was sent on it) and after that waits behind every
     measured path until its sample lands. Round robin ranks a path by its
     distance past the cursor, `(path - rr_cursor - 1) % len(paths)`, so it
-    takes the next ready id above the cursor, wrapping.
+    takes the next ready id above the cursor, wrapping; the caller passes
+    the path it last picked.
 
-    Returns (path id or None, round-robin cursor, wake-up time or None).
-    The cursor moves only when round robin picks a path. The wake-up is
-    set only when no path was picked: the earliest gate among pace-blocked
+    Returns (path id or None, wake-up time or None). The wake-up is set
+    only when no path was picked: the earliest gate among pace-blocked
     paths with room.
     """
     if not paths:
@@ -62,5 +62,5 @@ def select_path(
         if pick is None or rank < best:
             pick, best = ps.path, rank
     if pick is None:
-        return None, rr_cursor, wake
-    return pick, pick if round_robin else rr_cursor, None
+        return None, wake
+    return pick, None

@@ -41,8 +41,7 @@ class Simulation:
         config.validate()
         self.config = config
         self.mode = config.mode
-        # every data packet, and so every path's window, is sized in this MTU
-        self.mtu = min(lm.mtu for lm in config.paths)
+        self.mtu = config.mtu
 
         self.down: list[LinkDirection] = []
         self.up: list[LinkDirection] = []
@@ -88,7 +87,7 @@ class Simulation:
         self.ack_frames = 0
         self.range_hist: dict[int, int] = {}
 
-        self._rr_cursor = -1  # round-robin position, advanced by select_path
+        self._rr_cursor = -1  # the path of the last send select_path picked
 
     # -- sending ---------------------------------------------------------
 
@@ -109,14 +108,13 @@ class Simulation:
                 size = min(self.mtu, config.transfer_size - offset)
             else:
                 return
-            path, self._rr_cursor, wake = select_path(
-                config.scheduler, paths, size, now, self._rr_cursor
-            )
+            path, wake = select_path(config.scheduler, paths, size, now, self._rr_cursor)
             if path is None:
                 # wake up when the earliest pace-blocked path with room frees up
                 if wake is not None:
                     self.loop.set_timer("wake", wake, self._try_send)
                 return
+            self._rr_cursor = path
             if self.retx_queue:
                 self.retx_queue.popleft()
             else:

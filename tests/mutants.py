@@ -305,19 +305,19 @@ MUTANTS = [
     ),
     Mutant(
         "round-robin-cursor-not-advanced",
-        "src/mpqsim/scheduler.py",
-        "    return pick, pick if round_robin else rr_cursor, None\n",
-        "    return pick, rr_cursor, None\n",
+        "src/mpqsim/simulation.py",
+        "            self._rr_cursor = path\n",
+        "",
         (
-            "tests/test_scheduler.py::test_round_robin_alternates",
-            "tests/test_scheduler.py::test_single_pass_matches_the_list_based_decision",
+            "tests/test_simulation.py::test_a_round_robin_run_takes_its_paths_in_turn",
+            "tests/test_golden.py::test_golden_report[lossy-4p-roundrobin-newreno]",
         ),
     ),
     Mutant(
         "wake-kept-after-a-pick",
         "src/mpqsim/scheduler.py",
-        "    return pick, pick if round_robin else rr_cursor, None\n",
-        "    return pick, pick if round_robin else rr_cursor, wake\n",
+        "    return pick, None\n",
+        "    return pick, wake\n",
         ("tests/test_scheduler.py::test_single_pass_matches_the_list_based_decision",),
     ),
     Mutant(

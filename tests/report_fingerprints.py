@@ -13,7 +13,9 @@ before and after; compare the two with `cmp`:
 
 `--fields` prints each report's fields instead, one line per field, named
 `seed/input/mode/field` (and `/path` for a per-path series): scalars and
-histograms as they are, each series as `[length, last value, mean]`.
+histograms as they are, each series as `[length, last value, mean]`, and
+the report's canonical sha256 as `seed/input/mode/sha256`, so a change
+inside a series shows even where its summary holds.
 `--goldens` prints the JSON and CSV sha256 of each report that
 `tests/test_golden.py` pins, computed by the checkout's code.
 `--scenarios N` prints, for each of the first N derandomized draws of
@@ -22,7 +24,9 @@ data delays of at least 1 µs), named `scenario/i`, the sha256 of its report
 and of its config: random paths, traces, loss and PTO probes that the bench
 inputs barely reach. A draw whose run raises is hashed by its error. The
 config is hashed as the fuzzer's `comparable(config)`, whose traces are
-lists, so a trace held as a list and one held as an array hash alike.
+lists, so a trace held as a list and one held as an array hash alike. The
+draws come from the fuzzer of the `--src` checkout, which builds configs
+of the shape its own code takes.
 
 `--diff BASE_DIR` is the table of what a behaviour change moved:
 
@@ -32,10 +36,11 @@ It runs `--fields` and `--goldens` for `BASE_DIR` and for this checkout
 (or `--src`), each in its own interpreter, and prints one row per moved
 `seed/input/mode/field`: old, new and relative change, a series summary
 element by element. Then it prints each golden whose sha256 moved, old ->
-new, and, with `--scenarios N`, each moved scenario draw, marked "drawn
-apart" when its config moved too, and how many drawn configs differ: a
-draw that moved with its config tells nothing about the code. It exits 0
-when nothing moved, 1 when something did, and 2 on error.
+new, then each bench report whose sha256 moved and how many did, and,
+with `--scenarios N`, each moved scenario draw, marked "drawn apart" when
+its config moved too, and how many drawn configs differ: a draw that
+moved with its config tells nothing about the code. It exits 0 when
+nothing moved, 1 when something did, and 2 on error.
 
 `--src` names the checkout whose `src/mpqsim` runs (by default this one);
 the inputs and the golden configs always come from this checkout. Not a
@@ -81,23 +86,25 @@ def reports(seeds: list[int]) -> Iterator[tuple[str, dict]]:
                         yield f"{seed}/{ini.stem}/{mode}", getattr(comparison, mode).to_dict()
 
 
+def canonical_sha256(report: dict) -> str:
+    """The sha256 of a report's `to_dict()` as `json.dumps(sort_keys=True)`."""
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
 def fingerprints(seeds: list[int]) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for name, report in reports(seeds):
-        canonical = json.dumps(report, sort_keys=True).encode()
-        out[name] = hashlib.sha256(canonical).hexdigest()
-    return out
+    return {name: canonical_sha256(report) for name, report in reports(seeds)}
 
 
-def scenario_fingerprints(count: int) -> dict[str, list[str]]:
+def scenario_fingerprints(count: int, checkout: Path) -> dict[str, list[str]]:
     """The `[report sha256, config sha256]` of each of the first `count`
-    derandomized `scenario_configs` draws, by `scenario/i`."""
+    derandomized `scenario_configs` draws of `checkout`'s fuzzer, by `scenario/i`."""
     from hypothesis import HealthCheck, Phase, given, settings
 
     from mpqsim.simulation import Simulation
 
-    sys.path.insert(0, str(ROOT / "tests"))  # the fuzzer's own imports
-    spec = importlib.util.spec_from_file_location("scenario_fuzz", ROOT / "tests" / "test_scenario_fuzz.py")
+    tests = checkout / "tests"
+    sys.path.insert(0, str(tests))  # the fuzzer's own imports
+    spec = importlib.util.spec_from_file_location("scenario_fuzz", tests / "test_scenario_fuzz.py")
     fuzz = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(fuzz)
     out: dict[str, list[str]] = {}
@@ -129,11 +136,16 @@ def _summary(series: list) -> list:
     return [len(values), values[-1], statistics.fmean(values)] if values else [0, None, None]
 
 
+SHA256 = "/sha256"  # the suffix of a report's sha256 row in `report_fields`
+
+
 def report_fields(seeds: list[int]) -> dict[str, object]:
     """Every field of every report, by `seed/input/mode/field`; a per-path
-    series by `.../field/path`."""
+    series by `.../field/path`; and each report's canonical sha256, by
+    `seed/input/mode/sha256`."""
     out: dict[str, object] = {}
     for name, report in reports(seeds):
+        out[name + SHA256] = canonical_sha256(report)
         for field, value in report.items():
             if isinstance(value, list):
                 out[f"{name}/{field}"] = _summary(value)
@@ -159,8 +171,7 @@ def golden_fingerprints() -> dict[str, list[str]]:
         for name, (make_config, _, _) in golden.GOLDEN.items():
             report = Simulation(make_config()).run()
             export_report(report, "csv", csv)
-            canonical = json.dumps(report.to_dict(), sort_keys=True).encode()
-            out[name] = [hashlib.sha256(canonical).hexdigest(), hashlib.sha256(csv.read_bytes()).hexdigest()]
+            out[name] = [canonical_sha256(report.to_dict()), hashlib.sha256(csv.read_bytes()).hexdigest()]
     return out
 
 
@@ -168,16 +179,31 @@ SUMMARY = ("length", "last", "mean")
 
 
 def moved_rows(old: dict[str, object], new: dict[str, object]) -> list[tuple[str, object, object]]:
-    """Each `(name, old, new)` that differs between two `--fields` maps; a
-    series summary compared element by element, a missing key as None."""
+    """Each `(name, old, new)` field that differs between two `--fields`
+    maps, leaving the sha256 rows to `moved_reports`; a series summary
+    compared element by element, a missing key as None."""
     rows: list[tuple[str, object, object]] = []
     for key in {**old, **new}:
+        if key.endswith(SHA256):
+            continue
         a, b = old.get(key), new.get(key)
         if isinstance(a, list) and isinstance(b, list):
             rows += [(f"{key}[{label}]", x, y) for label, x, y in zip(SUMMARY, a, b) if x != y]
         elif json.dumps(a) != json.dumps(b):
             rows.append((key, a, b))
     return rows
+
+
+def moved_reports(old: dict[str, object], new: dict[str, object]) -> tuple[int, list[str]]:
+    """How many reports' sha256 rows two `--fields` maps hold, and one line
+    per report whose sha256 differs, a missing one as None."""
+    keys = [key for key in {**old, **new} if key.endswith(SHA256)]
+    lines = [
+        f"report {key.removesuffix(SHA256)}: {old.get(key)} -> {new.get(key)}"
+        for key in keys
+        if old.get(key) != new.get(key)
+    ]
+    return len(keys), lines
 
 
 def relative_change(old: object, new: object) -> str:
@@ -223,6 +249,10 @@ def diff(base: Path, change: Path, seeds: str, scenarios: int) -> int:
                 goldens += 1
                 print(f"golden {name} {kind}: {a} -> {b}")
     print(f"{len(rows)} field rows and {goldens} golden sha256s moved")
+    count, reports_moved = moved_reports(old, new)
+    for line in reports_moved:
+        print(line)
+    print(f"{len(reports_moved)} of {count} bench report sha256s moved")
     moved: list[str] = []
     if scenarios:
         old_s, new_s = (_snapshot(src, "--scenarios", str(scenarios)) for src in (base, change))
@@ -231,7 +261,7 @@ def diff(base: Path, change: Path, seeds: str, scenarios: int) -> int:
             print(line)
         print(f"{apart} of {len(new_s)} drawn configs differ")
         print(f"{len(moved)} of {len(new_s)} scenario sha256s moved")
-    return 1 if rows or goldens or moved else 0
+    return 1 if rows or goldens or reports_moved or moved else 0
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -264,7 +294,7 @@ def main(argv: list[str] | None = None) -> None:
     elif args.goldens:
         print(json.dumps(golden_fingerprints(), indent=1))
     elif args.scenarios:
-        print(json.dumps(scenario_fingerprints(args.scenarios), indent=1))
+        print(json.dumps(scenario_fingerprints(args.scenarios, args.src.resolve()), indent=1))
     else:
         print(json.dumps(fingerprints(seeds), indent=1))
 

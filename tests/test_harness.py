@@ -27,7 +27,7 @@ CONFIG_TEXT = """\
 mode = spns
 scheduler = minrtt
 cc = cubic
-transfer_bytes = 200000
+transfer_mb = 0.2
 seed = 5
 duration_cap_s = 30
 
@@ -109,7 +109,7 @@ def test_parse_rejects_unknown_mode(tmp_path):
 
 def test_parse_rejects_missing_paths(tmp_path):
     path = tmp_path / "bad.ini"
-    path.write_text("[scenario]\nmode = spns\ntransfer_bytes = 10\n")
+    path.write_text("[scenario]\nmode = spns\ntransfer_mb = 0.00001\n")
     with pytest.raises(ConfigError):
         parse_config_file(path)
 
@@ -208,7 +208,7 @@ def test_window_packets_auto_none_and_integer(tmp_path):
         ("queue_packets = 64", "queue_packets = x", r"\[path\.0\] queue_packets: invalid literal"),
         ("suppression = false", "suppression = maybe", r"\[receiver\] suppression: expected a bool"),
         ("max_ack_delay_ms = 25", "max_ack_delay_ms = inf", r"\[receiver\] max_ack_delay_ms: "),
-        ("seed = 5", "seed = 5\ntransfer_mb = 0.2", r"\[scenario\] transfer_mb: transfer_size is already"),
+        ("seed = 5", "seed = 5\ntransfer_mb = 0.2", r"option 'transfer_mb' in section 'scenario' already exists"),
         ("rate_mbps = 15\n", "trace = missing.trace\n", r"\[path\.1\] trace: .*missing\.trace"),
         ("seed = 5", "seed = 5\nseed = 6", r"option 'seed' in section 'scenario' already exists"),
         ("rate_mbps = 15\n", "rate_mbps = 5e-324\n", r"path 1: rate_mbps is too small"),
@@ -239,7 +239,7 @@ def test_parse_refuses_a_bad_trace_file_naming_the_key(tmp_path, data, message):
 
 def test_unit_conversions_round(tmp_path):
     path = tmp_path / "fractions.ini"
-    text = CONFIG_TEXT.replace("transfer_bytes = 200000", "transfer_mb = 4.1")
+    text = CONFIG_TEXT.replace("transfer_mb = 0.2", "transfer_mb = 4.1")
     text = text.replace("max_ack_delay_ms = 25", "max_ack_delay_ms = 32.3")
     path.write_text(text.replace("delay_down_ms = 15", "delay_down_ms = 32.3", 1))
     config = parse_config_file(path)
@@ -278,7 +278,7 @@ def test_compare_of_incomplete_runs_reports_no_deltas(tmp_path, capsys):
     assert comparison.speed_delta_pct is None
     assert comparison.ack_size_delta_pct is None
 
-    text = CONFIG_TEXT.replace("transfer_bytes = 200000", "transfer_bytes = 5000000")
+    text = CONFIG_TEXT.replace("transfer_mb = 0.2", "transfer_mb = 5")
     path = tmp_path / "slow.ini"
     path.write_text(text.replace("duration_cap_s = 30", "duration_cap_s = 0.3"))
     out = tmp_path / "cmp.json"
@@ -380,13 +380,13 @@ def test_cli_run_mode_and_seed_override(config_file, tmp_path):
 
 def test_cli_run_config_error_exits_2(tmp_path):
     bad = tmp_path / "bad.ini"
-    bad.write_text("[scenario]\nmode = nope\ntransfer_bytes = 1\n")
+    bad.write_text("[scenario]\nmode = nope\ntransfer_mb = 1\n")
     assert cli.main(["run", "--config", str(bad)]) == 2
     assert cli.main(["run", "--config", str(tmp_path / "missing.ini")]) == 2
 
 
 def test_cli_run_incomplete_exits_3(config_file, tmp_path):
-    text = CONFIG_TEXT.replace("transfer_bytes = 200000", "transfer_bytes = 80000000")
+    text = CONFIG_TEXT.replace("transfer_mb = 0.2", "transfer_mb = 80")
     text = text.replace("duration_cap_s = 30", "duration_cap_s = 0.2")
     slow = tmp_path / "slow.ini"
     slow.write_text(text)
@@ -421,6 +421,27 @@ def test_cli_bad_sweep_limit_refused_before_any_run(config_file, tmp_path, capsy
     assert captured.out == ""
     assert captured.err.startswith("config error:")
     assert not out.exists()
+
+
+# the packet size is one [scenario] mtu, and transfer_mb the one transfer key
+@pytest.mark.parametrize(
+    "old, new, unknown",
+    [
+        ("queue_packets = 64\n", "queue_packets = 64\nmtu = 1350\n", "[path.0] unknown key(s): mtu"),
+        ("transfer_mb = 0.2", "transfer_bytes = 200000", "[scenario] unknown key(s): transfer_bytes"),
+    ],
+)
+def test_removed_keys_are_refused_before_any_run(tmp_path, capsys, monkeypatch, old, new, unknown):
+    def no_run(config):
+        raise AssertionError("a scenario ran before its keys were checked")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    path = tmp_path / "old.ini"
+    path.write_text(CONFIG_TEXT.replace(old, new, 1))
+    assert cli.main(["run", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {unknown}\n"
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])

@@ -46,7 +46,6 @@ def links(draw, min_delay_down_ms):
         loss_rate=draw(st.floats(0.0, 0.1)),
         reverse_loss_rate=draw(st.floats(0.0, 0.05)),
         queue_capacity=draw(st.integers(0, 64)),
-        mtu=draw(st.sampled_from([1200, 1280, 1350, 1500])),
         window_packets=draw(st.one_of(st.just("auto"), st.none(), st.integers(1, 64))),
     )
 
@@ -67,17 +66,48 @@ def receiver_configs(draw):
 
 
 @st.composite
+def fast_beside_slow_twins(draw, num_paths):
+    """A fast path held to a window of one or two packets beside
+    `num_paths - 1` identical slow paths with no window cap.
+
+    The slow paths' ACKs return together, so they send their windows back
+    to back while the fast path waits. Under SPNS the fast path's frames
+    then skip runs of 20 to 60 of their numbers in flight, gaps of 32 to 63
+    that independent paths seldom reach, once the transfer is long enough
+    for the slow paths' second windows.
+    """
+    fast = LinkModel(
+        delay_down_ms=draw(st.floats(1.0, 10.0)),
+        delay_up_ms=draw(st.floats(1.0, 10.0)),
+        rate_mbps=draw(st.floats(10.0, 100.0)),
+        window_packets=draw(st.integers(1, 2)),
+    )
+    slow = {
+        "delay_down_ms": draw(st.floats(50.0, 150.0)),
+        "delay_up_ms": draw(st.floats(50.0, 150.0)),
+        "rate_mbps": draw(st.floats(100.0, 400.0)),
+    }
+    return [fast] + [LinkModel(**slow, window_packets=None) for _ in range(num_paths - 1)]
+
+
+@st.composite
 def scenario_configs(draw, max_paths=4, min_delay_down_ms=0.0):
     """A whole ScenarioConfig of 1 to `max_paths` paths.
 
     Data delays start at `min_delay_down_ms`; from 0 they include delays
-    under 1 µs, which validation refuses.
+    under 1 µs, which validation refuses. Half the draws of 3 or more paths
+    are `fast_beside_slow_twins`, over at least 150 kB.
     """
     num_paths = draw(st.integers(1, max_paths))
+    if num_paths >= 3 and draw(st.booleans()):
+        paths, min_transfer = draw(fast_beside_slow_twins(num_paths)), 150_000
+    else:
+        paths, min_transfer = [draw(links(min_delay_down_ms)) for _ in range(num_paths)], 50_000
     return ScenarioConfig(
         mode=draw(st.sampled_from(SpaceMode)),
-        paths=[draw(links(min_delay_down_ms)) for _ in range(num_paths)],
-        transfer_size=draw(st.integers(50_000, 400_000)),
+        paths=paths,
+        transfer_size=draw(st.integers(min_transfer, 400_000)),
+        mtu=draw(st.sampled_from([1200, 1280, 1350, 1500])),
         scheduler=draw(st.sampled_from(SchedulerKind)),
         cc=draw(st.sampled_from(CcAlgorithm)),
         recv=draw(receiver_configs()),
@@ -95,6 +125,7 @@ def write_scenario_file(config: ScenarioConfig, directory: Path) -> Path:
         f"scheduler = {config.scheduler.value}",
         f"cc = {config.cc.value}",
         f"transfer_mb = {config.transfer_size / 1e6!r}",
+        f"mtu = {config.mtu}",
         f"seed = {config.seed}",
         f"duration_cap_s = {config.duration_cap_s!r}",
         "[receiver]",
@@ -118,7 +149,6 @@ def write_scenario_file(config: ScenarioConfig, directory: Path) -> Path:
             f"loss_rate = {lm.loss_rate!r}",
             f"reverse_loss_rate = {lm.reverse_loss_rate!r}",
             f"queue_packets = {lm.queue_capacity}",
-            f"mtu = {lm.mtu}",
             f"window_packets = {str(lm.window_packets).lower()}",
         ]
     path = directory / "scenario.ini"
@@ -151,6 +181,7 @@ WRONG_TYPES = {
         "mode": ["spns", 0, None],
         "paths": [None, "path", (), [None]],
         "transfer_size": [2.5, True, "100000"],
+        "mtu": [1350.0, True, None],
         "scheduler": ["minrtt", None],
         "cc": ["cubic", 1],
         "recv": [None, {}],
@@ -165,7 +196,6 @@ WRONG_TYPES = {
         "loss_rate": [False, "0", None],
         "reverse_loss_rate": [False, None],
         "queue_capacity": [2.5, True, None],
-        "mtu": [1350.0, True, None],
         "window_packets": ["big", "none", True, 2.5],
     },
     RecvConfig: {

@@ -28,47 +28,47 @@ def select(kind, paths, rr_cursor=-1):
 
 def test_minrtt_picks_smallest_srtt():
     paths = [make_path(0, srtt_ms=50), make_path(1, srtt_ms=20)]
-    path, _, _ = select(SchedulerKind.MIN_RTT, paths)
+    path, _ = select(SchedulerKind.MIN_RTT, paths)
     assert path == 1
 
 
 def test_minrtt_ties_break_to_lower_path_id():
     paths = [make_path(0, srtt_ms=20), make_path(1, srtt_ms=20)]
-    path, _, _ = select(SchedulerKind.MIN_RTT, paths)
+    path, _ = select(SchedulerKind.MIN_RTT, paths)
     assert path == 0
 
 
 def test_cwnd_limited_path_is_skipped():
     paths = [make_path(0, srtt_ms=50), make_path(1, srtt_ms=20, in_flight_pkts=10)]
-    path, _, _ = select(SchedulerKind.MIN_RTT, paths)
+    path, _ = select(SchedulerKind.MIN_RTT, paths)
     assert path == 0
 
 
 def test_no_path_eligible_returns_none():
     paths = [make_path(0, srtt_ms=50, in_flight_pkts=10), make_path(1, srtt_ms=20, in_flight_pkts=10)]
-    path, cursor, wake = select(SchedulerKind.MIN_RTT, paths, rr_cursor=5)
+    path, wake = select(SchedulerKind.MIN_RTT, paths, rr_cursor=5)
     assert path is None
-    assert cursor == 5
     assert wake is None
 
 
 def test_unprobed_fresh_path_ranks_first_once():
     # path 1 has no sample and nothing sent: probe it before the measured path
     paths = [make_path(0, srtt_ms=20, sent=4), make_path(1)]
-    path, _, _ = select(SchedulerKind.MIN_RTT, paths)
+    path, _ = select(SchedulerKind.MIN_RTT, paths)
     assert path == 1
     # once something is in its history, an unsampled path waits behind
     # measured ones until its sample lands
     paths = [make_path(0, srtt_ms=20, sent=4), make_path(1, sent=1)]
-    path, _, _ = select(SchedulerKind.MIN_RTT, paths)
+    path, _ = select(SchedulerKind.MIN_RTT, paths)
     assert path == 0
 
 
 def round_robin_picks(paths, count):
-    """`count` selections, threading the cursor as the simulation does."""
-    cursor, picks = -1, []
+    """`count` selections, each passing the last pick as the cursor, as
+    the simulation does."""
+    picks = []
     for _ in range(count):
-        path, cursor, _ = select(SchedulerKind.ROUND_ROBIN, paths, cursor)
+        path, _ = select(SchedulerKind.ROUND_ROBIN, paths, picks[-1] if picks else -1)
         picks.append(path)
     return picks
 
@@ -87,9 +87,9 @@ def test_round_robin_skips_ineligible():
 def test_round_robin_takes_the_next_ready_id_while_a_path_is_pace_blocked():
     paths = [make_path(p) for p in range(4)]
     paths[0].pace_next = 10
-    cursor, picks = -1, []
+    picks = []
     for _ in range(4):
-        path, cursor, wake = select_path(SchedulerKind.ROUND_ROBIN, paths, MSS, 0, cursor)
+        path, wake = select_path(SchedulerKind.ROUND_ROBIN, paths, MSS, 0, picks[-1] if picks else -1)
         assert wake is None
         picks.append(path)
     assert picks == [1, 2, 3, 1]
@@ -100,7 +100,7 @@ def test_round_robin_picks_the_only_open_path_above_three_blocked_ones():
     for ps in paths[:3]:
         ps.pace_next = 10
     for cursor in (-1, 0, 1, 2, 3):
-        assert select_path(SchedulerKind.ROUND_ROBIN, paths, MSS, 0, cursor) == (3, 3, None)
+        assert select_path(SchedulerKind.ROUND_ROBIN, paths, MSS, 0, cursor) == (3, None)
 
 
 def test_selection_never_violates_cwnd():
@@ -117,7 +117,7 @@ def test_selection_never_violates_cwnd():
             for p in range(rng.randint(1, 4))
         ]
         kind = rng.choice([SchedulerKind.MIN_RTT, SchedulerKind.ROUND_ROBIN])
-        path, _, _ = select(kind, paths, rr_cursor=rng.randint(-1, 3))
+        path, _ = select(kind, paths, rr_cursor=rng.randint(-1, 3))
         if path is not None:
             ps = paths[path]
             assert ps.bytes_in_flight + MSS <= ps.cc.cwnd
@@ -129,8 +129,8 @@ def test_minrtt_invariant_under_uniform_scaling():
         srtts = [rng.uniform(5, 500) for _ in range(3)]
         base = [make_path(p, srtt_ms=srtts[p]) for p in range(3)]
         scaled = [make_path(p, srtt_ms=srtts[p] * 3.7) for p in range(3)]
-        pick_base, _, _ = select(SchedulerKind.MIN_RTT, base)
-        pick_scaled, _, _ = select(SchedulerKind.MIN_RTT, scaled)
+        pick_base, _ = select(SchedulerKind.MIN_RTT, base)
+        pick_scaled, _ = select(SchedulerKind.MIN_RTT, scaled)
         assert pick_base == pick_scaled
 
 
@@ -164,15 +164,15 @@ def _reference_select_path(kind, paths, packet_size, rr_cursor, n):
         raise ValueError("no paths configured")
     eligible = [ps for ps in paths if _reference_eligible(ps, packet_size)]
     if not eligible:
-        return None, rr_cursor
+        return None
     if kind is SchedulerKind.MIN_RTT:
-        return min(eligible, key=_reference_min_rtt_key).path, rr_cursor
+        return min(eligible, key=_reference_min_rtt_key).path
     eligible_ids = {ps.path for ps in eligible}
     for step in range(1, n + 1):
         candidate = (rr_cursor + step) % n
         if candidate in eligible_ids:
-            return candidate, candidate
-    return None, rr_cursor
+            return candidate
+    return None
 
 
 def reference_decision(kind, paths, size, pace_next, now, rr_cursor):
@@ -180,14 +180,14 @@ def reference_decision(kind, paths, size, pace_next, now, rr_cursor):
     sendable = [ps for ps in paths if now >= pace_next[ps.path]]
     path = None
     if sendable:
-        path, rr_cursor = _reference_select_path(kind, sendable, size, rr_cursor, len(paths))
+        path = _reference_select_path(kind, sendable, size, rr_cursor, len(paths))
     wake = None
     if path is None:
         for ps in paths:
             gate = pace_next[ps.path]
             if now < gate and ps.bytes_in_flight + size <= ps.cc.cwnd:
                 wake = gate if wake is None else min(wake, gate)
-    return path, rr_cursor, wake
+    return path, wake
 
 
 NOW = 50_000
@@ -242,7 +242,7 @@ def test_a_path_is_picked_whenever_one_is_past_its_gate_with_room(decision):
     for ps, gate in zip(paths, gates):
         ps.pace_next = gate
     ready = [ps.path for ps in paths if NOW >= ps.pace_next and ps.bytes_in_flight + size <= ps.cc.cwnd]
-    path, _, wake = select_path(kind, paths, size, NOW, cursor)
+    path, wake = select_path(kind, paths, size, NOW, cursor)
     assert (path is not None) == bool(ready)
     assert path is None or path in ready
     assert path is None or wake is None

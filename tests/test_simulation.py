@@ -33,17 +33,30 @@ def test_auto_window_covers_bdp_with_small_headroom():
     assert auto_window_packets(LinkModel(delay_down_ms=1, delay_up_ms=1), 1350) is None
 
 
-def test_mixed_mtus_size_every_window_in_the_smallest_mtu():
+def test_the_scenario_mtu_sizes_every_chunk_mss_and_window():
     paths = [
-        LinkModel(delay_down_ms=15, delay_up_ms=15, rate_mbps=40, mtu=1350, window_packets=12),
-        LinkModel(delay_down_ms=60, delay_up_ms=60, rate_mbps=15, mtu=1200),
+        LinkModel(delay_down_ms=15, delay_up_ms=15, rate_mbps=40, window_packets=12),
+        LinkModel(delay_down_ms=60, delay_up_ms=60, rate_mbps=15),
     ]
-    sim = Simulation(ScenarioConfig(mode=SpaceMode.SPNS, paths=paths, transfer_size=100_000))
+    sim = Simulation(ScenarioConfig(SpaceMode.SPNS, paths, transfer_size=100_000, mtu=1200))
     assert sim.mtu == 1200
     assert [ps.cc.mss for ps in sim.sender.paths] == [1200, 1200]
     assert sim.sender.paths[0].cc.max_cwnd == 12 * 1200
     assert sim.sender.paths[1].cc.max_cwnd == auto_window_packets(paths[1], 1200) * 1200
+    sizes = []
+    send = sim._send_on_path
+    sim._send_on_path = lambda path, size, offset, now: sizes.append(size) or send(path, size, offset, now)
     assert sim.run().complete
+    # 83 full chunks and the 400-byte rest, each sent at least once
+    assert set(sizes) == {1200, 400} and len(sizes) >= 84
+
+
+def test_mtu_must_be_positive():
+    cfg = two_path_config(mtu=0)
+    with pytest.raises(ConfigError, match="^mtu must be positive$"):
+        Simulation(cfg)
+    cfg.mtu = 1
+    Simulation(cfg)
 
 
 def test_transfer_completes_and_accounts_bytes():
@@ -204,9 +217,9 @@ def test_finished_simulation_is_freed_without_cyclic_gc():
         ({}, {"maximum_limit": 64.0}),
         ({}, {"ack_eliciting_threshold": True}),
         # non-int link sizes; each would otherwise run, a bool as 1
-        ({"mtu": True}, {}),
+        ({"queue_capacity": True}, {}),
         ({"window_packets": True}, {}),
-        ({"mtu": 1350.5}, {}),
+        ({"window_packets": 12.0}, {}),
         ({"queue_capacity": 2.5}, {}),
     ],
 )
@@ -241,6 +254,8 @@ def test_non_int_transfer_size_refused_before_the_run(size):
         ("scenario", "recv", None),
         ("scenario", "duration_cap_s", True),
         ("scenario", "seed", 2.5),
+        ("scenario", "mtu", True),
+        ("scenario", "mtu", 1350.5),
         ("recv", "suppression_enabled", "false"),
         ("recv", "per_path_anchoring", "no"),
         ("path", "rate_mbps", True),
@@ -267,6 +282,16 @@ def test_tiny_finite_rate_runs_to_the_cap():
     report = Simulation(cfg).run()
     assert not report.complete
     assert report.packets_received == 0
+
+
+def test_the_serialization_check_counts_the_scenario_mtu():
+    # at 1e-306 Mbps one 1350-byte packet takes an infinite time, one byte a finite one
+    paths = [LinkModel(delay_down_ms=10, delay_up_ms=10, rate_mbps=1e-306)]
+    cfg = ScenarioConfig(SpaceMode.SPNS, paths, transfer_size=10_000, duration_cap_s=1)
+    with pytest.raises(ConfigError, match="^path 0: rate_mbps is too small"):
+        Simulation(cfg)
+    cfg.mtu = 1
+    assert not Simulation(cfg).run().complete
 
 
 def test_link_conservation_counters():
@@ -435,6 +460,17 @@ def test_round_robin_scheduler_runs():
     # strict 50/50 split at this transfer size
     assert len(report.received_pn[0]) > 0
     assert len(report.received_pn[1]) > 10
+
+
+def test_a_round_robin_run_takes_its_paths_in_turn():
+    paths = [LinkModel(delay_down_ms=d, delay_up_ms=d, rate_mbps=r) for d, r in ((15, 40), (60, 15), (30, 20))]
+    sim = Simulation(ScenarioConfig(SpaceMode.SPNS, paths, 300_000, scheduler=SchedulerKind.ROUND_ROBIN))
+    picks = []
+    send = sim._send_on_path
+    sim._send_on_path = lambda path, size, offset, now: picks.append(path) or send(path, size, offset, now)
+    assert sim.run().complete
+    # every window is open at the start, so the cursor alone orders the picks
+    assert picks[:9] == [0, 1, 2] * 3
 
 
 def test_newreno_scenario_runs():
