@@ -1,50 +1,38 @@
 """Fingerprint every benchmark input's reports under both numbering modes.
 
-Writes each scenario file that `bench/inputs.py` produces for the given
-seeds into a temporary directory, runs it through `harness.compare_modes`,
-and prints one JSON object mapping `seed/input/mode` to the sha256 of the
-mode's canonical report (`json.dumps(to_dict(), sort_keys=True)`). A
-refactor that leaves the simulator's behaviour alone prints the same object
-before and after; compare the two with `cmp`:
+Runs each scenario file that `bench/inputs.py` writes for the given seeds
+through `harness.compare_modes` and prints one JSON object mapping
+`seed/input/mode` to the sha256 of the mode's canonical report
+(`json.dumps(to_dict(), sort_keys=True)`). A refactor that leaves the
+simulator's behaviour alone prints the same object before and after, as
+`cmp` of this output and that of `--src ../parent-checkout` shows.
 
-    python tests/report_fingerprints.py > after.json
-    python tests/report_fingerprints.py --src ../parent-checkout > before.json
-    cmp before.json after.json
-
-`--fields` prints each report's fields instead, one line per field, named
-`seed/input/mode/field` (and `/path` for a per-path series): scalars and
-histograms as they are, each series as `[length, last value, mean]`, and
-the report's canonical sha256 as `seed/input/mode/sha256`, so a change
-inside a series shows even where its summary holds.
+`--fields` prints each report's fields instead, one per line, named
+`seed/input/mode/field` (and `/path` for a per-path series): each series as
+`[length, last value, mean]`, and the canonical sha256 as `.../sha256`.
 `--goldens` prints the JSON and CSV sha256 of each report that
-`tests/test_golden.py` pins, computed by the checkout's code.
-`--scenarios N` prints, for each of the first N derandomized draws of
-the fuzzer's `scenario_configs` (from `tests/test_scenario_fuzz.py`, with
-data delays of at least 1 µs), named `scenario/i`, the sha256 of its report
-and of its config: random paths, traces, loss and PTO probes that the bench
-inputs barely reach. A draw whose run raises is hashed by its error. The
-config is hashed as the fuzzer's `comparable(config)`, whose traces are
-lists, so a trace held as a list and one held as an array hash alike. The
-draws come from the fuzzer of the `--src` checkout, which builds configs
-of the shape its own code takes.
+`tests/test_golden.py` pins. `--scenarios N` prints the sha256 of the
+report (or of the run's error) and of `comparable(config)` for each of the
+first N seeded draws of the fuzzer's distribution, `seeded_config(i)` of
+`tests/scenario_draws.py`, named `scenario/i`: random paths, traces, loss
+and PTO probes that the bench inputs barely reach. No Hypothesis draws
+them, so no literal of a loaded module can move them.
 
 `--diff BASE_DIR` is the table of what a behaviour change moved:
 
     python tests/report_fingerprints.py --diff ../parent-checkout
 
-It runs `--fields` and `--goldens` for `BASE_DIR` and for this checkout
-(or `--src`), each in its own interpreter, and prints one row per moved
-`seed/input/mode/field`: old, new and relative change, a series summary
-element by element. Then it prints each golden whose sha256 moved, old ->
-new, then each bench report whose sha256 moved and how many did, and,
-with `--scenarios N`, each moved scenario draw, marked "drawn apart" when
-its config moved too, and how many drawn configs differ: a draw that
-moved with its config tells nothing about the code. It exits 0 when
-nothing moved, 1 when something did, and 2 on error.
+It runs `--fields` and `--goldens` (and `--scenarios N`) for `BASE_DIR`
+and for this checkout (or `--src`), each in its own interpreter, and prints
+each moved field (old, new, relative change; a series summary element by
+element), golden, bench report and scenario draw, "drawn apart" if its
+config differs. Both sides draw from this checkout's generator, so a config
+that differs tells nothing about the code and is an error. It exits 0 when
+nothing moved, 1 when something did, and 2 on error or a differing config.
 
 `--src` names the checkout whose `src/mpqsim` runs (by default this one);
-the inputs and the golden configs always come from this checkout. Not a
-test module: pytest does not collect it.
+the inputs, golden configs and scenario draws always come from this
+checkout. Not a test module: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -95,38 +83,21 @@ def fingerprints(seeds: list[int]) -> dict[str, str]:
     return {name: canonical_sha256(report) for name, report in reports(seeds)}
 
 
-def scenario_fingerprints(count: int, checkout: Path) -> dict[str, list[str]]:
+def scenario_fingerprints(count: int) -> dict[str, list[str]]:
     """The `[report sha256, config sha256]` of each of the first `count`
-    derandomized `scenario_configs` draws of `checkout`'s fuzzer, by `scenario/i`."""
-    from hypothesis import HealthCheck, Phase, given, settings
-
+    seeded scenario draws, by `scenario/i`."""
     from mpqsim.simulation import Simulation
+    from scenario_draws import comparable, seeded_config
 
-    tests = checkout / "tests"
-    sys.path.insert(0, str(tests))  # the fuzzer's own imports
-    spec = importlib.util.spec_from_file_location("scenario_fuzz", tests / "test_scenario_fuzz.py")
-    fuzz = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(fuzz)
     out: dict[str, list[str]] = {}
-
-    @settings(
-        derandomize=True,
-        database=None,
-        deadline=None,
-        max_examples=count,
-        phases=[Phase.generate],
-        suppress_health_check=list(HealthCheck),
-    )
-    @given(fuzz.scenario_configs(min_delay_down_ms=0.001))
-    def run(config):
-        drawn = hashlib.sha256(repr(fuzz.comparable(config)).encode()).hexdigest()
+    for i in range(count):
+        config = seeded_config(i)
+        drawn = hashlib.sha256(repr(comparable(config)).encode()).hexdigest()
         try:
             text = json.dumps(Simulation(config).run().to_dict(), sort_keys=True)
         except Exception as exc:  # a run that raises is fingerprinted by its error
             text = f"{type(exc).__name__}: {exc}"
-        out[f"scenario/{len(out)}"] = [hashlib.sha256(text.encode()).hexdigest(), drawn]
-
-    run()
+        out[f"scenario/{i}"] = [hashlib.sha256(text.encode()).hexdigest(), drawn]
     return out
 
 
@@ -161,14 +132,12 @@ def golden_fingerprints() -> dict[str, list[str]]:
     """Each golden's `[JSON sha256, CSV sha256]`, from this checkout's configs."""
     from mpqsim.harness import export_report
     from mpqsim.simulation import Simulation
+    from test_golden import GOLDEN
 
-    spec = importlib.util.spec_from_file_location("golden_configs", ROOT / "tests" / "test_golden.py")
-    golden = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(golden)
     out: dict[str, list[str]] = {}
     with tempfile.TemporaryDirectory() as tmp:
         csv = Path(tmp) / "report.csv"
-        for name, (make_config, _, _) in golden.GOLDEN.items():
+        for name, (make_config, _, _) in GOLDEN.items():
             report = Simulation(make_config()).run()
             export_report(report, "csv", csv)
             out[name] = [canonical_sha256(report.to_dict()), hashlib.sha256(csv.read_bytes()).hexdigest()]
@@ -198,12 +167,8 @@ def moved_reports(old: dict[str, object], new: dict[str, object]) -> tuple[int, 
     """How many reports' sha256 rows two `--fields` maps hold, and one line
     per report whose sha256 differs, a missing one as None."""
     keys = [key for key in {**old, **new} if key.endswith(SHA256)]
-    lines = [
-        f"report {key.removesuffix(SHA256)}: {old.get(key)} -> {new.get(key)}"
-        for key in keys
-        if old.get(key) != new.get(key)
-    ]
-    return len(keys), lines
+    moved = [key for key in keys if old.get(key) != new.get(key)]
+    return len(keys), [f"report {key.removesuffix(SHA256)}: {old.get(key)} -> {new.get(key)}" for key in moved]
 
 
 def relative_change(old: object, new: object) -> str:
@@ -235,7 +200,8 @@ def _snapshot(src: Path, *flags: str) -> dict:
 
 
 def diff(base: Path, change: Path, seeds: str, scenarios: int) -> int:
-    """Print what moved from `base` to `change`; 1 if anything did, else 0."""
+    """Print what moved from `base` to `change`; 2 if a drawn config
+    differs, else 1 if anything moved, else 0."""
     old, new = (_snapshot(src, "--seeds", seeds, "--fields") for src in (base, change))
     rows = moved_rows(old, new)
     width = max((len(name) for name, _, _ in rows), default=0)
@@ -261,6 +227,8 @@ def diff(base: Path, change: Path, seeds: str, scenarios: int) -> int:
             print(line)
         print(f"{apart} of {len(new_s)} drawn configs differ")
         print(f"{len(moved)} of {len(new_s)} scenario sha256s moved")
+        if apart:
+            return 2
     return 1 if rows or goldens or reports_moved or moved else 0
 
 
@@ -272,9 +240,7 @@ def main(argv: list[str] | None = None) -> None:
     output.add_argument("--fields", action="store_true", help="print every field, one per line, not hashes")
     output.add_argument("--goldens", action="store_true", help="print the golden reports' sha256s")
     output.add_argument("--diff", type=Path, metavar="BASE_DIR", help="print what moved since BASE_DIR")
-    parser.add_argument(
-        "--scenarios", type=int, default=0, metavar="N", help="hash N fuzzer scenario draws (also in --diff)"
-    )
+    parser.add_argument("--scenarios", type=int, default=0, metavar="N", help="hash N seeded scenario draws")
     args = parser.parse_args(argv)
     if args.scenarios and (args.fields or args.goldens):
         parser.error("--scenarios goes alone or with --diff")
@@ -294,7 +260,7 @@ def main(argv: list[str] | None = None) -> None:
     elif args.goldens:
         print(json.dumps(golden_fingerprints(), indent=1))
     elif args.scenarios:
-        print(json.dumps(scenario_fingerprints(args.scenarios, args.src.resolve()), indent=1))
+        print(json.dumps(scenario_fingerprints(args.scenarios), indent=1))
     else:
         print(json.dumps(fingerprints(seeds), indent=1))
 

@@ -1,7 +1,7 @@
-"""Whole random scenarios: the file format round trip, per-event and
-end-of-run checks, and the single-path SPNS/MPNS differential.
-
-Every test is derandomised, so a failure reproduces on every run.
+"""Whole random scenarios from `scenario_draws`: the file format round
+trip, per-event and end-of-run checks, and the single-path SPNS/MPNS
+differential. Hypothesis draws them, derandomised, so a failure reproduces
+on every run and shrinks; the reach pin takes the seeded draws.
 """
 
 import dataclasses
@@ -10,110 +10,35 @@ import math
 import tempfile
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable
 
 import pytest
-from hypothesis import event, given, seed, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
-from hypothesis.internal.compat import int_from_bytes
-from hypothesis.internal.reflection import function_digest
 
 from ack_codec import ack_decode, ack_encode
-from mpqsim.congestion import CcAlgorithm
 from mpqsim.core import ACK_DELAY_EXPONENT, AckFrame, ConfigError, SpaceMode, ack_frame_wire_size
 from mpqsim.harness import compare_modes, parse_config_file
-from mpqsim.netsim import LinkModel, TraceSchedule, ms_to_us
+from mpqsim.netsim import LinkModel, ms_to_us
 from mpqsim.receiver import RecvConfig
 from mpqsim.scenario import MetricsReport, ScenarioConfig
-from mpqsim.scheduler import SchedulerKind
 from mpqsim.simulation import Simulation
+from scenario_draws import comparable, scenario_config, seeded_config
 from test_netsim import assert_one_heap_entry_per_live_timer
 
 
 @st.composite
-def links(draw, min_delay_down_ms):
-    """One path, rate- or trace-driven."""
-    if draw(st.booleans()):
-        rate, trace = draw(st.floats(0.1, 1e8)), None
-    else:
-        times = draw(st.lists(st.integers(0, 40), min_size=1, max_size=30))
-        rate, trace = None, TraceSchedule(sorted(times))
-    return LinkModel(
-        delay_down_ms=draw(st.floats(min_delay_down_ms, 100.0)),
-        delay_up_ms=draw(st.floats(0.0, 100.0)),
-        rate_mbps=rate,
-        trace=trace,
-        loss_rate=draw(st.floats(0.0, 0.1)),
-        reverse_loss_rate=draw(st.floats(0.0, 0.05)),
-        queue_capacity=draw(st.integers(0, 64)),
-        window_packets=draw(st.one_of(st.just("auto"), st.none(), st.integers(1, 64))),
-    )
-
-
-@st.composite
-def receiver_configs(draw):
-    """Suppression off, or on with both limits in 1-8."""
-    recv = RecvConfig(
-        ack_eliciting_threshold=draw(st.integers(1, 4)),
-        max_ack_delay=draw(st.integers(0, 50_000)),
-        per_path_anchoring=draw(st.booleans()),
-    )
-    if draw(st.booleans()):
-        recv.suppression_enabled = True
-        recv.default_limit = draw(st.integers(1, 8))
-        recv.maximum_limit = draw(st.integers(recv.default_limit, 8))
-    return recv
-
-
-@st.composite
-def fast_beside_slow_twins(draw, num_paths):
-    """A fast path held to a window of one or two packets beside
-    `num_paths - 1` identical slow paths with no window cap.
-
-    The slow paths' ACKs return together, so they send their windows back
-    to back while the fast path waits. Under SPNS the fast path's frames
-    then skip runs of 20 to 60 of their numbers in flight, gaps of 32 to 63
-    that independent paths seldom reach, once the transfer is long enough
-    for the slow paths' second windows.
-    """
-    fast = LinkModel(
-        delay_down_ms=draw(st.floats(1.0, 10.0)),
-        delay_up_ms=draw(st.floats(1.0, 10.0)),
-        rate_mbps=draw(st.floats(10.0, 100.0)),
-        window_packets=draw(st.integers(1, 2)),
-    )
-    slow = {
-        "delay_down_ms": draw(st.floats(50.0, 150.0)),
-        "delay_up_ms": draw(st.floats(50.0, 150.0)),
-        "rate_mbps": draw(st.floats(100.0, 400.0)),
-    }
-    return [fast] + [LinkModel(**slow, window_packets=None) for _ in range(num_paths - 1)]
-
-
-@st.composite
 def scenario_configs(draw, max_paths=4, min_delay_down_ms=0.0):
-    """A whole ScenarioConfig of 1 to `max_paths` paths.
-
-    Data delays start at `min_delay_down_ms`; from 0 they include delays
-    under 1 µs, which validation refuses. Half the draws of 3 or more paths
-    are `fast_beside_slow_twins`, over at least 150 kB.
-    """
-    num_paths = draw(st.integers(1, max_paths))
-    if num_paths >= 3 and draw(st.booleans()):
-        paths, min_transfer = draw(fast_beside_slow_twins(num_paths)), 150_000
-    else:
-        paths, min_transfer = [draw(links(min_delay_down_ms)) for _ in range(num_paths)], 50_000
-    return ScenarioConfig(
-        mode=draw(st.sampled_from(SpaceMode)),
-        paths=paths,
-        transfer_size=draw(st.integers(min_transfer, 400_000)),
-        mtu=draw(st.sampled_from([1200, 1280, 1350, 1500])),
-        scheduler=draw(st.sampled_from(SchedulerKind)),
-        cc=draw(st.sampled_from(CcAlgorithm)),
-        recv=draw(receiver_configs()),
-        seed=draw(st.integers(0, 2**32)),
-        duration_cap_s=draw(st.floats(0.05, 60.0)),
+    """`scenario_draws.scenario_config` over Hypothesis's `draw`."""
+    chooser = SimpleNamespace(
+        integers=lambda lo, hi: draw(st.integers(lo, hi)),
+        floats=lambda lo, hi: draw(st.floats(lo, hi)),
+        booleans=lambda: draw(st.booleans()),
+        sampled_from=lambda values: draw(st.sampled_from(values)),
+        int_lists=lambda lo, hi, least, most: draw(st.lists(st.integers(lo, hi), min_size=least, max_size=most)),
     )
+    return scenario_config(chooser, max_paths, min_delay_down_ms)
 
 
 def write_scenario_file(config: ScenarioConfig, directory: Path) -> Path:
@@ -154,13 +79,6 @@ def write_scenario_file(config: ScenarioConfig, directory: Path) -> Path:
     path = directory / "scenario.ini"
     path.write_text("\n".join(lines) + "\n")
     return path
-
-
-def comparable(config: ScenarioConfig) -> tuple:
-    """The config with each trace replaced by the list of its timestamps."""
-    links = [dataclasses.replace(lm, trace=None) for lm in config.paths]
-    traces = [list(lm.trace.times_ms) if lm.trace else None for lm in config.paths]
-    return dataclasses.replace(config, paths=links), traces
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -324,7 +242,7 @@ def watch_invariants(sim: Simulation) -> dict:
     return watched
 
 
-# the regimes a run can reach; the fuzzer's draws must reach the first six
+# the regimes a run can reach; the seeded draws must reach the first seven
 REGIMES = (
     "queue drop",
     "random drop",
@@ -332,17 +250,18 @@ REGIMES = (
     "two or more PTO probes",
     "time-threshold loss",
     "spurious retransmission",
+    "an ACK-frame gap of 32-63",
     "a frame of 65+ ranges",
     "a packet received, never acknowledged",
 )
-REACHED = REGIMES[:6]
+REACHED = REGIMES[:7]
 
 
 def watch_regimes(sim: Simulation) -> Callable[[], list[str]]:
-    """Count the packets the run's PTO expiries send; the returned call
-    names the `REGIMES` the finished run reached."""
-    probes = 0
-    on_pto = sim._on_pto
+    """Count the packets the run's PTO expiries send and the gaps of its frames;
+    the returned call names the `REGIMES` the finished run reached."""
+    probes, gaps = 0, set()
+    on_pto, build = sim._on_pto, sim.receiver.build_ack_frame
 
     def counted_pto(now: int, path: int) -> int | None:
         nonlocal probes
@@ -352,7 +271,12 @@ def watch_regimes(sim: Simulation) -> Callable[[], list[str]]:
         probes += ps.sent_count - sent
         return later
 
-    sim._on_pto = counted_pto
+    def gapped_build(path: int, now: int) -> AckFrame:
+        frame = build(path, now)
+        gaps.update(above.smallest - below.largest - 2 for above, below in zip(frame.ranges, frame.ranges[1:]))
+        return frame
+
+    sim._on_pto, sim.receiver.build_ack_frame = counted_pto, gapped_build
 
     def reached() -> list[str]:
         links, report = sim.down + sim.up, sim.report
@@ -363,6 +287,7 @@ def watch_regimes(sim: Simulation) -> Callable[[], list[str]]:
             probes >= 2,
             report.time_threshold_losses > 0,
             report.spurious_retx > 0,
+            any(32 <= gap <= 63 for gap in gaps),
             max(report.ack_range_count_histogram, default=0) >= 65,
             report.received_never_acked > 0,
         )
@@ -385,9 +310,7 @@ def checked_run(config: ScenarioConfig) -> MetricsReport:
     assert watched["peeks"] == watched["pops"] + 1
     # complete, or stopped with events still due past the cap
     next_event = watched["next_event"]
-    assert report.complete or (
-        next_event is not None and next_event > config.duration_cap_s * 1e6
-    )
+    assert report.complete or (next_event is not None and next_event > config.duration_cap_s * 1e6)
     assert report.packets_received <= report.packets_sent
     # one hole count per arrival, logged at the same instant
     assert len(report.hole_count) == report.packets_received
@@ -443,10 +366,7 @@ def test_a_lossy_reference_run_encodes_its_frames_of_65_ranges_exactly():
     assert max(gaps) >= 64
 
 
-FUZZER = settings(derandomize=True, deadline=None, max_examples=150)
-
-
-@FUZZER
+@settings(derandomize=True, deadline=None, max_examples=150)
 @given(scenario_configs(min_delay_down_ms=0.001))
 def test_random_scenarios_end_cleanly_and_repeat_exactly(config):
     first = checked_run(config)
@@ -454,26 +374,16 @@ def test_random_scenarios_end_cleanly_and_repeat_exactly(config):
     assert json.dumps(second.to_dict()) == json.dumps(first.to_dict())
 
 
-# the seed `derandomize` gives the fuzzer, so that the test below sees its draws
-FUZZER_SEED = int_from_bytes(
-    function_digest(test_random_scenarios_end_cleanly_and_repeat_exactly.hypothesis.inner_test)
-)
-
-
 def test_the_fuzzers_draws_reach_each_regime():
+    # the fuzzer's distribution, seeded: no literal of a loaded module moves it
     reached = Counter()
-
-    @seed(FUZZER_SEED)
-    @FUZZER
-    @given(scenario_configs(min_delay_down_ms=0.001))
-    def run_unchecked(config):
-        sim = Simulation(config)
+    for i in range(150):
+        sim = Simulation(seeded_config(i))
         regimes = watch_regimes(sim)
         sim.run()
         reached.update(regimes())
-
-    run_unchecked()
-    assert all(reached[name] for name in REACHED), reached
+    counts = {name: reached[name] for name in REGIMES}
+    assert all(counts[name] for name in REACHED), counts
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
