@@ -82,6 +82,7 @@ MUTANTS = [
             "tests/test_netsim.py::test_a_handler_that_returns_a_later_deadline_is_re_armed_at_it",
             "tests/test_simulation.py::test_ack_leaves_at_the_later_deadline_after_a_superseded_timer",
             "tests/test_scenario_fuzz.py::test_random_scenarios_end_cleanly_and_repeat_exactly",
+            "tests/test_scenario_fuzz.py::test_the_fuzzers_draws_reach_each_regime",
         ),
     ),
     Mutant(
@@ -137,6 +138,7 @@ MUTANTS = [
         (
             "tests/test_simulation.py::test_a_lost_last_packet_is_probed_at_the_deadline_its_send_set",
             "tests/test_scenario_fuzz.py::test_random_scenarios_end_cleanly_and_repeat_exactly",
+            "tests/test_scenario_fuzz.py::test_the_fuzzers_draws_reach_each_regime",
         ),
     ),
     Mutant(
@@ -149,6 +151,7 @@ MUTANTS = [
         (
             "tests/test_simulation.py::test_an_ack_that_moves_the_pto_deadline_earlier_moves_its_event",
             "tests/test_scenario_fuzz.py::test_random_scenarios_end_cleanly_and_repeat_exactly",
+            "tests/test_scenario_fuzz.py::test_the_fuzzers_draws_reach_each_regime",
         ),
     ),
     Mutant(
@@ -159,6 +162,7 @@ MUTANTS = [
         (
             "tests/test_simulation.py::test_an_spns_ack_on_one_path_moves_the_pto_event_of_the_path_it_acks",
             "tests/test_scenario_fuzz.py::test_random_scenarios_end_cleanly_and_repeat_exactly",
+            "tests/test_scenario_fuzz.py::test_the_fuzzers_draws_reach_each_regime",
         ),
     ),
     # the ACK frame builder and the sizes behind the headline metric
@@ -193,6 +197,7 @@ MUTANTS = [
             "tests/test_core.py::test_wire_size_equals_varint_sum_on_valid_frames",
             "tests/test_core.py::test_cached_frame_size_equals_the_range_by_range_sum",
             "tests/test_scenario_fuzz.py::test_random_scenarios_end_cleanly_and_repeat_exactly",
+            "tests/test_scenario_fuzz.py::test_the_fuzzers_draws_reach_each_regime",
         ),
     ),
     Mutant(
@@ -227,6 +232,7 @@ MUTANTS = [
             "tests/test_core.py::test_wire_size_equals_varint_sum_on_valid_frames",
             "tests/test_core.py::test_cached_frame_size_equals_the_range_by_range_sum",
             "tests/test_scenario_fuzz.py::test_a_lossy_reference_run_encodes_its_frames_of_65_ranges_exactly",
+            "tests/test_scenario_fuzz.py::test_the_fuzzers_draws_reach_each_regime",
         ),
     ),
     Mutant(
@@ -254,6 +260,7 @@ MUTANTS = [
         (
             "tests/test_core.py::test_wire_size_equals_varint_sum_on_valid_frames",
             "tests/test_scenario_fuzz.py::test_random_scenarios_end_cleanly_and_repeat_exactly",
+            "tests/test_scenario_fuzz.py::test_the_fuzzers_draws_reach_each_regime",
         ),
     ),
     Mutant(
@@ -397,7 +404,30 @@ MUTANTS = [
         "            ps.pto_deadline = now + ps.pto_interval(self.max_ack_delay) if ps.unacked else None\n",
         "            ps.pto_deadline = now + ps.pto_interval(self.max_ack_delay) if ps.unacked else None\n"
         "            lost += self.detect_losses(ps.path, now)\n",
-        ("tests/test_scenario_fuzz.py::test_random_scenarios_end_cleanly_and_repeat_exactly",),
+        (
+            "tests/test_scenario_fuzz.py::test_random_scenarios_end_cleanly_and_repeat_exactly",
+            "tests/test_scenario_fuzz.py::test_the_fuzzers_draws_reach_each_regime",
+        ),
+    ),
+    Mutant(
+        "declared-losses-stay-unacked",
+        "src/mpqsim/sender.py",
+        "del ps.unacked[rec.pn]  # the number stays in its space's outstanding",
+        "pass",
+        (
+            "tests/test_sender.py::test_ack_of_only_spurious_numbers_reports_no_path",
+            "tests/test_sender.py::test_spurious_ack_counted_once_and_flight_not_double_decremented",
+            "tests/test_sender.py::test_conservation_of_bytes_in_flight",
+            "tests/test_sender.py::test_ack_processing_matches_brute_force",
+            "tests/test_simulation.py::test_a_finished_run_keeps_only_its_unacked_records[spns-lossy-suppress-1]",
+            "tests/test_simulation.py::test_lossy_forward_path_recovers_and_completes",
+            "tests/test_simulation.py::test_lossy_run_is_deterministic_too",
+            "tests/test_golden.py::test_golden_report[spns-lossy-suppress-1]",
+            "tests/test_acceptance.py::test_criterion_6_loss_detection_oracle",
+            "tests/test_scenario_fuzz.py::test_a_lossy_reference_run_encodes_its_frames_of_65_ranges_exactly",
+            "tests/test_scenario_fuzz.py::test_random_scenarios_end_cleanly_and_repeat_exactly",
+            "tests/test_scenario_fuzz.py::test_the_fuzzers_draws_reach_each_regime",
+        ),
     ),
 ]
 

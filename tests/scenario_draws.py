@@ -73,13 +73,14 @@ def acks_back_fast_beside_slow(c, num_paths: int) -> list[LinkModel]:
 
 def scenario_config(c, max_paths: int = 4, min_delay_down_ms: float = 0.0) -> ScenarioConfig:
     """A ScenarioConfig of 1 to `max_paths` paths, half the draws of 2 or more
-    an arm over at least 150 kB (twins from 3 paths as often as the other).
+    an arm over at least 150 kB: ACKs back fast beside slow at 2 paths, the
+    twins, which reach ACK-frame gaps of 32 and more, from 3.
     Data delays start at `min_delay_down_ms`; from 0 they include some under
     1 µs, which validation refuses."""
     num_paths = c.integers(1, max_paths)
-    arms = [acks_back_fast_beside_slow] + [fast_beside_slow_twins] * (num_paths >= 3)
+    arm = fast_beside_slow_twins if num_paths >= 3 else acks_back_fast_beside_slow
     if num_paths >= 2 and c.booleans():
-        paths, min_transfer = c.sampled_from(arms)(c, num_paths), 150_000
+        paths, min_transfer = arm(c, num_paths), 150_000
     else:
         paths, min_transfer = [link(c, min_delay_down_ms) for _ in range(num_paths)], 50_000
     return ScenarioConfig(

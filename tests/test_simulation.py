@@ -15,6 +15,7 @@ from mpqsim.sender import SentPacketRecord
 from mpqsim.simulation import Simulation, auto_window_packets
 from test_golden import GOLDEN
 from test_netsim import assert_one_heap_entry_per_live_timer
+from test_scenario_fuzz import checked_run
 
 
 def two_path_config(mode=SpaceMode.SPNS, transfer=400_000, seed=3, **kw):
@@ -158,18 +159,9 @@ def test_single_path_modes_complete_identically():
 
 
 def test_bytes_in_flight_conserved_after_every_event():
-    sim = Simulation(two_path_config(transfer=200_000))
-    peek = sim.loop.peek_time
-
-    def check():
-        # the run peeks once before the first event and once after each one
-        for ps in sim.sender.paths:
-            expected = sum(r.size for r in ps.unacked.values())
-            assert ps.bytes_in_flight == expected
-        return peek()
-
-    sim.loop.peek_time = check
-    assert sim.run().complete
+    # among the invariants `checked_run` checks after every event
+    report, _ = checked_run(two_path_config(transfer=200_000))
+    assert report.complete
 
 
 def test_finished_simulation_is_freed_without_cyclic_gc():
@@ -401,10 +393,8 @@ def test_a_lost_last_packet_is_probed_at_the_deadline_its_send_set():
 
 
 def test_deterministic_repeat_runs():
-    first = Simulation(two_path_config()).run()
-    second = Simulation(two_path_config()).run()
-    assert first == second
-    assert first.to_dict() == second.to_dict()
+    # `checked_run` runs the config twice and compares the reports' bytes
+    checked_run(two_path_config())
 
 
 def test_a_finished_run_returns_its_report_again():
@@ -427,12 +417,9 @@ def test_lossy_forward_path_recovers_and_completes():
 
 
 def test_lossy_run_is_deterministic_too():
-    def go():
-        cfg = two_path_config(transfer=250_000, seed=9)
-        cfg.paths[0].loss_rate = 0.05
-        return Simulation(cfg).run()
-
-    assert go() == go()
+    cfg = two_path_config(transfer=250_000, seed=9)
+    cfg.paths[0].loss_rate = 0.05
+    checked_run(cfg)
 
 
 def test_heavy_reverse_loss_survives_via_probes():
