@@ -1,10 +1,5 @@
-"""Hypothesis profiles for the test suite.
-
-`tests/mutants.py` runs its named tests under the "mutants" profile. A
-mutant has only to make a test fail, so the first failing draw is
-reported as found, without shrinking it to a minimal example: on the
-fuzzer, shrinking alone can take minutes.
-"""
+"""The "mutants" Hypothesis profile of `tests/mutants.py`: a mutant need only
+fail a test, so a failing example is not shrunk, which halves that run."""
 
 from hypothesis import Phase, settings
 

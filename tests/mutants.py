@@ -7,7 +7,9 @@ must fail under it. For every mutant the runner copies this checkout's
 fresh temporary directory, requires the old text to occur exactly once in
 the copy's file, applies the change and runs only the named tests there,
 under the "mutants" Hypothesis profile of `tests/conftest.py`, which
-reports a failing draw without shrinking it.
+reports a failing example without shrinking it, and within
+`MEMORY_LIMIT_B` of address space, so that a mutant which makes a test
+allocate without end fails it with `MemoryError`.
 
     python tests/mutants.py            # every mutant
     python tests/mutants.py NAME ...   # the named ones
@@ -17,9 +19,10 @@ Before the mutants, the named tests run once on an unchanged copy, where
 each must pass (an expected failure counts as a pass), and the copy must
 import its own `mpqsim`. The run exits 1 when a named test fails there,
 when a mutant's old text is missing or not unique, or when a mutant
-survives: some named test still passes under it. A refactor that moves
-the old text updates the entry. Not a test module: pytest does not
-collect it.
+survives (some named test still passes under it), times out, or crashes
+(pytest exits with a status other than 0 or 1, or by a signal). A
+refactor that moves the old text updates the entry. Not a test module:
+pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import argparse
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -37,6 +41,8 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "scenarios", "README.md", "pyproject.toml")
 TIMEOUT_S = 600  # per pytest run; a mutant that makes a run hang fails the check
+# the address space of each pytest run; the control run peaks near 70 MiB
+MEMORY_LIMIT_B = 3 * 2**30
 
 
 class Mutant(NamedTuple):
@@ -441,15 +447,22 @@ def copy_checkout(into: Path) -> None:
             shutil.copy2(source, into / name)
 
 
-def run_tests(where: Path, tests: tuple[str, ...]) -> tuple[int, set[str]]:
-    """Run `tests` in the copy at `where`; returns pytest's exit status (-1
-    on a timeout) and the node ids it reported failed or errored."""
+def limit_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT_B, MEMORY_LIMIT_B))
+
+
+def run_tests(where: Path, tests: tuple[str, ...]) -> tuple[int | None, set[str]]:
+    """Run `tests` in the copy at `where`, within `MEMORY_LIMIT_B`; returns
+    pytest's exit status (negative for a signal, None on a timeout) and the
+    node ids it reported failed or errored."""
     env = {**os.environ, "PYTHONPATH": str(where / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-rfE", "--hypothesis-profile=mutants", *tests]
     try:
-        run = subprocess.run(cmd, cwd=where, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+        run = subprocess.run(
+            cmd, cwd=where, env=env, capture_output=True, text=True, timeout=TIMEOUT_S, preexec_fn=limit_memory
+        )
     except subprocess.TimeoutExpired:
-        return -1, set()
+        return None, set()
     failed = set(re.findall(r"^(?:FAILED|ERROR) (\S+)", run.stdout, re.M))
     return run.returncode, failed
 
@@ -467,7 +480,7 @@ def check_control(mutants: list[Mutant]) -> bool:
             print(f"control: the copy imported mpqsim from {imported!r}, not from {where}")
             return False
         status, failed = run_tests(where, tests)
-    if status or failed:
+    if status != 0 or failed:
         print(f"control: exit {status}, failed on the unchanged copy: {sorted(failed)}")
         return False
     print(f"control: {len(tests)} named tests pass on the unchanged copy")
@@ -488,12 +501,17 @@ def check_mutant(mutant: Mutant) -> bool:
         target.write_text(text.replace(mutant.old, mutant.new))
         status, failed = run_tests(where, mutant.tests)
     survivors = [t for t in mutant.tests if t not in failed]
-    if not mutant.tests or survivors:
-        outcome = "TIMED OUT" if status == -1 else f"SURVIVED (exit {status}); still passing: {survivors}"
-        print(f"{mutant.name}: {outcome}")
-        return False
-    print(f"{mutant.name}: killed, all {len(mutant.tests)} named tests failed")
-    return True
+    if status is None:
+        outcome = "TIMED OUT"
+    elif status not in (0, 1):  # pytest's own error, or a signal: no test result to trust
+        outcome = f"CRASHED (exit {status})"
+    elif not mutant.tests or survivors:
+        outcome = f"SURVIVED (exit {status}); still passing: {survivors}"
+    else:
+        print(f"{mutant.name}: killed, all {len(mutant.tests)} named tests failed")
+        return True
+    print(f"{mutant.name}: {outcome}")
+    return False
 
 
 def main(argv: list[str] | None = None) -> None:

@@ -1,8 +1,8 @@
-"""The random scenarios' distribution, written once against a chooser of
-`integers`, `floats`, `booleans`, `sampled_from` and `int_lists` (bounds
-included), which `tests/test_scenario_fuzz.py` adapts to Hypothesis's `draw`
-and `seeded` to `random.Random`: `seeded_config(i)`, the draws of the report
-gate and of the fuzzer's reach pin, is the same whatever literals load.
+"""The random scenarios' distribution, written against a chooser of
+`integers` and `floats` (bounds included), `booleans` and `sampled_from`, and
+`seeded`, that chooser over `random.Random`. Its draws `seeded_config(i)` feed
+the report gate and every whole-run test in `tests/test_scenario_fuzz.py`, and
+no literal of a loaded module moves them.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ def link(c, min_delay_down_ms: float) -> LinkModel:
     if c.booleans():
         rate, trace = c.floats(0.1, 1e8), None
     else:
-        rate, trace = None, TraceSchedule(sorted(c.int_lists(0, 40, 1, 30)))
+        rate, trace = None, TraceSchedule(sorted(c.integers(0, 40) for _ in range(c.integers(1, 30))))
     return LinkModel(
         delay_down_ms=c.floats(min_delay_down_ms, 100.0),
         delay_up_ms=c.floats(0.0, 100.0),
@@ -96,26 +96,32 @@ def scenario_config(c, max_paths: int = 4, min_delay_down_ms: float = 0.0) -> Sc
     )
 
 
+EDGE = 1 / 20  # the chance of each bound in `seeded`'s `integers` and `floats`
+
+
 def seeded(seed: str) -> SimpleNamespace:
     """The chooser over `random.Random(seed)`. Every draw comes from
     `random()`, the one sequence Python keeps the same across versions."""
     draw = random.Random(seed).random
 
-    def integers(lo: int, hi: int) -> int:
+    def bound_or(lo, hi, uniform):
+        u = draw()
+        return lo if u < EDGE else hi if u >= 1 - EDGE else uniform(lo, hi)
+
+    def uniform_int(lo: int, hi: int) -> int:
         return min(hi, lo + int(draw() * (hi - lo + 1)))
 
     return SimpleNamespace(
-        integers=integers,
-        floats=lambda lo, hi: lo + draw() * (hi - lo),
+        integers=lambda lo, hi: bound_or(lo, hi, uniform_int),
+        floats=lambda lo, hi: bound_or(lo, hi, lambda lo, hi: lo + draw() * (hi - lo)),
         booleans=lambda: draw() < 0.5,
-        sampled_from=lambda values: list(values)[integers(0, len(values) - 1)],
-        int_lists=lambda lo, hi, least, most: [integers(lo, hi) for _ in range(integers(least, most))],
+        sampled_from=lambda values: list(values)[uniform_int(0, len(values) - 1)],
     )
 
 
-def seeded_config(i: int) -> ScenarioConfig:
-    """Seeded draw `i`, with data delays of at least 1 µs, which every run takes."""
-    return scenario_config(seeded(f"scenario/{i}"), min_delay_down_ms=0.001)
+def seeded_config(i: int, max_paths: int = 4, min_delay_down_ms: float = 0.001) -> ScenarioConfig:
+    """Draw `scenario/{i}`, by default with data delays of at least 1 µs, which every run takes."""
+    return scenario_config(seeded(f"scenario/{i}"), max_paths, min_delay_down_ms)
 
 
 def comparable(config: ScenarioConfig) -> tuple:

@@ -1,9 +1,6 @@
-"""Whole random scenarios from `scenario_draws`: the file format round
-trip, per-event and end-of-run checks, and the single-path SPNS/MPNS
-differential. Hypothesis draws them, derandomised, so a failure reproduces
-on every run and shrinks. The reach pin runs the same checks, `checked_run`,
-on the first 150 seeded draws, which no Hypothesis version and no literal
-can move.
+"""Whole random scenarios, the seeded draws `seeded_config(i)`, which no literal
+moves: the file format round trip, refusing a field of the wrong type, per-event
+and end-of-run checks (`checked_run`) and the one-path SPNS/MPNS differential.
 """
 
 import dataclasses
@@ -11,13 +8,11 @@ import json
 import math
 import tempfile
 from collections import Counter
+from operator import attrgetter
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Callable
 
 import pytest
-from hypothesis import event, given, settings
-from hypothesis import strategies as st
 
 from ack_codec import ack_decode, ack_encode
 from mpqsim.core import ACK_DELAY_EXPONENT, AckFrame, ConfigError, SpaceMode, ack_frame_wire_size
@@ -26,21 +21,28 @@ from mpqsim.netsim import LinkModel, ms_to_us
 from mpqsim.receiver import RecvConfig
 from mpqsim.scenario import MetricsReport, ScenarioConfig
 from mpqsim.simulation import Simulation
-from scenario_draws import comparable, scenario_config, seeded_config
+from scenario_draws import comparable, seeded_config
 from test_netsim import assert_one_heap_entry_per_live_timer
 
 
-@st.composite
-def scenario_configs(draw, max_paths=4, min_delay_down_ms=0.0):
-    """`scenario_draws.scenario_config` over Hypothesis's `draw`."""
-    chooser = SimpleNamespace(
-        integers=lambda lo, hi: draw(st.integers(lo, hi)),
-        floats=lambda lo, hi: draw(st.floats(lo, hi)),
-        booleans=lambda: draw(st.booleans()),
-        sampled_from=lambda values: draw(st.sampled_from(values)),
-        int_lists=lambda lo, hi, least, most: draw(st.lists(st.integers(lo, hi), min_size=least, max_size=most)),
-    )
-    return scenario_config(chooser, max_paths, min_delay_down_ms)
+def check_draws(indices: range, check: Callable[[ScenarioConfig], object], **params) -> list:
+    """`check` of `seeded_config(i, **params)` for each `i`; a failure is
+    re-raised naming the draw (`scenario/{i}` and `params`) and its config."""
+    results = []
+    for i in indices:
+        try:
+            results.append(check(seeded_config(i, **params)))
+        except (Exception, pytest.fail.Exception) as exc:
+            label = " ".join([f"scenario/{i}", *(f"{k}={v!r}" for k, v in params.items())])
+            raise AssertionError(f"{label}: {comparable(seeded_config(i, **params))}") from exc
+    return results
+
+
+def test_a_failing_draw_is_reported_by_its_label():
+    drawn = comparable(seeded_config(17))
+    with pytest.raises(AssertionError) as failure:
+        check_draws(range(15, 20), lambda config: comparable(config) != drawn or pytest.fail())
+    assert str(failure.value) == f"scenario/17: {drawn}"
 
 
 def write_scenario_file(config: ScenarioConfig, directory: Path) -> Path:
@@ -83,16 +85,19 @@ def write_scenario_file(config: ScenarioConfig, directory: Path) -> Path:
     return path
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
-@given(scenario_configs())
-def test_scenario_file_round_trip(config):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = write_scenario_file(config, Path(tmp))
-        if any(ms_to_us(lm.delay_down_ms) < 1 for lm in config.paths):
-            with pytest.raises(ConfigError, match="delay_down_ms must round to at least 1 µs"):
-                parse_config_file(path)
-        else:
+def test_scenario_file_round_trip():
+    def round_trip(config: ScenarioConfig) -> str:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_scenario_file(config, Path(tmp))
+            if any(ms_to_us(lm.delay_down_ms) < 1 for lm in config.paths):
+                with pytest.raises(ConfigError, match="delay_down_ms must round to at least 1 µs"):
+                    parse_config_file(path)
+                return "refused"
             assert comparable(parse_config_file(path)) == comparable(config)
+            return "read back"
+
+    # from a floor of 0 ms, a drawn bound gives a delay under 1 µs: both branches run
+    assert set(check_draws(range(200), round_trip, min_delay_down_ms=0.0)) == {"refused", "read back"}
 
 
 # for every config field, values of a type its hint does not admit
@@ -134,20 +139,21 @@ def test_wrong_type_table_covers_every_field():
         assert list(wrong) == [f.name for f in dataclasses.fields(cls)]
 
 
-@settings(derandomize=True, deadline=None, max_examples=100)
-@given(scenario_configs(min_delay_down_ms=0.001))
-def test_a_field_of_the_wrong_type_is_refused_before_the_run(config):
-    # one field at a time, in the scenario, its receiver config and each path
-    for owner in [config, config.recv, *config.paths]:
-        for name, values in WRONG_TYPES[type(owner)].items():
-            good = getattr(owner, name)
-            for value in values:
-                setattr(owner, name, value)
-                # only a path's message carries a prefix, "path N: "
-                with pytest.raises(ConfigError, match=rf"^(path \d+: )?{name} must be "):
-                    Simulation(config)
-            setattr(owner, name, good)
-    Simulation(config)
+def test_a_field_of_the_wrong_type_is_refused_before_the_run():
+    def refused(config: ScenarioConfig) -> None:
+        # one field at a time, in the scenario, its receiver config and each path
+        for owner in [config, config.recv, *config.paths]:
+            for name, values in WRONG_TYPES[type(owner)].items():
+                good = getattr(owner, name)
+                for value in values:
+                    setattr(owner, name, value)
+                    # only a path's message carries a prefix, "path N: "
+                    with pytest.raises(ConfigError, match=rf"^(path \d+: )?{name} must be "):
+                        Simulation(config)
+                setattr(owner, name, good)
+        Simulation(config)
+
+    check_draws(range(100), refused)
 
 
 def check_encoding(frame: AckFrame, mode: SpaceMode) -> None:
@@ -370,29 +376,22 @@ def test_a_lossy_reference_run_encodes_its_frames_of_65_ranges_exactly():
     assert max(gaps) >= 64
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
-@given(scenario_configs(min_delay_down_ms=0.001))
-def test_random_scenarios_end_cleanly_and_repeat_exactly(config):
-    for name in checked_run(config)[1]:
-        event(name)
+def test_random_scenarios_end_cleanly_and_repeat_exactly():
+    # the reach pin below checks draws 0-149
+    check_draws(range(150, 300), checked_run)
 
 
 def test_the_fuzzers_draws_reach_each_regime():
-    # the fuzzer's distribution, seeded: no literal of a loaded module moves
-    # it, and every draw is checked and repeated
-    reached = Counter()
-    for i in range(150):
-        reached.update(checked_run(seeded_config(i))[1])
+    reached = Counter(name for _, regimes in check_draws(range(150), checked_run) for name in regimes)
     counts = {name: reached[name] for name in REGIMES}
     assert all(counts[name] for name in REACHED), counts
 
 
-@settings(derandomize=True, deadline=None, max_examples=100)
-@given(scenario_configs(max_paths=1, min_delay_down_ms=0.001))
-def test_one_path_spns_and_mpns_agree(config):
-    comparison = compare_modes(config)
-    spns, mpns = comparison.spns, comparison.mpns
-    assert spns.completion_time_s == mpns.completion_time_s
-    assert spns.packets_sent == mpns.packets_sent
-    assert spns.packet_threshold_losses == mpns.packet_threshold_losses
-    assert spns.time_threshold_losses == mpns.time_threshold_losses
+def test_one_path_spns_and_mpns_agree():
+    agreed = attrgetter("completion_time_s", "packets_sent", "packet_threshold_losses", "time_threshold_losses")
+
+    def agree(config: ScenarioConfig) -> None:
+        comparison = compare_modes(config)
+        assert agreed(comparison.spns) == agreed(comparison.mpns)
+
+    check_draws(range(100), agree, max_paths=1)
