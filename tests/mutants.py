@@ -6,10 +6,8 @@ must fail under it. For every mutant the runner copies this checkout's
 `src/`, `tests/`, `scenarios/`, `README.md` and `pyproject.toml` into a
 fresh temporary directory, requires the old text to occur exactly once in
 the copy's file, applies the change and runs only the named tests there,
-under the "mutants" Hypothesis profile of `tests/conftest.py`, which
-reports a failing example without shrinking it, and within
-`MEMORY_LIMIT_B` of address space, so that a mutant which makes a test
-allocate without end fails it with `MemoryError`.
+within `MEMORY_LIMIT_B` of address space, so that a mutant which makes a
+test allocate without end fails it with `MemoryError`.
 
     python tests/mutants.py            # every mutant
     python tests/mutants.py NAME ...   # the named ones
@@ -442,7 +440,7 @@ def copy_checkout(into: Path) -> None:
     for name in COPIED:
         source = ROOT / name
         if source.is_dir():
-            shutil.copytree(source, into / name, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+            shutil.copytree(source, into / name, ignore=shutil.ignore_patterns("__pycache__"))
         else:
             shutil.copy2(source, into / name)
 
@@ -456,7 +454,7 @@ def run_tests(where: Path, tests: tuple[str, ...]) -> tuple[int | None, set[str]
     pytest's exit status (negative for a signal, None on a timeout) and the
     node ids it reported failed or errored."""
     env = {**os.environ, "PYTHONPATH": str(where / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-rfE", "--hypothesis-profile=mutants", *tests]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-rfE", *tests]
     try:
         run = subprocess.run(
             cmd, cwd=where, env=env, capture_output=True, text=True, timeout=TIMEOUT_S, preexec_fn=limit_memory

@@ -1,8 +1,8 @@
-"""The random scenarios' distribution, written against a chooser of
-`integers` and `floats` (bounds included), `booleans` and `sampled_from`, and
-`seeded`, that chooser over `random.Random`. Its draws `seeded_config(i)` feed
-the report gate and every whole-run test in `tests/test_scenario_fuzz.py`, and
-no literal of a loaded module moves them.
+"""Every randomized test draws from `seeded`, a chooser over `random.Random`,
+so no literal of a loaded module moves its draws. `check_draws` (or
+the `each_draw` decorator) runs a check on explicit cases, then on seeded
+draws, and names the one that fails. The scenario distribution's draws
+`seeded_config(i)` feed the report gate and the whole-run tests.
 """
 
 from __future__ import annotations
@@ -10,6 +10,9 @@ from __future__ import annotations
 import dataclasses
 import random
 from types import SimpleNamespace
+from typing import Callable, Iterable
+
+import pytest
 
 from mpqsim.congestion import CcAlgorithm
 from mpqsim.core import SpaceMode
@@ -71,12 +74,12 @@ def acks_back_fast_beside_slow(c, num_paths: int) -> list[LinkModel]:
     return [LinkModel(down, up, rate_mbps=rate) for up in ups]
 
 
-def scenario_config(c, max_paths: int = 4, min_delay_down_ms: float = 0.0) -> ScenarioConfig:
+def scenario_config(c, max_paths: int = 4, min_delay_down_ms: float = 0.001) -> ScenarioConfig:
     """A ScenarioConfig of 1 to `max_paths` paths, half the draws of 2 or more
     an arm over at least 150 kB: ACKs back fast beside slow at 2 paths, the
     twins, which reach ACK-frame gaps of 32 and more, from 3.
-    Data delays start at `min_delay_down_ms`; from 0 they include some under
-    1 µs, which validation refuses."""
+    Data delays start at `min_delay_down_ms`, by default 1 µs, which every
+    run takes; from 0 they include some under 1 µs, which validation refuses."""
     num_paths = c.integers(1, max_paths)
     arm = fast_beside_slow_twins if num_paths >= 3 else acks_back_fast_beside_slow
     if num_paths >= 2 and c.booleans():
@@ -97,11 +100,13 @@ def scenario_config(c, max_paths: int = 4, min_delay_down_ms: float = 0.0) -> Sc
 
 
 EDGE = 1 / 20  # the chance of each bound in `seeded`'s `integers` and `floats`
+NONE = 1 / 4  # the chance of None from `seeded`'s `optional`
 
 
 def seeded(seed: str) -> SimpleNamespace:
     """The chooser over `random.Random(seed)`. Every draw comes from
-    `random()`, the one sequence Python keeps the same across versions."""
+    `random()`, the one sequence Python keeps the same across versions.
+    `lists` and `optional` take a function that draws one value."""
     draw = random.Random(seed).random
 
     def bound_or(lo, hi, uniform):
@@ -116,12 +121,33 @@ def seeded(seed: str) -> SimpleNamespace:
         floats=lambda lo, hi: bound_or(lo, hi, lambda lo, hi: lo + draw() * (hi - lo)),
         booleans=lambda: draw() < 0.5,
         sampled_from=lambda values: list(values)[uniform_int(0, len(values) - 1)],
+        lists=lambda element, lo, hi: [element() for _ in range(bound_or(lo, hi, uniform_int))],
+        permutations=lambda values: sorted(values, key=lambda _: draw()),
+        optional=lambda value: None if draw() < NONE else value(),
     )
 
 
-def seeded_config(i: int, max_paths: int = 4, min_delay_down_ms: float = 0.001) -> ScenarioConfig:
-    """Draw `scenario/{i}`, by default with data delays of at least 1 µs, which every run takes."""
-    return scenario_config(seeded(f"scenario/{i}"), max_paths, min_delay_down_ms)
+def seeded_config(i: int) -> ScenarioConfig:
+    """The scenario draw `scenario/{i}`."""
+    return scenario_config(seeded(f"scenario/{i}"))
+
+
+def check_draws(name: str, indices: Iterable[int], draw: Callable, check: Callable, cases=(), shown=repr) -> None:
+    """`check(case)` of each explicit case, then of `draw(seeded(f"{name}/{i}"))` for each `i`; a
+    failure is re-raised naming the case (`name case k`) or draw (`name/i`) and `shown(case)`."""
+    labelled = [(f"{name} case {k}", case) for k, case in enumerate(cases)]
+    labelled += [(f"{name}/{i}", draw(seeded(f"{name}/{i}"))) for i in indices]
+    for label, case in labelled:
+        try:
+            check(case)
+        except (Exception, pytest.fail.Exception) as exc:
+            raise AssertionError(f"{label}: {shown(case)}") from exc
+
+
+def each_draw(count: int, draw: Callable, cases=()) -> Callable:
+    """Make the decorated `check(case)` a test that runs `check_draws` under
+    the check's name, on the explicit cases and on `count` draws."""
+    return lambda check: lambda: check_draws(check.__name__, range(count), draw, check, cases)
 
 
 def comparable(config: ScenarioConfig) -> tuple:

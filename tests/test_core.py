@@ -1,6 +1,4 @@
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from mpqsim.core import (
     AckFrame,
@@ -13,6 +11,7 @@ from mpqsim.core import (
     varint_size,
 )
 from ack_codec import ack_encode
+from scenario_draws import each_draw
 from varint_codec import varint_decode, varint_encode
 
 # -- varints -----------------------------------------------------------------
@@ -45,7 +44,11 @@ def test_varint_out_of_range():
         varint_encode(1 << 62)
 
 
-@given(st.integers(min_value=0, max_value=(1 << 62) - 1))
+# the bounds of each varint size class: 1, 2, 4 and 8 bytes
+VARINT_CLASSES = [(0, 63), (64, 16383), (16384, (1 << 30) - 1), (1 << 30, (1 << 62) - 1)]
+
+
+@each_draw(100, lambda c: c.integers(*c.sampled_from(VARINT_CLASSES)))
 def test_varint_roundtrip(value):
     encoded = varint_encode(value)
     assert len(encoded) == varint_size(value)
@@ -124,8 +127,7 @@ def _naive_ranges(values: set[int]) -> list[tuple[int, int]]:
     return [(hi, lo) for lo, hi in reversed(out)]
 
 
-@settings(max_examples=300)
-@given(st.lists(st.integers(min_value=0, max_value=120), max_size=60))
+@each_draw(300, lambda c: c.lists(lambda: c.integers(0, 120), 0, 60))
 def test_rangeset_matches_naive_set(values):
     rs = RangeSet()
     seen: set[int] = set()
@@ -140,8 +142,7 @@ def test_rangeset_matches_naive_set(values):
         assert (probe in rs) == (probe in seen)
 
 
-@settings(max_examples=200)
-@given(st.lists(st.integers(min_value=0, max_value=80), min_size=1, max_size=40))
+@each_draw(200, lambda c: c.lists(lambda: c.integers(0, 80), 1, 40))
 def test_rangeset_insert_idempotent(values):
     rs = RangeSet()
     for v in values:
@@ -255,15 +256,17 @@ def test_descending_clips_at_anchor_and_stops_at_limit():
     assert ranges_of(rs)[1] == (20, 13)
 
 
-@settings(max_examples=300)
-@given(st.data())
-def test_descending_matches_brute_force(data):
-    values = data.draw(st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=60))
+def _values_anchor_limit(c) -> tuple[list[int], int, int | None]:
+    values = c.lists(lambda: c.integers(0, 60), 1, 60)
+    return values, c.sampled_from(values), c.optional(lambda: c.integers(1, 6))
+
+
+@each_draw(300, _values_anchor_limit)
+def test_descending_matches_brute_force(case):
+    values, anchor, limit = case
     rs = RangeSet()
     for v in values:
         rs.insert(v)
-    anchor = data.draw(st.sampled_from(values))
-    limit = data.draw(st.none() | st.integers(min_value=1, max_value=6))
     for top in (anchor, None):
         below = {v for v in values if top is None or v <= top}
         got = rs.descending(top, limit)
@@ -280,30 +283,25 @@ def _reference_valid(ranges: list[tuple[int, int]]) -> bool:
     return all(lower[0] < upper[1] - 1 for upper, lower in zip(ranges, ranges[1:]))
 
 
-_small = st.integers(min_value=-2, max_value=40)
-
-
-@st.composite
-def _range_lists(draw):
-    """Range lists that are valid, valid but for one edit, or arbitrary."""
-    kind = draw(st.sampled_from(["valid", "edited", "arbitrary"]))
+def _range_lists(c) -> tuple[list[tuple[int, int]], list[int]]:
+    """Range lists that are valid, valid but for one edit, or arbitrary, and
+    the numbers to look up in them."""
+    kind = c.sampled_from(["valid", "edited", "arbitrary"])
     if kind == "arbitrary":
-        ranges = draw(st.lists(st.tuples(_small, _small), max_size=6))
+        ranges = c.lists(lambda: (c.integers(-2, 40), c.integers(-2, 40)), 0, 6)
     else:
-        ranges = _naive_ranges(set(draw(st.lists(st.integers(0, 40), min_size=1, max_size=20))))
+        ranges = _naive_ranges(set(c.lists(lambda: c.integers(0, 40), 1, 20)))
         if kind == "edited":
-            i = draw(st.integers(0, len(ranges) - 1))
+            i = c.integers(0, len(ranges) - 1)
             largest, smallest = ranges[i]
-            edit = draw(
-                st.sampled_from(["largest", "smallest", "swap", "duplicate", "adjacent", "negative"])
-            )
-            delta = draw(st.integers(-2, 2))
+            edit = c.sampled_from(["largest", "smallest", "swap", "duplicate", "adjacent", "negative"])
+            delta = c.integers(-2, 2)
             if edit == "largest":
                 ranges[i] = (largest + delta, smallest)
             elif edit == "smallest":
                 ranges[i] = (largest, smallest + delta)
             elif edit == "swap":
-                j = draw(st.integers(0, len(ranges) - 1))
+                j = c.integers(0, len(ranges) - 1)
                 ranges[i], ranges[j] = ranges[j], ranges[i]
             elif edit == "duplicate":
                 ranges.insert(i, ranges[i])
@@ -311,12 +309,10 @@ def _range_lists(draw):
                 ranges[i] = (ranges[i - 1][1] - 1, smallest)  # closes the hole above
             elif edit == "negative":
                 ranges[-1] = (ranges[-1][0], -1)
-    pns = sorted(set(draw(st.lists(st.integers(-2, 45), max_size=30))))
-    return ranges, pns
+    return ranges, sorted(set(c.lists(lambda: c.integers(-2, 45), 0, 30)))
 
 
-@settings(max_examples=400)
-@given(_range_lists())
+@each_draw(400, _range_lists)
 def test_validate_refuses_exactly_the_invalid_range_lists(case):
     ranges, _ = case
     frame = AckFrame(space=0, ack_delay=0, ranges=[AckRange(*r) for r in ranges])
@@ -327,12 +323,12 @@ def test_validate_refuses_exactly_the_invalid_range_lists(case):
             frame.validate()
 
 
-@settings(max_examples=400)
-@given(_range_lists())
-@example(([(9, 7), (4, 2)], [0, 2, 3, 5, 7, 10]))
-@example(([(5, -1)], [0, 3]))  # negative bottom range
-@example(([(9, 5), (4, 0)], [4, 5]))  # adjacent ranges
-@example(([(9, 9), (3, 5)], []))  # inverted range
+@each_draw(400, _range_lists, [
+    ([(9, 7), (4, 2)], [0, 2, 3, 5, 7, 10]),
+    ([(5, -1)], [0, 3]),  # negative bottom range
+    ([(9, 5), (4, 0)], [4, 5]),  # adjacent ranges
+    ([(9, 9), (3, 5)], []),  # inverted range
+])
 def test_validate_returns_exactly_the_acknowledged_numbers(case):
     ranges, pns = case
     frame = AckFrame(space=0, ack_delay=0, ranges=[AckRange(*r) for r in ranges])
@@ -346,63 +342,65 @@ def test_validate_returns_exactly_the_acknowledged_numbers(case):
             frame.validate(pns)
 
 
-# values on both sides of every varint class boundary, and values inside each class
-_field = st.sampled_from(
-    [0, 63, 64, 16383, 16384, (1 << 30) - 1, 1 << 30, (1 << 40) + 5]
-) | st.integers(0, 70) | st.integers(0, 1 << 20) | st.integers(0, 1 << 42)
+# values on both sides of every varint class boundary, or inside one class
+VARINT_EDGES = [0, 63, 64, 16383, 16384, (1 << 30) - 1, 1 << 30, (1 << 40) + 5]
 
 
-@settings(max_examples=300)
-@given(
-    st.integers(0, 1 << 40),
-    st.lists(st.tuples(_field, _field), min_size=1, max_size=6),
-    _field,
-    st.integers(0, 3),
-    st.sampled_from(list(SpaceMode)),
-)
-def test_wire_size_equals_varint_sum_on_valid_frames(base, gaps_and_lengths, ack_delay, space, mode):
-    # build ascending from `base`: each range is `length` long and sits
-    # `gap` + 1 numbers above the one below it
+def _field(c) -> int:
+    top = c.sampled_from([None, 70, 1 << 20, 1 << 42])
+    return c.sampled_from(VARINT_EDGES) if top is None else c.integers(0, top)
+
+
+def _valid_frame(c) -> tuple[AckFrame, SpaceMode]:
+    """A frame built ascending from its base: each range is `length` long and
+    sits `gap` + 1 numbers above the one below it."""
     ranges = []
-    smallest = base
-    for i, (gap, length) in enumerate(gaps_and_lengths):
+    smallest = c.integers(0, 1 << 40)
+    for i, (gap, length) in enumerate(c.lists(lambda: (_field(c), _field(c)), 1, 6)):
         if i:
             smallest = ranges[-1].largest + gap + 2
         ranges.append(AckRange(smallest + length, smallest))
-    ranges.reverse()
-    frame = AckFrame(space=space, ack_delay=ack_delay, ranges=ranges)
+    frame = AckFrame(space=c.integers(0, 3), ack_delay=_field(c), ranges=ranges[::-1])
+    return frame, c.sampled_from(SpaceMode)
+
+
+@each_draw(300, _valid_frame)
+def test_wire_size_equals_varint_sum_on_valid_frames(case):
+    frame, mode = case
     frame.validate()
     assert ack_frame_wire_size(frame, mode) == len(ack_encode(frame, mode))
 
 
 # gap and length sizes on both sides of the 1/2 and 2/4 byte varint boundaries
-_span = st.sampled_from([0, 1, 62, 63, 64, 65, 16382, 16383, 16384, 16385]) | st.integers(0, 80)
+SPAN_EDGES = [0, 1, 62, 63, 64, 65, 16382, 16383, 16384, 16385]
+_span = lambda c: c.sampled_from(SPAN_EDGES) if c.booleans() else c.integers(0, 80)
 
 
-@st.composite
-def _insert_orders(draw):
+def _insert_orders(c):
     """Adds that build a set of ranges with drawn gaps and lengths, split
-    into pieces, repeated and shuffled."""
-    low = draw(st.integers(0, 20_000))
+    into pieces, repeated and shuffled; a frame delay; and four (anchor,
+    limit) probes."""
+    low = c.integers(0, 20_000)
     layout = []
-    for gap, length in draw(st.lists(st.tuples(_span, _span), min_size=1, max_size=8)):
+    for gap, length in c.lists(lambda: (_span(c), _span(c)), 1, 8):
         lo = layout[-1][1] + gap + 2 if layout else low
         layout.append((lo, lo + length))
     pieces = []
     for lo, hi in layout:
-        cuts = sorted(draw(st.lists(st.integers(lo, hi), max_size=2)))
+        cuts = sorted(c.lists(lambda: c.integers(lo, hi), 0, 2))
         bounds = [lo, *cuts, hi + 1]
         pieces += [(a, b - 1) for a, b in zip(bounds, bounds[1:]) if a < b]
-    pieces += draw(st.lists(st.sampled_from(pieces), max_size=4))  # duplicates
-    return layout, draw(st.permutations(pieces))
+    pieces += c.lists(lambda: c.sampled_from(pieces), 0, 4)  # duplicates
+    adds = c.permutations(pieces)
+    values = [v for piece in adds for v in piece]
+    probes = [(c.sampled_from(values), c.optional(lambda: c.integers(1, 6))) for _ in range(4)]
+    return layout, adds, c.sampled_from([0, 504, 512, 1 << 20]), probes
 
 
-@settings(max_examples=200)
-@given(_insert_orders(), st.data())
-def test_cached_frame_size_equals_the_range_by_range_sum(case, data):
-    layout, adds = case
+@each_draw(200, _insert_orders)
+def test_cached_frame_size_equals_the_range_by_range_sum(case):
+    layout, adds, delay, probes = case
     rs = RangeSet()
-    delay = data.draw(st.sampled_from([0, 504, 512, 1 << 20]))
     for lo, hi in adds:
         rs.add_range(lo, hi)
         # every cache entry, after every add
@@ -410,9 +408,7 @@ def test_cached_frame_size_equals_the_range_by_range_sum(case, data):
         for mode in SpaceMode:
             assert ack_frame_wire_size(frame, mode) == len(ack_encode(frame, mode))
     assert ranges_of(rs) == [(hi, lo) for lo, hi in reversed(layout)]
-    for _ in range(4):
-        anchor = data.draw(st.sampled_from([v for piece in adds for v in piece]))
-        limit = data.draw(st.none() | st.integers(1, 6))
+    for anchor, limit in probes:
         frame = rs.ack_frame(1, delay, anchor, limit)
         assert frame.ranges == rs.descending(anchor, limit)
         assert frame.wire_size is not None

@@ -1,12 +1,11 @@
 import random
 import sys
+import tempfile
 from array import array
 from collections import Counter, deque
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from mpqsim.harness import ConfigError, parse_config_file
 from mpqsim.netsim import (
@@ -16,6 +15,7 @@ from mpqsim.netsim import (
     TraceSchedule,
     load_trace,
 )
+from scenario_draws import each_draw
 
 
 # -- event loop ---------------------------------------------------------------
@@ -293,17 +293,17 @@ class BusyUntilLink:
         return self.busy_until + self.delay_us
 
 
-@settings(max_examples=300)
-@given(
-    rate_bps=st.sampled_from([1e6, 8e6, 40e6, 123_456.7]),
-    queue_capacity=st.integers(0, 4),
-    loss_rate=st.sampled_from([0.0, 0.1, 0.4]),
-    seed=st.integers(0, 1000),
-    sends=st.lists(st.tuples(st.integers(0, 3_000), st.integers(1, 1500)), max_size=60),
-)
-def test_rate_link_matches_a_busy_until_clock(rate_bps, queue_capacity, loss_rate, seed, sends):
+def _link_and_sends(c):
+    """A rate, queue capacity, loss rate and loss seed, and (gap, size) sends."""
+    link = c.sampled_from([1e6, 8e6, 40e6, 123_456.7]), c.integers(0, 4), c.sampled_from([0.0, 0.1, 0.4])
+    return *link, c.integers(0, 1000), c.lists(lambda: (c.integers(0, 3_000), c.integers(1, 1500)), 0, 60)
+
+
+@each_draw(300, _link_and_sends)
+def test_rate_link_matches_a_busy_until_clock(case):
     """Starting each packet after the last queued departure, or at once when
     the queue is empty, gives the arrivals and drops of a serialization clock."""
+    rate_bps, queue_capacity, loss_rate, seed, sends = case
     args = dict(rate_bps=rate_bps, loss_rate=loss_rate, queue_capacity=queue_capacity)
     link = LinkDirection(delay_us=5_000, rng=random.Random(seed), **args)
     reference = BusyUntilLink(delay_us=5_000, rng=random.Random(seed), **args)
@@ -426,88 +426,85 @@ def outcome(load, path):
 SPACES = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"]
 
 
-@st.composite
-def trace_lines(draw, last, clean):
+def padding(c) -> str:
+    return c.sampled_from(["", " "]) if c.booleans() else "".join(c.lists(lambda: c.sampled_from(SPACES), 0, 2))
+
+
+def trace_line(c, last: int, clean: bool) -> tuple[str, int]:
     """One line's text and the last int value so far; only padded ints if `clean`."""
     kinds = ["int"] if clean else ["int"] * 6 + ["blank", "space", "neg", "float", "pair", "word"]
-    kind = draw(st.sampled_from(kinds))
-    pad = st.sampled_from(["", " "]) | st.text(st.sampled_from(SPACES), max_size=2)
+    kind = c.sampled_from(kinds)
     if kind == "blank":
         return "", last
     if kind == "space":
-        return draw(pad.filter(bool)), last
+        return "".join(c.lists(lambda: c.sampled_from(SPACES), 1, 2)), last
     if kind == "neg":
-        return f"-{draw(st.integers(0, 5))}", last
+        return f"-{c.integers(0, 5)}", last
     if kind == "float":
         return f"{last}.5", last
     if kind == "pair":
         return f"{last} {last}", last
     if kind == "word":
-        return draw(st.sampled_from(["x", "1e3", "0x10", "_1", "1__0", "1_", "+", "--1", "++1"])), last
-    value = last + draw(st.integers(0, 30))
+        return c.sampled_from(["x", "1e3", "0x10", "_1", "1__0", "1_", "+", "--1", "++1"]), last
+    value = last + c.integers(0, 30)
     text = str(value)
-    if value >= 10 and draw(st.booleans()):
+    if value >= 10 and c.booleans():
         text = f"{text[0]}_{text[1:]}"
-    if draw(st.booleans()):
+    if c.booleans():
         text = "+" + text
-    return draw(pad) + text + draw(pad), value
+    return padding(c) + text + padding(c), value
 
 
-@st.composite
-def trace_files(draw):
+def trace_file(c) -> bytes:
     """Bytes of a trace file: mostly well formed, some with bad lines or bytes."""
-    clean = draw(st.booleans())
+    clean = c.booleans()
     lines, last = [], 0
-    for _ in range(draw(st.integers(0, 12))):
-        text, last = draw(trace_lines(last, clean))
+    for _ in range(c.integers(0, 12)):
+        text, last = trace_line(c, last, clean)
         lines.append(text)
-    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
-    if ends and draw(st.booleans()):
+    ends = [c.sampled_from(["\n", "\r\n", "\r"]) for _ in lines]
+    if ends and c.booleans():
         ends[-1] = ""  # no final newline
     data = "".join(t + e for t, e in zip(lines, ends)).encode()
-    if not clean and draw(st.booleans()):
-        cut = draw(st.integers(0, len(data)))
-        data = data[:cut] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xe2\x82", b"\x80"])) + data[cut:]
+    if not clean and c.booleans():
+        cut = c.integers(0, len(data))
+        data = data[:cut] + c.sampled_from([b"\xff", b"\xc3", b"\xe2\x82", b"\x80"]) + data[cut:]
     return data
 
 
-@pytest.fixture(scope="module")
-def trace_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("traces")
-
-
-@settings(derandomize=True, deadline=None, max_examples=400)
-@given(trace_files())
-@example(b"1\r\n2\r\n3\r\n")  # CRLF endings
-@example(b"1\r2\r3")  # bare CR endings, no final newline
-@example(b"  1  \n\t2\t\n3 \n")  # ASCII padding
-@example("\u30001\xa0\n\u20282\x85\n".encode())  # Unicode whitespace
-@example(b"\x1c1\x1f\n2\n")  # whitespace to str.strip() but not to int()
-@example(b"+1\n+2\n")  # explicit sign
-@example(b"1_0\n2_0\n")  # digit grouping
-@example(b"1 2\n")  # two numbers on one line
-@example(b"1\x0c2\n")  # a form feed inside a line
-@example("\ufeff1\n2\n".encode())  # a byte order mark
-@example("\u0661\n\u0662\u0663\n".encode())  # Arabic-Indic digits
-@example(b"1\n-2\n3\n")  # a negative value
-@example(b"-0\n1\n")  # negative zero is zero
-@example(b"1\nxyz\n3\n")  # garbage
-@example(b"1\n2\xff\n3\n")  # bad UTF-8
-@example(b"1\n" * 5000 + b"\xff\n")  # a bad byte past the first 8 KB: named at 10000
-@example(b"1\n2\xe2\x82")  # a truncated sequence at the end: named at 3-4
-@example(b"")  # empty
-@example(b"\n\n\n")  # blank lines only
-@example(b" \n\t\r\n\x0c\n")  # whitespace-only lines
-@example(b"1\n\n3\n")  # a blank line among values
-@example(b"1.5\n")  # not an integer
-@example(b"3\n2\n")  # decreasing
-@example(b"0x10\n")  # hexadecimal
-@example(b"1e3\n")  # exponent form
-@example(b"1\r\n\r\n-5\r\n")  # a blank CRLF line, then a negative
-def test_load_trace_matches_the_line_loop(trace_dir, data):
-    path = trace_dir / "t.trace"
-    path.write_bytes(data)
-    assert outcome(load_trace, path) == outcome(reference_load_trace, path)
+@each_draw(400, trace_file, [
+    b"1\r\n2\r\n3\r\n",  # CRLF endings
+    b"1\r2\r3",  # bare CR endings, no final newline
+    b"  1  \n\t2\t\n3 \n",  # ASCII padding
+    "\u30001\xa0\n\u20282\x85\n".encode(),  # Unicode whitespace
+    b"\x1c1\x1f\n2\n",  # whitespace to str.strip() but not to int()
+    b"+1\n+2\n",  # explicit sign
+    b"1_0\n2_0\n",  # digit grouping
+    b"1 2\n",  # two numbers on one line
+    b"1\x0c2\n",  # a form feed inside a line
+    "\ufeff1\n2\n".encode(),  # a byte order mark
+    "\u0661\n\u0662\u0663\n".encode(),  # Arabic-Indic digits
+    b"1\n-2\n3\n",  # a negative value
+    b"-0\n1\n",  # negative zero is zero
+    b"1\nxyz\n3\n",  # garbage
+    b"1\n2\xff\n3\n",  # bad UTF-8
+    b"1\n" * 5000 + b"\xff\n",  # a bad byte past the first 8 KB: named at 10000
+    b"1\n2\xe2\x82",  # a truncated sequence at the end: named at 3-4
+    b"",  # empty
+    b"\n\n\n",  # blank lines only
+    b" \n\t\r\n\x0c\n",  # whitespace-only lines
+    b"1\n\n3\n",  # a blank line among values
+    b"1.5\n",  # not an integer
+    b"3\n2\n",  # decreasing
+    b"0x10\n",  # hexadecimal
+    b"1e3\n",  # exponent form
+    b"1\r\n\r\n-5\r\n",  # a blank CRLF line, then a negative
+])
+def test_load_trace_matches_the_line_loop(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.trace"
+        path.write_bytes(data)
+        assert outcome(load_trace, path) == outcome(reference_load_trace, path)
 
 
 def test_trace_wraps_with_final_timestamp_period():

@@ -1,14 +1,13 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mpqsim.core import AckRange, ConfigError, SpaceMode, ack_frame_wire_size
 from mpqsim.netsim import LinkModel
 from mpqsim.receiver import ReceiverState, RecvConfig
 from mpqsim.scenario import ScenarioConfig
 from mpqsim.simulation import Simulation
+from scenario_draws import each_draw
 
 MS = 1000
 
@@ -256,25 +255,23 @@ def reference_trim(ranges, default_limit, maximum_limit, must_cover):
     return ranges[: min(needed, maximum_limit)]
 
 
-@st.composite
-def arrival_runs(draw):
+def arrival_runs(c):
     """A receiver config and arrivals (path, pn, build after it?) in drawn order."""
-    default = draw(st.integers(1, 6))
+    default = c.integers(1, 6)
     config = RecvConfig(
         suppression_enabled=True,
         default_limit=default,
-        maximum_limit=draw(st.integers(default, 8)),
-        per_path_anchoring=draw(st.booleans()),
-        ack_eliciting_threshold=draw(st.integers(1, 4)),
+        maximum_limit=c.integers(default, 8),
+        per_path_anchoring=c.booleans(),
+        ack_eliciting_threshold=c.integers(1, 4),
     )
-    mode, paths = draw(st.sampled_from(SpaceMode)), draw(st.integers(1, 3))
-    pns = draw(st.lists(st.integers(0, 60), min_size=1, max_size=50, unique=True))
-    arrivals = [(draw(st.integers(0, paths - 1)), pn, draw(st.booleans())) for pn in pns]
+    mode, paths = c.sampled_from(SpaceMode), c.integers(1, 3)
+    pns = c.permutations(range(61))[: c.integers(1, 50)]  # distinct numbers in drawn order
+    arrivals = [(c.integers(0, paths - 1), pn, c.booleans()) for pn in pns]
     return mode, paths, config, arrivals
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(arrival_runs())
+@each_draw(300, arrival_runs)
 def test_suppressed_frames_match_the_two_pass_trim(run):
     """Each frame's ranges follow the two-pass trim, and its delay is the
     time its anchor has been held, under both anchorings and both modes."""

@@ -1,6 +1,11 @@
-"""The seeded chooser and the bounds its scenario draws reach."""
+"""The seeded chooser, the driver that runs checks on its draws, and the
+bounds its scenario draws reach."""
 
-from scenario_draws import EDGE, seeded, seeded_config
+from collections import Counter
+
+import pytest
+
+from scenario_draws import EDGE, NONE, check_draws, seeded, seeded_config
 
 
 def test_the_seeded_chooser_returns_each_bound_at_its_rate():
@@ -16,6 +21,34 @@ def test_the_seeded_chooser_returns_each_bound_at_its_rate():
     int_rate = EDGE + (1 - 2 * EDGE) / 10
     for drawn, bound, rate in [(ints, 0, int_rate), (ints, 9, int_rate), (floats, 0.0, EDGE), (floats, 1.0, EDGE)]:
         assert abs(drawn.count(bound) / 2000 - rate) <= 0.025, (bound, drawn.count(bound))
+
+
+def test_the_seeded_chooser_draws_lists_permutations_and_optional_values():
+    items = [3, 1, 4, 1, 5, 9]
+
+    def draws(chooser) -> tuple[list, list, list]:
+        return (
+            [chooser.lists(lambda: chooser.integers(0, 9), 2, 5) for _ in range(2000)],
+            [chooser.permutations(items) for _ in range(2000)],
+            [chooser.optional(lambda: 7) for _ in range(2000)],
+        )
+
+    lists, permutations, optionals = draws(seeded("t"))
+    assert draws(seeded("t")) == (lists, permutations, optionals)  # one seed, one sequence
+    assert {len(drawn) for drawn in lists} == {2, 3, 4, 5}  # each bound, and nothing outside them
+    assert all(Counter(drawn) == Counter(items) for drawn in permutations)
+    assert all({drawn[k] for drawn in permutations} == set(items) for k in range(6))  # each item in each place
+    assert set(optionals) == {None, 7}
+    # within 0.03, over three standard deviations at 2,000 draws
+    assert abs(optionals.count(None) / 2000 - NONE) <= 0.03, optionals.count(None)
+
+
+def test_a_failing_case_is_reported_by_its_label():
+    def below_ten(n):
+        assert n < 10
+
+    with pytest.raises(AssertionError, match=r"^t case 2: 12$"):
+        check_draws("t", range(5), lambda chooser: chooser.integers(0, 9), below_ten, [3, 9, 12])
 
 
 def test_the_seeded_draws_reach_each_bound():

@@ -8,6 +8,7 @@ import json
 import math
 import tempfile
 from collections import Counter
+from functools import partial
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable
@@ -21,27 +22,19 @@ from mpqsim.netsim import LinkModel, ms_to_us
 from mpqsim.receiver import RecvConfig
 from mpqsim.scenario import MetricsReport, ScenarioConfig
 from mpqsim.simulation import Simulation
-from scenario_draws import comparable, seeded_config
+from scenario_draws import check_draws, comparable, scenario_config, seeded_config
 from test_netsim import assert_one_heap_entry_per_live_timer
 
 
-def check_draws(indices: range, check: Callable[[ScenarioConfig], object], **params) -> list:
-    """`check` of `seeded_config(i, **params)` for each `i`; a failure is
-    re-raised naming the draw (`scenario/{i}` and `params`) and its config."""
-    results = []
-    for i in indices:
-        try:
-            results.append(check(seeded_config(i, **params)))
-        except (Exception, pytest.fail.Exception) as exc:
-            label = " ".join([f"scenario/{i}", *(f"{k}={v!r}" for k, v in params.items())])
-            raise AssertionError(f"{label}: {comparable(seeded_config(i, **params))}") from exc
-    return results
+def check_scenarios(indices: range, check: Callable[[ScenarioConfig], object], **params) -> None:
+    """`check_draws` of the scenario draws `scenario/{i}` of `scenario_config(c, **params)`."""
+    return check_draws("scenario", indices, partial(scenario_config, **params), check, shown=comparable)
 
 
 def test_a_failing_draw_is_reported_by_its_label():
     drawn = comparable(seeded_config(17))
     with pytest.raises(AssertionError) as failure:
-        check_draws(range(15, 20), lambda config: comparable(config) != drawn or pytest.fail())
+        check_scenarios(range(15, 20), lambda config: comparable(config) != drawn or pytest.fail())
     assert str(failure.value) == f"scenario/17: {drawn}"
 
 
@@ -97,7 +90,9 @@ def test_scenario_file_round_trip():
             return "read back"
 
     # from a floor of 0 ms, a drawn bound gives a delay under 1 µs: both branches run
-    assert set(check_draws(range(200), round_trip, min_delay_down_ms=0.0)) == {"refused", "read back"}
+    branches = set()
+    check_scenarios(range(200), lambda config: branches.add(round_trip(config)), min_delay_down_ms=0.0)
+    assert branches == {"refused", "read back"}
 
 
 # for every config field, values of a type its hint does not admit
@@ -153,7 +148,7 @@ def test_a_field_of_the_wrong_type_is_refused_before_the_run():
                 setattr(owner, name, good)
         Simulation(config)
 
-    check_draws(range(100), refused)
+    check_scenarios(range(100), refused)
 
 
 def check_encoding(frame: AckFrame, mode: SpaceMode) -> None:
@@ -378,11 +373,12 @@ def test_a_lossy_reference_run_encodes_its_frames_of_65_ranges_exactly():
 
 def test_random_scenarios_end_cleanly_and_repeat_exactly():
     # the reach pin below checks draws 0-149
-    check_draws(range(150, 300), checked_run)
+    check_scenarios(range(150, 300), checked_run)
 
 
 def test_the_fuzzers_draws_reach_each_regime():
-    reached = Counter(name for _, regimes in check_draws(range(150), checked_run) for name in regimes)
+    reached = Counter()
+    check_scenarios(range(150), lambda config: reached.update(checked_run(config)[1]))
     counts = {name: reached[name] for name in REGIMES}
     assert all(counts[name] for name in REACHED), counts
 
@@ -394,4 +390,4 @@ def test_one_path_spns_and_mpns_agree():
         comparison = compare_modes(config)
         assert agreed(comparison.spns) == agreed(comparison.mpns)
 
-    check_draws(range(100), agree, max_paths=1)
+    check_scenarios(range(100), agree, max_paths=1)

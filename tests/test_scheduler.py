@@ -1,12 +1,10 @@
 import math
 import random
 
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
-
 from mpqsim.congestion import CongestionController
 from mpqsim.scheduler import SchedulerKind, select_path
 from mpqsim.sender import PathSendState
+from scenario_draws import each_draw
 
 MSS = 1350
 
@@ -193,37 +191,33 @@ def reference_decision(kind, paths, size, pace_next, now, rr_cursor):
 NOW = 50_000
 
 
-@st.composite
-def decisions(draw):
+def near(c, at: int, lo: int, hi: int) -> int:
+    """`at` or one off it, or a value in `lo`..`hi`."""
+    return at + c.sampled_from([-1, 0, 1]) if c.booleans() else c.integers(lo, hi)
+
+
+def decisions(c):
     """Paths with room on both sides of the packet size and gates around now."""
-    size = draw(st.sampled_from([1, 600, MSS]))
+    size = c.sampled_from([1, 600, MSS])
     paths, gates = [], []
-    for p in range(draw(st.integers(1, 4))):
+    for p in range(c.integers(1, 4)):
         ps = PathSendState(p, CongestionController(mss=MSS))
-        ps.cc.cwnd = draw(st.integers(2, 20)) * MSS
-        room = draw(st.one_of(st.sampled_from([-1, 0, 1]), st.integers(-3 * MSS, 3 * MSS)))
+        ps.cc.cwnd = c.integers(2, 20) * MSS
+        room = near(c, 0, -3 * MSS, 3 * MSS)
         ps.bytes_in_flight = max(0, ps.cc.cwnd - size - room)
-        srtt = draw(st.one_of(st.none(), st.sampled_from([20_000.0, 40_000.0]), st.floats(1.0, 1e6)))
+        srtt = c.optional(lambda: c.sampled_from([20_000.0, 40_000.0]) if c.booleans() else c.floats(1.0, 1e6))
         ps.smoothed_rtt = srtt
-        ps.sent_count = draw(st.integers(0, 3))
+        ps.sent_count = c.integers(0, 3)
         paths.append(ps)
-        gates.append(NOW + draw(st.one_of(st.sampled_from([-1, 0, 1]), st.integers(-NOW, 20_000))))
-    kind = draw(st.sampled_from(SchedulerKind))
-    return kind, paths, size, gates, draw(st.integers(-1, 3))
+        gates.append(near(c, NOW, 0, NOW + 20_000))
+    kind = c.sampled_from(SchedulerKind)
+    return kind, paths, size, gates, c.integers(-1, 3)
 
 
-@settings(derandomize=True, deadline=None, max_examples=500)
-@given(decisions())
 # round robin with path 0 pace-blocked and the cursor at 2: round robin
 # takes the next ready id above its cursor, wrapping, so path 3
-@example(
-    (
-        SchedulerKind.ROUND_ROBIN,
-        [make_path(p) for p in range(4)],
-        MSS,
-        [NOW + 1, 0, 0, 0],
-        2,
-    )
+@each_draw(
+    500, decisions, [(SchedulerKind.ROUND_ROBIN, [make_path(p) for p in range(4)], MSS, [NOW + 1, 0, 0, 0], 2)]
 )
 def test_single_pass_matches_the_list_based_decision(decision):
     kind, paths, size, gates, cursor = decision
@@ -233,10 +227,10 @@ def test_single_pass_matches_the_list_based_decision(decision):
     assert select_path(kind, paths, size, NOW, cursor) == expected
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(decisions())
 # round robin with paths 0-2 pace-blocked: path 3 is open and has room
-@example((SchedulerKind.ROUND_ROBIN, [make_path(p) for p in range(4)], MSS, [NOW + 10] * 3 + [0], -1))
+@each_draw(
+    300, decisions, [(SchedulerKind.ROUND_ROBIN, [make_path(p) for p in range(4)], MSS, [NOW + 10] * 3 + [0], -1)]
+)
 def test_a_path_is_picked_whenever_one_is_past_its_gate_with_room(decision):
     kind, paths, size, gates, cursor = decision
     for ps, gate in zip(paths, gates):

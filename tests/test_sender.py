@@ -2,12 +2,11 @@ from array import array
 from enum import Enum
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mpqsim.congestion import CcAlgorithm, CongestionController
 from mpqsim.core import AckFrame, AckRange, InvariantViolation, ProtocolError, SpaceMode
 from mpqsim.sender import SenderState
+from scenario_draws import each_draw
 
 FIG_PATH_OF_PN = {
     0: 1, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1, 6: 0, 7: 0,
@@ -470,27 +469,27 @@ def _frame_of(pns: set[int]) -> AckFrame:
     return ack(ranges=[AckRange(hi, lo) for hi, lo in ranges])
 
 
-@settings(max_examples=200)
-@given(st.data())
-def test_ack_processing_matches_brute_force(data):
+def sends_and_acks(c) -> tuple[int, list[int], list[tuple[set[int], int]]]:
+    """Paths, the path of each packet sent, and rounds of (numbers acked, arrival path)."""
+    paths = c.integers(1, 3)
+    sends = c.lists(lambda: c.integers(0, paths - 1), 2, 40)
+    acked = lambda: set(c.lists(lambda: c.integers(0, len(sends) - 1), 1, len(sends)))
+    return paths, sends, c.lists(lambda: (acked(), c.integers(0, paths - 1)), 1, 5)
+
+
+@each_draw(200, sends_and_acks)
+def test_ack_processing_matches_brute_force(case):
     """Newly acked and spurious packets are the unacked and lost packets in the frame."""
-    paths = data.draw(st.integers(1, 3))
+    paths, sends, rounds = case
     sender = make_sender(SpaceMode.SPNS, paths)
-    count = data.draw(st.integers(2, 40))
-    for t in range(count):
-        sender.send_packet(data.draw(st.integers(0, paths - 1)), 100, now=t)
+    for t, path in enumerate(sends):
+        sender.send_packet(path, 100, now=t)
     lost: set[int] = set()
-    for round_ in range(data.draw(st.integers(1, 5))):
-        acked = set(data.draw(st.lists(st.integers(0, count - 1), min_size=1, max_size=count)))
+    for round_, (acked, path) in enumerate(rounds):
         unacked = unacked_pns(sender)
         spurious_before = sender.spurious_count
         assert lost <= set(sender._spaces[0].outstanding)
-        newly, declared = acknowledge(
-            sender,
-            data.draw(st.integers(0, paths - 1)),
-            _frame_of(acked),
-            now=1000 * (round_ + 1),
-        )
+        newly, declared = acknowledge(sender, path, _frame_of(acked), now=1000 * (round_ + 1))
         assert newly == unacked & acked
         assert not {r.pn for r in declared} & acked
         assert sender.spurious_count - spurious_before == len(lost & acked)
